@@ -269,19 +269,21 @@ def _run_simulate(cfg, rng) -> tuple[int, dict | str]:
     for _ in range(cfg["steps"]):
         state = step(op, state)
         distributions.append(position_distribution(state))
+    distributions = np.array(distributions)
 
     if cfg["format"] == "csv":
         header = ["step"] + [f"p_{sigma}" for sigma in range(op.dim_fock)]
         lines = [",".join(header)]
-        for t, dist in enumerate(distributions):
-            lines.append(",".join([str(t)] + [repr(float(p)) for p in dist]))
+        for t, dist in enumerate(distributions.tolist()):
+            lines.append(",".join([str(t), *map(float.__repr__, dist)]))
         return 0, "\n".join(lines) + "\n"
 
     report = {
         "task": "simulate",
         "config": _config_echo(cfg, cs),
-        "distributions": [[float(p) for p in dist] for dist in distributions],
-        "final_state": [[float(z.real), float(z.imag)] for z in state.vector],
+        "distributions": distributions,
+        # rows [re, im]
+        "final_state": state.vector.view(float).reshape(-1, 2),
         "final_t": state.t,
     }
     return 0, report
@@ -478,9 +480,62 @@ _RUNNERS = {
 }
 
 
+def _render(value, level: int) -> str:
+    """JSON text of ``value`` at indent ``level``, ndarrays as nested lists.
+
+    The text is byte for byte what ``json.dumps(indent=2, sort_keys=True)``
+    writes for the payload with its arrays converted by ``tolist``; that
+    encoder is pure Python once ``indent`` is set, so float arrays are
+    rendered in bulk instead.
+    """
+    if isinstance(value, np.ndarray):
+        return _render_array(value, level)
+    pad = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            f"{json.dumps(key)}: {_render(item, level + 1)}"
+            for key, item in sorted(value.items())
+        )
+        return "{" + pad + ("," + pad).join(items) + close + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + pad + ("," + pad).join(_render(item, level + 1) for item in value) + close + "]"
+    return json.dumps(value)
+
+
+def _render_array(arr: np.ndarray, level: int) -> str:
+    """Nested-list JSON text of an array at indent ``level``.
+
+    The values are joined by C-level string joins, axis by axis from the
+    innermost: the separator between two neighbours along an axis closes
+    the brackets of every deeper axis, writes the comma, and opens them
+    again.
+    """
+    if arr.dtype.kind != "f" or arr.size == 0 or not np.isfinite(arr).all():
+        # empty rows print as "[]" and json spells non-finite values its own way
+        return _render(arr.tolist(), level)
+    pads = ["\n" + "  " * (level + k) for k in range(arr.ndim + 1)]
+
+    def head(axis: int) -> str:  # opening brackets of ``axis`` and deeper
+        return "".join("[" + pads[k + 1] for k in range(axis, arr.ndim))
+
+    def tail(axis: int) -> str:  # closing brackets of ``axis`` and deeper
+        return "".join(pads[k] + "]" for k in reversed(range(axis, arr.ndim)))
+
+    text = map(float.__repr__, arr.ravel().tolist())
+    for axis in reversed(range(arr.ndim)):
+        sep = tail(axis + 1) + "," + pads[axis + 1] + head(axis + 1)
+        text = map(sep.join, zip(*[iter(text)] * arr.shape[axis]))
+    return head(0) + next(text) + tail(0)
+
+
 def _emit(payload: dict | str, out: str | None) -> None:
     if isinstance(payload, dict):
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _render(payload, 0) + "\n"
     else:
         text = payload
     if out is None:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from ._linalg import unitarity_residual
 from .coin import (
@@ -360,14 +361,24 @@ def walk_point_spectrum(
     the per-vertex block structure, so the result is an independent side of
     the spectral comparisons.
     """
-    if cs.n > DENSE_N_LIMIT:
+    _require_dense_capacity(cs.n)
+    return _dense_walk_spectrum(evolution_operator(nu, cs).dense(), nu, cs, cluster_tol)
+
+
+def _require_dense_capacity(n: int) -> None:
+    if n > DENSE_N_LIMIT:
         raise CapacityError(
-            f"dense walk spectrum needs n <= {DENSE_N_LIMIT}, got n={cs.n}; "
+            f"dense walk spectrum needs n <= {DENSE_N_LIMIT}, got n={n}; "
             "the per-vertex coin-sum union scales further"
         )
-    op = evolution_operator(nu, cs)
+
+
+def _dense_walk_spectrum(
+    mat: np.ndarray, nu: MagneticPotential, cs: CoinSystem, cluster_tol: float
+) -> SpectrumReport:
+    """``walk_point_spectrum`` of a walk matrix already assembled."""
     return unitary_eigenvalues(
-        op.dense(),
+        mat,
         source=f"walk operator, n={cs.n}, d={cs.d}",
         nu=nu,
         cluster_tol=cluster_tol,
@@ -555,11 +566,7 @@ def verify_approximate_spectrum_theorem(
     two spectral notions.
     """
     _validated(cs)
-    if cs.n > DENSE_N_LIMIT:
-        raise CapacityError(
-            f"dense walk spectrum needs n <= {DENSE_N_LIMIT}, got n={cs.n}; "
-            "the per-vertex coin-sum union scales further"
-        )
+    _require_dense_capacity(cs.n)
     op = evolution_operator(nu, cs)
     walk_rep = approximate_spectrum(
         op.dense(),
@@ -643,15 +650,22 @@ def verify_spectral_stability(
     potentials = [null_potential(cs.n)] + [
         random_potential(cs.n, rng) for _ in range(samples)
     ]
-    reports = [walk_point_spectrum(nu, cs, cluster_tol=tol) for nu in potentials]
-    dense_ops = [evolution_operator(nu, cs).dense() for nu in potentials]
+    _require_dense_capacity(cs.n)
+    reports = []
+    # each operator is assembled once and kept in sparse form, which holds
+    # the same entries, so no eigensolve runs beside all the dense copies
+    sparse_ops = []
+    for nu in potentials:
+        mat = evolution_operator(nu, cs).dense()
+        reports.append(_dense_walk_spectrum(mat, nu, cs, tol))
+        sparse_ops.append(sp.csr_matrix(mat))
 
     max_h = 0.0
     max_diff = 0.0
     for i in range(len(potentials)):
         for j in range(i + 1, len(potentials)):
             max_h = max(max_h, hausdorff_distance(reports[i].values, reports[j].values))
-            max_diff = max(max_diff, float(np.abs(dense_ops[i] - dense_ops[j]).max()))
+            max_diff = max(max_diff, float(abs(sparse_ops[i] - sparse_ops[j]).max()))
 
     return SpectralStabilityReport(
         n=cs.n,

@@ -6,11 +6,17 @@ composite index of (vertex sigma, coin axis a) is sigma * d + a, so the
 dense representation is a literal Kronecker sum and the position marginal
 is a contiguous reduction.
 
-Stepping is matrix-free by default: for each direction j the state, viewed
-as a (2^(n+1), d) array, is multiplied by the coin on the right and its
-position rows are swapped in pairs (sigma, sigma xor bit j) with the
-direction phases attached.  One step costs O((n+1) 2^(n+1) d^2) and never
-forms the full matrix, which is reserved for spectral work at small n.
+Stepping is matrix-free by default.  Each coin is factored once by SVD as
+C_j = L_j R_j* (d x r_j factors, r_j its rank), and the factors are stacked
+side by side into R = [R_0 ... R_n] and L = [L_0 ... L_n].  A step views
+the state as a (2^(n+1), d) array psi, computes psi @ conj(R), swaps the
+position rows of each column block j in pairs (sigma, sigma xor bit j)
+with the direction phases attached, and multiplies by L^T.  For a valid
+coin system the ranks sum to d, so one step costs two (2^(n+1), d) @ (d, d)
+products plus one gather of 2^(n+1) d amplitudes; operators of higher total
+rank stay exact and only widen the middle stage, up to (n+1) d.  The full
+matrix is never formed by stepping; it is reserved for spectral work at
+small n and kept as the literal Kronecker sum, the kernel's oracle.
 """
 
 from __future__ import annotations
@@ -56,6 +62,10 @@ DENSE_N_LIMIT = 10
 
 STATE_NORM_TOL = 1e-8
 
+# Singular values of a coin below this fraction of the largest singular
+# value of any coin are round-off of an exactly rank-deficient operator.
+_RANK_TOL = 1e-13
+
 
 class CapacityError(RuntimeError):
     """Raised when a dense materialization would exceed the size guard."""
@@ -64,9 +74,11 @@ class CapacityError(RuntimeError):
 class WalkOperator:
     """Unitary evolution operator for a potential and a coin system.
 
-    Immutable after construction; precomputes the row-swap tables and
-    direction phases used by the matrix-free kernel.  The dense matrix is
-    built lazily and cached, guarded to n <= DENSE_N_LIMIT.
+    Immutable after construction; precomputes the stacked coin factors and
+    the per-block direction phases used by the matrix-free kernel.  The
+    dense matrix is built lazily and cached, guarded to n <= DENSE_N_LIMIT.
+    ``factor_width`` is the total rank of the coins, which is d for every
+    valid coin system and sets the width of the kernel's middle stage.
     """
 
     def __init__(self, nu: MagneticPotential, cs: CoinSystem):
@@ -78,31 +90,47 @@ class WalkOperator:
         self.d = cs.d
         self.dim_fock = dimension(cs.n)
         self.dim = self.dim_fock * cs.d
-        idx = np.arange(self.dim_fock)
-        self._flips = [idx ^ (1 << j) for j in range(self.n + 1)]
-        self._phases = [
-            np.where(
-                ((idx >> j) & 1).astype(bool),
-                np.exp(1j * nu.phases[j]),
-                np.exp(-1j * nu.phases[j]),
-            )
-            for j in range(self.n + 1)
-        ]
-        self._coin_t = [np.ascontiguousarray(op.T) for op in cs.ops]
+        svds = [np.linalg.svd(op) for op in cs.ops]
+        floor = _RANK_TOL * max(s[0] for _, s, _ in svds)
+        # row blocks j of the stacked factors: R_j* and L_j^T
+        rights, lefts = [], []
+        # per direction j: first and past-last factor row, phase of a source
+        # position with bit j set, phase of one with bit j clear
+        self._blocks: list[tuple[int, int, complex, complex]] = []
+        start = 0
+        for j, (u, s, vh) in enumerate(svds):
+            r = int(np.count_nonzero(s > floor))
+            rights.append(vh[:r])
+            lefts.append((u[:, :r] * s[:r]).T)
+            phase = np.exp(1j * nu.phases[j])
+            self._blocks.append((start, start + r, phase, phase.conjugate()))
+            start += r
+        self.factor_width = start
+        self._right_adj = np.vstack(rights)
+        self._left_t = np.vstack(lefts)
         self._dense: np.ndarray | None = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-free product of the operator with a state vector."""
+        """Matrix-free product of the operator with a state vector.
+
+        The middle stage works on the transposed (factor_width, 2^(n+1))
+        array, so every block's pair swap along bit j is a strided copy of
+        runs of 2^j amplitudes.
+        """
         vec = np.asarray(vec, dtype=complex)
         if vec.shape != (self.dim,):
             raise ValueError(f"state has shape {vec.shape}, expected ({self.dim},)")
         psi = vec.reshape(self.dim_fock, self.d)
-        out = np.zeros_like(psi)
-        for j in range(self.n + 1):
-            y = psi @ self._coin_t[j]
-            y *= self._phases[j][:, None]
-            out += y[self._flips[j]]
-        return out.reshape(self.dim)
+        x = self._right_adj @ psi.T  # (psi @ conj(R))^T
+        y = np.empty_like(x)
+        for j, (start, stop, up, down) in enumerate(self._blocks):
+            shape = (stop - start, self.dim_fock >> (j + 1), 2, 1 << j)
+            src = x[start:stop].reshape(shape)
+            dst = y[start:stop].reshape(shape)
+            # row sigma receives row sigma xor bit j, phased by the source's bit j
+            np.multiply(src[:, :, 1], up, out=dst[:, :, 0])
+            np.multiply(src[:, :, 0], down, out=dst[:, :, 1])
+        return (y.T @ self._left_t).reshape(self.dim)
 
     def dense(self) -> np.ndarray:
         """Full matrix of the operator; cached, n <= DENSE_N_LIMIT only."""
@@ -144,7 +172,7 @@ class WalkState:
         if self.t < 0:
             raise ValueError(f"time index must be nonnegative, got {self.t}")
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > STATE_NORM_TOL:
+        if not abs(norm - 1.0) <= STATE_NORM_TOL:  # also rejects a NaN norm
             raise ValueError(f"walk states are unit vectors; got norm {norm}")
         vec.flags.writeable = False
         object.__setattr__(self, "vector", vec)
@@ -228,7 +256,7 @@ def magnetic_eigenstate(nu: MagneticPotential, sigma: int, u: np.ndarray) -> Wal
     if u.ndim != 1:
         raise ValueError("coin vector must be 1-d")
     norm = np.linalg.norm(u)
-    if abs(norm - 1.0) > STATE_NORM_TOL:
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:  # also rejects a NaN norm
         raise ValueError(f"coin vector must be unit norm, got {norm}")
     zhat = magnetic_basis_vector(sigma, nu)
     return WalkState(np.kron(zhat, u), 0, u.size)

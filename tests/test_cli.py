@@ -132,6 +132,79 @@ class TestSimulate:
             np.testing.assert_allclose(np.array(dist), first, atol=1e-10)
 
 
+    def test_csv_rows_match_json_distributions(self, tmp_path):
+        args = ("--task", "simulate", "--n", "2", "--coin", "random", "--nu", "random",
+                "--seed", "8", "--steps", "5", "--initial", "uniform:3")
+        assert run_cli(*args, "--out", str(tmp_path / "sim.json")) == 0
+        assert run_cli(*args, "--format", "csv", "--out", str(tmp_path / "sim.csv")) == 0
+        dists = json.loads((tmp_path / "sim.json").read_text())["distributions"]
+        lines = ["step," + ",".join(f"p_{sigma}" for sigma in range(8))]
+        lines += [",".join([str(t)] + [repr(float(p)) for p in dist])
+                  for t, dist in enumerate(dists)]
+        assert (tmp_path / "sim.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def as_lists(value):
+    """The payload with every ndarray replaced by nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    return value
+
+
+def reference_text(payload):
+    return json.dumps(as_lists(payload), indent=2, sort_keys=True) + "\n"
+
+
+class TestReportWriter:
+    """_emit writes what json.dumps(indent=2, sort_keys=True) writes."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--task", "simulate", "--n", "2", "--coin", "random:4", "--nu", "random",
+         "--steps", "3", "--initial", "uniform:5"),
+        ("--task", "simulate", "--n", "0", "--coin", "random", "--steps", "0"),
+        ("--task", "spectrum", "--n", "2", "--coin", "grover", "--nu", "random"),
+        ("--task", "verify-point", "--n", "1", "--coin", "hadamard-partition"),
+        ("--task", "verify-aev", "--n", "2", "--coin", "random", "--nu", "random"),
+        ("--task", "verify-stability", "--n", "1", "--coin", "grover", "--samples", "2"),
+        ("--task", "verify-all", "--n", "2", "--coin", "grover", "--nu", "random",
+         "--samples", "2"),
+    ], ids=lambda argv: argv[1])
+    def test_task_reports(self, argv, tmp_path):
+        cfg = cli.resolve_config(cli.build_parser().parse_args([*argv, "--seed", "4"]))
+        _, payload = cli._RUNNERS[cfg["task"]](cfg, np.random.default_rng(cfg["seed"]))
+        out = tmp_path / "report.json"
+        cli._emit(payload, str(out))
+        assert out.read_text(encoding="utf-8") == reference_text(payload)
+
+    def test_edge_values_and_shapes(self, capsys):
+        values = np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1, -2.5e-300, 1.0, 123456789.0])
+        payload = {
+            "floats": values.tolist(),
+            "row": values,
+            "rows": values.reshape(4, 2),
+            "cube": values.reshape(2, 2, 2),
+            "column": values.reshape(8, 1),
+            "scalar_array": np.array(0.5),
+            "empty_rows": np.zeros((2, 0)),
+            "no_rows": np.zeros((0, 3)),
+            "non_finite": np.array([np.nan, np.inf, -np.inf, 1.5]),
+            "ints": [0, -7, 2**70],
+            "int_array": np.arange(3),
+            "nothing": None,
+            "flags": [True, False],
+            "empty_list": [],
+            "empty_dict": {},
+            "nested": {"b": [[], [[1.5]], {"z": "\u00e9\"q"}], "a": (1, 2.0)},
+            "float64": np.float64(1e16),
+        }
+        cli._emit(payload, None)
+        assert capsys.readouterr().out == reference_text(payload)
+
+
 class TestSpectrumTask:
     def test_json_schema(self, tmp_path):
         out = tmp_path / "spec.json"

@@ -392,6 +392,30 @@ class TestSpectralStability:
             spectra.hausdorff_distance(null_report.values, pi_report.values) <= 1e-8
         )
 
+    def test_each_operator_assembled_once(self, monkeypatch):
+        calls = []
+        dense = walk.WalkOperator.dense
+
+        def counted(op):
+            calls.append(op)
+            return dense(op)
+
+        monkeypatch.setattr(walk.WalkOperator, "dense", counted)
+        cs = coin.grover_coin_system(2)
+        report = spectra.verify_spectral_stability(cs, samples=3, seed=2)
+        assert len(calls) == len(set(map(id, calls))) == 4
+        monkeypatch.undo()
+        # the reports match the stand-alone spectra, source strings included,
+        # and the operator difference is the dense one to the last bit
+        dense = []
+        for rep in report.spectra:
+            nu = magnetic.MagneticPotential(np.array(rep.nu))
+            alone = spectra.walk_point_spectrum(nu, cs)
+            assert rep.to_json_dict() == alone.to_json_dict()
+            dense.append(walk.evolution_operator(nu, cs).dense())
+        diff = max(np.abs(a - b).max() for i, a in enumerate(dense) for b in dense[i + 1:])
+        assert report.max_operator_difference == diff
+
     def test_sample_count_validated(self):
         cs = coin.grover_coin_system(1)
         with pytest.raises(ValueError, match="samples"):

@@ -95,6 +95,21 @@ class TestStates:
         with pytest.raises(ValueError, match="unit"):
             walk.WalkState(np.ones(4, dtype=complex), 0, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, bad):
+        with pytest.raises(ValueError, match="unit"):
+            walk.WalkState(np.full(8, bad, dtype=complex), 0, 2)
+        vec = np.zeros(8, dtype=complex)
+        vec[0] = bad
+        with pytest.raises(ValueError, match="unit"):
+            walk.WalkState(vec, 0, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coin_vector_rejected(self, bad):
+        nu = magnetic.null_potential(1)
+        with pytest.raises(ValueError, match="unit"):
+            walk.magnetic_eigenstate(nu, 0, np.array([bad, 0.0]))
+
     def test_bad_coin_vector_rejected(self):
         nu = magnetic.null_potential(1)
         with pytest.raises(ValueError, match="unit"):
@@ -182,6 +197,90 @@ class TestDynamics:
         op = walk.null_potential_operator(cs)
         with pytest.raises(ValueError):
             walk.evolve(op, walk.vertex_state(1, 2, 0), -1)
+
+
+def haar(d, rng):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (r.diagonal().conj() / np.abs(r.diagonal()))
+
+
+def rotated_partition_coin(n, d, seed):
+    """C_j = S V E_j V*: projections P_j that are not coordinate projections."""
+    rng = np.random.default_rng(seed)
+    s, v = haar(d, rng), haar(d, rng)
+    blocks = np.array_split(rng.permutation(d), n + 1)
+    return coin.CoinSystem(tuple(s @ v[:, b] @ v[:, b].conj().T for b in blocks))
+
+
+def assert_kernel_matches_dense(cs, seed=0):
+    nu = magnetic.random_potential(cs.n, np.random.default_rng(seed))
+    op = walk.evolution_operator(nu, cs)
+    rng = np.random.default_rng(seed + 1)
+    vec = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+    vec /= np.linalg.norm(vec)
+    assert np.abs(op.apply(vec) - op.dense() @ vec).max() <= 1e-12
+    return op
+
+
+class TestFactoredKernel:
+    """apply against the literal Kronecker sum, on coins of every shape."""
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 5), (3, 4), (4, 7)])
+    def test_rotated_partition(self, n, d):
+        cs = rotated_partition_coin(n, d, seed=10 * n + d)
+        assert coin.validate_coin_system(cs).passed()
+        assert assert_kernel_matches_dense(cs).factor_width == d
+
+    def test_grover_uneven_blocks(self):
+        d = 7
+        s = 2.0 / d * np.ones((d, d)) - np.eye(d)
+        cs = coin.coin_from_unitary_partition(s, [[0, 3, 5, 6], [1], [2, 4]])
+        assert assert_kernel_matches_dense(cs, seed=3).factor_width == d
+
+    def test_random_coin_wider_than_n_plus_1(self):
+        cs = coin.random_coin_system(2, 9, seed=4)
+        assert assert_kernel_matches_dense(cs, seed=4).factor_width == 9
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_n0(self, d):
+        cs = coin.CoinSystem((haar(d, np.random.default_rng(d)),))
+        assert assert_kernel_matches_dense(cs, seed=5).factor_width == d
+
+    def test_generic_full_rank_matrices(self):
+        # not a coin system: no identity holds, each matrix has rank d
+        n, d = 2, 4
+        rng = np.random.default_rng(6)
+        cs = coin.CoinSystem(tuple(
+            rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n + 1)
+        ))
+        assert assert_kernel_matches_dense(cs, seed=6).factor_width == (n + 1) * d
+
+    def test_noisy_coin_keeps_its_extra_directions(self):
+        n, d = 3, 5
+        base = coin.random_coin_system(n, d, seed=7)
+        rng = np.random.default_rng(7)
+        cs = coin.CoinSystem(tuple(
+            op + 1e-11 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            for op in base.ops
+        ))
+        assert assert_kernel_matches_dense(cs, seed=7).factor_width == (n + 1) * d
+
+    def test_zero_coin_contributes_nothing(self):
+        d = 3
+        s = haar(d, np.random.default_rng(8))
+        cs = coin.CoinSystem((s, np.zeros((d, d))))
+        assert assert_kernel_matches_dense(cs, seed=8).factor_width == d
+
+    @pytest.mark.parametrize("cs", [
+        coin.hadamard_partition_coin_system(),
+        *(coin.grover_coin_system(n) for n in (1, 2, 5, 9)),
+        *(coin.random_coin_system(n, d, seed=n + d) for n, d in ((0, 1), (3, 4), (5, 6), (5, 11))),
+    ], ids=lambda cs: f"n{cs.n}-d{cs.d}")
+    def test_builtin_coins_have_width_d(self, cs):
+        # the two kernel matmuls stay (2^(n+1), d) @ (d, d)
+        op = walk.null_potential_operator(cs)
+        assert op.factor_width == cs.d
 
 
 class TestPositionDistribution:
