@@ -50,8 +50,7 @@ from .spectra import (
     PointSpectrumCheck,
     SpectralStabilityReport,
     SpectrumReport,
-    approximate_spectrum,
-    approximation_residual,
+    coin_sum_eigensystem,
     coin_union_spectrum,
     hausdorff_distance,
     unitary_eigenvalues,
@@ -65,12 +64,10 @@ from .walk import (
     IntertwiningReport,
     WalkOperator,
     WalkState,
-    distribution_csv,
     evolution_operator,
     evolve,
     intertwining_check,
     magnetic_eigenstate,
-    null_potential_operator,
     position_distribution,
     step,
     uniform_coin_vertex_state,
@@ -114,8 +111,7 @@ __all__ = [
     "PointSpectrumCheck",
     "SpectralStabilityReport",
     "SpectrumReport",
-    "approximate_spectrum",
-    "approximation_residual",
+    "coin_sum_eigensystem",
     "coin_union_spectrum",
     "hausdorff_distance",
     "unitary_eigenvalues",
@@ -127,12 +123,10 @@ __all__ = [
     "IntertwiningReport",
     "WalkOperator",
     "WalkState",
-    "distribution_csv",
     "evolution_operator",
     "evolve",
     "intertwining_check",
     "magnetic_eigenstate",
-    "null_potential_operator",
     "position_distribution",
     "step",
     "uniform_coin_vertex_state",

@@ -19,13 +19,17 @@ def unitarity_residual(a: np.ndarray) -> float:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     eye = np.eye(a.shape[0])
-    return max(max_abs(a.conj().T @ a - eye), max_abs(a @ a.conj().T - eye))
+    # np.maximum, unlike max, keeps a NaN from either side
+    return float(np.maximum(max_abs(a.conj().T @ a - eye), max_abs(a @ a.conj().T - eye)))
 
 
 def require_unitary(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
-    """Return ``a`` as a complex ndarray, raising if it is not unitary."""
+    """Return ``a`` as a complex ndarray, raising ``ValueError`` unless it is unitary.
+
+    The one explicit unitarity gate of the package; a NaN residual fails it.
+    """
     a = np.asarray(a, dtype=complex)
     res = unitarity_residual(a)
-    if res > tol:
+    if not res <= tol:
         raise ValueError(f"{what} is not unitary: residual {res:.3e} exceeds {tol:.1e}")
     return a

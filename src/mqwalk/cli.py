@@ -22,10 +22,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import max_abs
 from .coin import (
     CoinSystem,
-    algebraic_sum,
     grover_coin_system,
     hadamard_partition_coin_system,
     random_coin_system,
@@ -43,7 +41,7 @@ from .magnetic import (
 )
 from .spectra import (
     EigensolverError,
-    _eig_unitary,
+    coin_sum_eigensystem,
     verify_approximate_spectrum_theorem,
     verify_point_spectrum_theorem,
     verify_spectral_stability,
@@ -149,27 +147,51 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if value is not None:
             merged[key] = value
 
+    _check_types(merged)
     if merged["task"] not in TASKS:
         raise InputError(f"unknown task '{merged['task']}'")
     if merged["n"] is None and merged["coin_file"] is None:
         raise InputError("missing required field: n (or a coin-file to take it from)")
-    for field, minimum in (("samples", 2), ("steps", 0)):
-        try:
-            merged[field] = int(merged[field])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"field '{field}' must be an integer") from exc
-        if merged[field] < minimum:
-            raise InputError(f"field '{field}' must be >= {minimum}, got {merged[field]}")
-    merged["seed"] = int(merged["seed"])
-    for field in ("tol_spectrum", "tol_construct"):
-        merged[field] = float(merged[field])
-        if merged[field] <= 0:
-            raise InputError(f"field '{field}' must be positive")
     if merged["format"] not in ("json", "csv"):
         raise InputError(f"format must be json or csv, got '{merged['format']}'")
     if merged["format"] == "csv" and merged["task"] not in ("simulate", "spectrum"):
         raise InputError("csv output is only available for simulate and spectrum")
     return merged
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_types(cfg: dict) -> None:
+    """Reject a field whose JSON type is wrong; normalize the numeric ones.
+
+    Integer fields take integers and integral floats (3.0 reads as 3), never
+    booleans; tolerances take positive finite numbers; nu takes a spec
+    string or, for n=0, a bare number.  A null leaves a field unset, which
+    the later checks reject where it is required.
+    """
+    for field, minimum in (("n", 0), ("samples", 2), ("steps", 0), ("seed", 0)):
+        value = cfg[field]
+        if value is None and field == "n":
+            continue  # taken from the coin file
+        if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+            raise InputError(f"field '{field}' must be an integer, got {json.dumps(value)}")
+        cfg[field] = int(value)
+        if cfg[field] < minimum:
+            raise InputError(f"field '{field}' must be >= {minimum}, got {cfg[field]}")
+    for field in ("tol_spectrum", "tol_construct"):
+        value = cfg[field]
+        if not (_is_number(value) and 0 < value <= sys.float_info.max):
+            raise InputError(
+                f"field '{field}' must be a positive finite number, got {json.dumps(value)}"
+            )
+        cfg[field] = float(value)
+    for field in ("task", "coin", "coin_file", "initial", "out", "format"):
+        if not (cfg[field] is None or isinstance(cfg[field], str)):
+            raise InputError(f"field '{field}' must be a string, got {json.dumps(cfg[field])}")
+    if not (cfg["nu"] is None or isinstance(cfg["nu"], str) or _is_number(cfg["nu"])):
+        raise InputError(f"field 'nu' must be a string or a number, got {json.dumps(cfg['nu'])}")
 
 
 def _build_coin(cfg: dict, rng: np.random.Generator) -> CoinSystem:
@@ -244,7 +266,7 @@ def _build_initial(cfg: dict, nu: MagneticPotential, cs: CoinSystem):
                 raise InputError(f"sigma={sigma} out of range for n={cs.n}")
             if not 0 <= k < cs.d:
                 raise InputError(f"eigenvector index {k} out of range 0..{cs.d - 1}")
-            _, vecs, _ = _eig_unitary(algebraic_sum(cs, sigma))
+            _, vecs = coin_sum_eigensystem(cs, sigma)
             return magnetic_eigenstate(nu, sigma, vecs[:, k])
     except ValueError as exc:
         raise InputError(f"bad initial state '{desc}': {exc}") from exc
@@ -379,14 +401,14 @@ def _involution_residuals(n: int, nu: MagneticPotential) -> dict:
 def _eigenbasis_residuals(n: int, nu: MagneticPotential, tol: float) -> dict:
     dim = dimension(n)
     basis = magnetic_basis_change(nu)
-    gram = max_abs(basis.conj().T @ basis - np.eye(dim))
+    gram = float(np.abs(basis.conj().T @ basis - np.eye(dim)).max())
 
     eigen_rel = 0.0
     indices = np.arange(dim)
     for j in range(n + 1):
         signs = np.where((indices >> j) & 1 == 1, 1.0, -1.0)
         xi = magnetic_shift(n, j, nu)
-        eigen_rel = max(eigen_rel, max_abs(xi @ basis - basis * signs[None, :]))
+        eigen_rel = max(eigen_rel, float(np.abs(xi @ basis - basis * signs[None, :]).max()))
 
     construction_gap = 0.0
     vacuum = np.zeros(dim, dtype=complex)
@@ -394,7 +416,7 @@ def _eigenbasis_residuals(n: int, nu: MagneticPotential, tol: float) -> dict:
     for sigma in range(dim):
         via_product = xi_hat(sigma, nu) @ vacuum / np.sqrt(dim)
         via_formula = magnetic_basis_vector(sigma, nu)
-        construction_gap = max(construction_gap, max_abs(via_product - via_formula))
+        construction_gap = max(construction_gap, float(np.abs(via_product - via_formula).max()))
 
     return {
         "gram_residual": float(gram),

@@ -126,7 +126,8 @@ class CoinValidationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.mutual_annihilation, self.sum_unitarity)
+        # np.maximum, unlike max, keeps a NaN, so a non-finite coin fails
+        return float(np.maximum(self.mutual_annihilation, self.sum_unitarity))
 
     def passed(self, tol: float = DEFAULT_COIN_TOL) -> bool:
         return self.max_residual <= tol

@@ -54,8 +54,9 @@ class MagneticPotential:
         arr = np.array(self.phases, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("phases must be a nonempty 1-d array")
-        if np.any(np.abs(arr) > np.pi):
-            bad = int(np.argmax(np.abs(arr) > np.pi))
+        outside = ~(np.abs(arr) <= np.pi)  # also flags NaN
+        if outside.any():
+            bad = int(np.argmax(outside))
             raise ValueError(f"phase nu_{bad}={arr[bad]} outside [-pi, pi]")
         arr.flags.writeable = False
         object.__setattr__(self, "phases", arr)
@@ -103,7 +104,7 @@ class FullPotentialTable:
         for (sigma, tau), value in table.items():
             if not (0 <= sigma < dim and 0 <= tau < dim):
                 raise ValueError(f"pair ({sigma}, {tau}) out of range for n={self.n}")
-            if abs(value) > math.pi:
+            if not abs(value) <= math.pi:  # also rejects NaN
                 raise ValueError(f"value {value} at ({sigma}, {tau}) outside [-pi, pi]")
             mirror = table.get((tau, sigma), 0.0)
             if mirror != -value:

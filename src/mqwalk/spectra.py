@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ._linalg import unitarity_residual
+from ._linalg import require_unitary
 from .coin import (
     DEFAULT_COIN_TOL,
     CoinSystem,
@@ -44,7 +44,7 @@ from .magnetic import (
     null_potential,
     random_potential,
 )
-from .walk import CapacityError, DENSE_N_LIMIT, evolution_operator
+from .walk import evolution_operator
 
 __all__ = [
     "SpectrumReport",
@@ -55,9 +55,8 @@ __all__ = [
     "DEFAULT_SPECTRUM_TOL",
     "unitary_eigenvalues",
     "walk_point_spectrum",
+    "coin_sum_eigensystem",
     "coin_union_spectrum",
-    "approximate_spectrum",
-    "approximation_residual",
     "hausdorff_distance",
     "verify_point_spectrum_theorem",
     "verify_approximate_spectrum_theorem",
@@ -182,7 +181,8 @@ def _krylov_saturation(a: np.ndarray, max_steps: int) -> tuple[bool, float]:
     norm_defect = 0.0
     for step in range(1, max_steps + 1):
         y = a @ q
-        norm_defect = max(norm_defect, abs(float(np.linalg.norm(y)) - 1.0))
+        # np.maximum, unlike max, keeps a NaN norm
+        norm_defect = float(np.maximum(norm_defect, abs(np.linalg.norm(y) - 1.0)))
         held = basis[:, :step]
         for _ in range(2):  # double reorthogonalization
             y -= held @ (held.conj().T @ y)
@@ -201,10 +201,10 @@ def _eigvals_unitary_large(a: np.ndarray, unitary_tol: float) -> np.ndarray:
     nonsymmetric QR, which deflates them quickly; generic spectra go to the
     Hermitian-splitting path.  Both routes are direct eigensolves of the
     matrix as given.  The probe's norm checks stand in for the skipped
-    explicit unitarity product.
+    explicit unitarity product.  Every gate is written so a NaN fails it.
     """
     saturated, norm_defect = _krylov_saturation(a, _SATURATION_STEPS)
-    if norm_defect > unitary_tol:
+    if not norm_defect <= unitary_tol:
         raise ValueError(
             f"input is not unitary: norm defect {norm_defect:.3e} on Krylov "
             f"probe vectors exceeds {unitary_tol:.1e}"
@@ -212,26 +212,12 @@ def _eigvals_unitary_large(a: np.ndarray, unitary_tol: float) -> np.ndarray:
     if saturated:
         return np.linalg.eigvals(a)
     lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
-    if residual > unitary_tol:
+    if not residual <= unitary_tol:
         raise ValueError(
             f"input is not unitary: eigen-residual {residual:.3e} exceeds "
             f"{unitary_tol:.1e}"
         )
     return lam
-
-
-def _require_unitary_input(a: np.ndarray, tol: float) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] <= _UNITARITY_PRECHECK_LIMIT:
-        res = unitarity_residual(a)
-        if res > tol:
-            raise ValueError(
-                f"input is not unitary: residual {res:.3e} exceeds {tol:.1e}; "
-                "refusing to project eigenvalues onto the unit circle"
-            )
-    return a
 
 
 def _cluster_unit_circle(
@@ -324,25 +310,27 @@ def unitary_eigenvalues(
 ) -> SpectrumReport:
     """Clustered spectrum of a unitary matrix.
 
-    Rejects non-unitary input with ``ValueError``: small matrices by the
-    explicit product residual, large ones by the Krylov-probe norm checks
-    and the eigen-residual / unit-modulus gates the solvers provide anyway.
-    On a small matrix the product residual has already proven unitarity,
-    so an eigen-residual above ``unitary_tol`` there is a solver failure
-    and raises ``EigensolverError``.
+    Rejects non-unitary or non-finite input with ``ValueError``: small
+    matrices by the explicit product residual, large ones by the
+    Krylov-probe norm checks and the eigen-residual / unit-modulus gates the
+    solvers provide anyway.  On a small matrix the product residual has
+    already proven unitarity, so an eigen-residual above ``unitary_tol``
+    there is a solver failure and raises ``EigensolverError``.
     """
-    a = _require_unitary_input(a, unitary_tol)
-    if a.shape[0] > _UNITARITY_PRECHECK_LIMIT:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim == 2 and a.shape[0] == a.shape[1] > _UNITARITY_PRECHECK_LIMIT:
         lam = _eigvals_unitary_large(a, unitary_tol)
     else:
+        # the product residual also rejects a non-square shape
+        require_unitary(a, unitary_tol, what="input")
         lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
-        if residual > unitary_tol:
+        if not residual <= unitary_tol:
             raise EigensolverError(
                 f"eigensolver failed on a unitary input: eigen-residual "
                 f"{residual:.3e} exceeds {unitary_tol:.1e}"
             )
     off_circle = float(np.abs(np.abs(lam) - 1.0).max()) if lam.size else 0.0
-    if off_circle > unitary_tol:
+    if not off_circle <= unitary_tol:
         raise ValueError(
             f"input is not unitary: unit-circle defect {off_circle:.3e} "
             f"exceeds {unitary_tol:.1e}"
@@ -359,18 +347,10 @@ def walk_point_spectrum(
 
     The operator is materialized and eigensolved directly, without using
     the per-vertex block structure, so the result is an independent side of
-    the spectral comparisons.
+    the spectral comparisons.  The size guard is the one in
+    ``WalkOperator.dense`` (``CapacityError``).
     """
-    _require_dense_capacity(cs.n)
     return _dense_walk_spectrum(evolution_operator(nu, cs).dense(), nu, cs, cluster_tol)
-
-
-def _require_dense_capacity(n: int) -> None:
-    if n > DENSE_N_LIMIT:
-        raise CapacityError(
-            f"dense walk spectrum needs n <= {DENSE_N_LIMIT}, got n={n}; "
-            "the per-vertex coin-sum union scales further"
-        )
 
 
 def _dense_walk_spectrum(
@@ -385,6 +365,20 @@ def _dense_walk_spectrum(
     )
 
 
+def coin_sum_eigensystem(
+    cs: CoinSystem, sigma: int, tol: float = DEFAULT_SPECTRUM_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of the signed coin
+    sum at vertex ``sigma``.
+
+    Columns whose eigen-residual exceeds min(1e-9, ``tol`` / 10) are
+    re-resolved (see ``_eig_unitary``), so the pairs can serve as witnesses
+    for a check gated at ``tol``.
+    """
+    lam, vecs, _ = _eig_unitary(algebraic_sum(cs, sigma), _pure_column_tol(tol))
+    return lam, vecs
+
+
 def coin_union_spectrum(
     cs: CoinSystem,
     cluster_tol: float = DEFAULT_SPECTRUM_TOL,
@@ -395,12 +389,9 @@ def coin_union_spectrum(
     distinct eigenvalue once; the multiset variant sums multiplicities
     across vertices, totalling 2^(n+1) * d.
     """
-    pure_tol = _pure_column_tol(cluster_tol)
-    pool = []
-    for sigma in range(dimension(cs.n)):
-        lam, _, _ = _eig_unitary(algebraic_sum(cs, sigma), pure_tol)
-        pool.append(lam)
-    raw = np.concatenate(pool)
+    raw = np.concatenate(
+        [coin_sum_eigensystem(cs, sigma, cluster_tol)[0] for sigma in range(dimension(cs.n))]
+    )
     vals, mults = _cluster_unit_circle(raw, cluster_tol)
     multiset = SpectrumReport(
         eigenvalues=tuple(vals),
@@ -417,39 +408,6 @@ def coin_union_spectrum(
         tolerance=cluster_tol,
     )
     return as_set, multiset
-
-
-def approximate_spectrum(
-    a: np.ndarray,
-    source: str = "unitary matrix",
-    nu: MagneticPotential | None = None,
-    cluster_tol: float = DEFAULT_SPECTRUM_TOL,
-    unitary_tol: float = DEFAULT_SPECTRUM_TOL,
-) -> SpectrumReport:
-    """Approximate-eigenvalue set of a finite unitary matrix.
-
-    For a finite-dimensional unitary the point-spectrum, the approximate
-    eigenvalues, and the spectrum coincide: every eigenvalue admits the
-    constant sequence of its unit eigenvector as a witness, and every
-    non-eigenvalue mu keeps ||Ax - mu x|| bounded below by the distance
-    from mu to the spectrum (see ``approximation_residual``).  The
-    computation is therefore shared with ``unitary_eigenvalues``.
-    """
-    return unitary_eigenvalues(
-        a, source=source, nu=nu, cluster_tol=cluster_tol, unitary_tol=unitary_tol
-    )
-
-
-def approximation_residual(a: np.ndarray, mu: complex) -> float:
-    """min over unit x of ||Ax - mu x||: the smallest singular value of A - mu I.
-
-    For unitary (normal) A this equals the distance from mu to the
-    spectrum, so it is an exact certificate for membership in the
-    approximate-eigenvalue set.
-    """
-    a = np.asarray(a, dtype=complex)
-    shifted = a - mu * np.eye(a.shape[0])
-    return float(np.linalg.svd(shifted, compute_uv=False)[-1])
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -561,14 +519,17 @@ def verify_approximate_spectrum_theorem(
 ) -> ApproximateSpectrumCheck:
     """Spectrum comparison along the approximate-eigenvalue route.
 
-    Emits both this check and the point-spectrum check and compares them;
-    a disagreement would falsify the finite-dimensional coincidence of the
-    two spectral notions.
+    For a finite-dimensional unitary the point spectrum, the approximate
+    eigenvalues and the spectrum coincide: every eigenvalue has its unit
+    eigenvector as a constant witness sequence, and every other mu keeps
+    ||Ax - mu x|| at least the distance from mu to the spectrum.  So the
+    walk side is ``unitary_eigenvalues`` of the same matrix.  Emits both
+    this check and the point-spectrum check and compares them; a
+    disagreement would falsify that coincidence.
     """
     _validated(cs)
-    _require_dense_capacity(cs.n)
     op = evolution_operator(nu, cs)
-    walk_rep = approximate_spectrum(
+    walk_rep = unitary_eigenvalues(
         op.dense(),
         source=f"walk operator (approximate path), n={cs.n}, d={cs.d}",
         nu=nu,
@@ -577,10 +538,9 @@ def verify_approximate_spectrum_theorem(
     union_set, union_multiset = coin_union_spectrum(cs, cluster_tol=tol)
     distance = hausdorff_distance(walk_rep.values, union_set.values)
 
-    pure_tol = _pure_column_tol(tol)
     max_witness = 0.0
     for sigma in range(dimension(cs.n)):
-        lam, vecs, _ = _eig_unitary(algebraic_sum(cs, sigma), pure_tol)
+        lam, vecs = coin_sum_eigensystem(cs, sigma, tol)
         zhat = magnetic_basis_vector(sigma, nu)
         for i in range(lam.size):
             lifted = np.kron(zhat, vecs[:, i])
@@ -650,7 +610,6 @@ def verify_spectral_stability(
     potentials = [null_potential(cs.n)] + [
         random_potential(cs.n, rng) for _ in range(samples)
     ]
-    _require_dense_capacity(cs.n)
     reports = []
     # each operator is assembled once and kept in sparse form, which holds
     # the same entries, so no eigensolve runs beside all the dense copies

@@ -34,7 +34,6 @@ from .magnetic import (
     magnetic_basis_change,
     magnetic_basis_vector,
     magnetic_shift,
-    null_potential,
 )
 
 __all__ = [
@@ -44,11 +43,9 @@ __all__ = [
     "IntertwiningReport",
     "DENSE_N_LIMIT",
     "evolution_operator",
-    "null_potential_operator",
     "step",
     "evolve",
     "position_distribution",
-    "distribution_csv",
     "intertwining_check",
     "vertex_state",
     "uniform_coin_vertex_state",
@@ -187,11 +184,6 @@ def evolution_operator(nu: MagneticPotential, cs: CoinSystem) -> WalkOperator:
     return WalkOperator(nu, cs)
 
 
-def null_potential_operator(cs: CoinSystem) -> WalkOperator:
-    """The zero-phase walk; identical matrix to the null-potential assembly."""
-    return WalkOperator(null_potential(cs.n), cs)
-
-
 def step(op: WalkOperator, state: WalkState) -> WalkState:
     """Advance the walk by one time step."""
     if state.vector.size != op.dim or state.coin_dim != op.d:
@@ -220,14 +212,6 @@ def position_distribution(state: WalkState) -> np.ndarray:
     """
     psi = state.vector.reshape(state.dim_fock, state.coin_dim)
     return (np.abs(psi) ** 2).sum(axis=1)
-
-
-def distribution_csv(distribution: np.ndarray) -> str:
-    """Render a vertex distribution as CSV with sigma_bitmask, probability."""
-    lines = ["sigma_bitmask,probability"]
-    for sigma, p in enumerate(np.asarray(distribution, dtype=float)):
-        lines.append(f"{sigma},{p!r}")
-    return "\n".join(lines) + "\n"
 
 
 def vertex_state(n: int, d: int, sigma: int, coin_index: int = 0) -> WalkState:

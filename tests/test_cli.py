@@ -74,6 +74,52 @@ class TestConfigResolution:
     def test_random_coin_dimension_too_small(self):
         assert run_cli("--task", "spectrum", "--n", "2", "--coin", "random:2") == 2
 
+    @pytest.mark.parametrize("fields", [
+        {"seed": None},
+        {"tol_spectrum": None},
+        {"n": "3"},
+        {"n": 2.5},
+        {"coin": 5},
+        {"samples": 3.7},
+        {"n": True},
+        {"steps": False},
+        {"seed": -1},
+        {"tol_construct": float("nan")},
+        {"tol_spectrum": float("inf")},
+        {"nu": [0.1, 0.2]},
+        {"out": 5},
+    ], ids=lambda fields: json.dumps(fields))
+    def test_mistyped_config_field_is_input_error(self, fields, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        doc = {"task": "verify-stability", "n": 1, "coin": "grover", "samples": 2}
+        config.write_text(json.dumps({**doc, **fields}))
+        assert run_cli("--config", str(config)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("fields, echoed", [
+        ({"task": "verify-stability", "n": 1.0, "samples": 3.0}, {"n": 1, "samples": 3}),
+        ({"task": "spectrum", "n": 0, "coin": "random", "nu": 0.5}, {"nu": 0.5}),
+        ({"task": "spectrum", "n": 0, "coin": "random", "nu": 0}, {"nu": 0}),
+        ({"task": "spectrum", "n": 1, "tol_spectrum": 1}, {"tol_spectrum": 1.0}),
+    ])
+    def test_numeric_config_fields_accepted(self, fields, echoed, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"coin": "grover", **fields}))
+        out = tmp_path / "rep.json"
+        assert run_cli("--config", str(config), "--out", str(out)) == 0
+        echo = json.loads(out.read_text())["config"]
+        for key, value in echoed.items():
+            assert echo[key] == value and type(echo[key]) is type(value)
+
+    @pytest.mark.parametrize("task", ["spectrum", "verify-point"])
+    def test_nan_phase_is_input_error(self, task, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert run_cli("--task", task, "--n", "1", "--coin", "grover", "--nu=nan,0",
+                       "--out", str(out)) == 2
+        assert "outside [-pi, pi]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulate:
     def test_csv_rows_sum_to_one(self, tmp_path):

@@ -48,6 +48,14 @@ class TestValidation:
         assert report.mutual_annihilation <= 1e-15
         assert report.sum_unitarity <= 1e-15
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coin_fails(self, bad):
+        ops = [op.copy() for op in coin.hadamard_partition_coin_system().ops]
+        ops[1][0, 1] = bad
+        report = coin.validate_coin_system(coin.CoinSystem(tuple(ops)))
+        assert not report.passed()
+
     def test_overlapping_coins_fail(self):
         half = 0.5 * np.eye(2)
         cs = coin.CoinSystem((half, half))

@@ -40,6 +40,11 @@ class TestPotentials:
         with pytest.raises(ValueError, match="outside"):
             magnetic.MagneticPotential(np.array([0.0, 3.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, bad):
+        with pytest.raises(ValueError, match="nu_1.*outside"):
+            magnetic.MagneticPotential(np.array([0.0, bad]))
+
     def test_random_potential_deterministic(self):
         a = magnetic.random_potential(3, np.random.default_rng(5))
         b = magnetic.random_potential(3, np.random.default_rng(5))
@@ -86,6 +91,8 @@ class TestFullPotentialTable:
     def test_value_range_validated(self):
         with pytest.raises(ValueError, match="outside"):
             magnetic.FullPotentialTable(n=1, values={(1, 2): 4.0, (2, 1): -4.0})
+        with pytest.raises(ValueError, match="outside"):
+            magnetic.FullPotentialTable(n=1, values={(1, 2): float("nan")})
 
     def test_json_round_trip(self):
         doc = {

@@ -12,6 +12,16 @@ def haar_unitary(d, rng):
     return q * (r.diagonal().conj() / np.abs(r.diagonal()))
 
 
+def least_residual(a, mu):
+    """min over unit x of ||Ax - mu x||: the least singular value of A - mu I.
+
+    For a unitary (normal) A this is the distance from mu to the spectrum,
+    an oracle for the approximate-eigenvalue set independent of eigh.
+    """
+    shifted = a - mu * np.eye(a.shape[0])
+    return float(np.linalg.svd(shifted, compute_uv=False)[-1])
+
+
 def spectrum_dict(report):
     # keys are rounded complex values; +0.0 normalizes the sign of zero so
     # the -pi/pi seam does not split the comparison
@@ -43,6 +53,20 @@ class TestUnitaryEigenvalues:
             spectra.unitary_eigenvalues(np.diag([2.0, 1.0]).astype(complex))
         with pytest.raises(ValueError, match="not unitary"):
             spectra.unitary_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_rejected(self):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="not unitary"):
+                spectra.unitary_eigenvalues(np.full((4, 4), value, dtype=complex))
+        mat = np.eye(3, dtype=complex)
+        mat[1, 2] = np.nan
+        with pytest.raises(ValueError, match="not unitary"):
+            spectra.unitary_eigenvalues(mat)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            spectra.unitary_eigenvalues(np.eye(3, 2, dtype=complex))
 
     def test_clustering_merges_tight_values(self):
         eps = 1e-10
@@ -198,6 +222,23 @@ class TestKrylovRouting:
         with pytest.raises(ValueError, match="not unitary"):
             spectra.unitary_eigenvalues(mat)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_large_route_rejects_nan(self, monkeypatch):
+        # the probe's norm fold and every gate after it must see the NaN
+        monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 4)
+        mat = np.full((8, 8), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="not unitary"):
+            spectra.unitary_eigenvalues(mat)
+        with pytest.raises(ValueError, match="not unitary"):
+            spectra._eigvals_unitary_large(mat, 1e-8)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_probe_keeps_nan_norm_defect(self):
+        mat = np.eye(8, dtype=complex)
+        mat[3, 3] = np.nan
+        _, norm_defect = spectra._krylov_saturation(mat, 8)
+        assert np.isnan(norm_defect)
+
 
 class TestSpectrumReport:
     def test_json_schema(self):
@@ -251,6 +292,45 @@ class TestWalkPointSpectrum:
         cs = coin.random_coin_system(11, 12, seed=0)
         with pytest.raises(walk.CapacityError, match="n <= 10"):
             spectra.walk_point_spectrum(magnetic.null_potential(11), cs)
+
+    @pytest.mark.parametrize("check", [
+        lambda cs: spectra.verify_point_spectrum_theorem(magnetic.null_potential(11), cs),
+        lambda cs: spectra.verify_approximate_spectrum_theorem(magnetic.null_potential(11), cs),
+        lambda cs: spectra.verify_spectral_stability(cs, samples=2),
+    ], ids=["point", "aev", "stability"])
+    def test_capacity_guard_of_every_dense_check(self, check):
+        # the guard of WalkOperator.dense is the only one
+        cs = coin.random_coin_system(11, 12, seed=0)
+        with pytest.raises(walk.CapacityError, match="n <= 10"):
+            check(cs)
+
+
+class TestCoinSumEigensystem:
+    @pytest.mark.parametrize("cs", [
+        coin.hadamard_partition_coin_system(),
+        coin.grover_coin_system(3),
+        coin.random_coin_system(2, 5, seed=4),
+    ], ids=lambda cs: f"n{cs.n}-d{cs.d}")
+    def test_orthonormal_eigenpairs(self, cs):
+        for sigma in range(2 ** (cs.n + 1)):
+            lam, vecs = spectra.coin_sum_eigensystem(cs, sigma)
+            mat = coin.algebraic_sum(cs, sigma)
+            assert lam.shape == (cs.d,) and vecs.shape == (cs.d, cs.d)
+            assert np.abs(vecs.conj().T @ vecs - np.eye(cs.d)).max() <= 1e-12
+            assert np.linalg.norm(mat @ vecs - vecs * lam, axis=0).max() <= 1e-9
+
+    def test_pools_into_the_union(self):
+        cs = coin.random_coin_system(2, 4, seed=7)
+        raw = np.concatenate(
+            [spectra.coin_sum_eigensystem(cs, sigma)[0] for sigma in range(8)]
+        )
+        _, multiset = spectra.coin_union_spectrum(cs)
+        assert spectra.hausdorff_distance(raw, multiset.values) <= 1e-9
+        assert multiset.total_multiplicity == raw.size
+
+    def test_sigma_out_of_range(self):
+        with pytest.raises(ValueError, match="sigma"):
+            spectra.coin_sum_eigensystem(coin.grover_coin_system(1), 4)
 
 
 class TestCoinUnionSpectrum:
@@ -309,31 +389,25 @@ class TestPointSpectrumTheorem:
 
 
 class TestApproximateSpectrum:
-    def test_alias_of_point_spectrum(self):
-        rng = np.random.default_rng(20)
-        u = haar_unitary(6, rng)
-        a = spectra.unitary_eigenvalues(u)
-        b = spectra.approximate_spectrum(u)
-        np.testing.assert_allclose(a.values, b.values, atol=0)
-        assert a.multiplicities == b.multiplicities
+    """The eigenvalues are the approximate eigenvalues, by an SVD oracle."""
 
     def test_residual_at_eigenvalues(self):
         rng = np.random.default_rng(21)
         u = haar_unitary(7, rng)
-        report = spectra.approximate_spectrum(u)
+        report = spectra.unitary_eigenvalues(u)
         for lam in report.eigenvalues:
-            assert spectra.approximation_residual(u, lam) <= 1e-8
+            assert least_residual(u, lam) <= 1e-8
 
     def test_residual_away_from_spectrum(self):
         rng = np.random.default_rng(22)
         u = haar_unitary(5, rng)
-        report = spectra.approximate_spectrum(u)
+        report = spectra.unitary_eigenvalues(u)
         mu = 1.5 + 0j
         distance = float(np.abs(report.values - mu).min())
         assert distance >= 0.1
         # normality makes the least residual equal the spectral distance
-        assert spectra.approximation_residual(u, mu) >= distance - 1e-8
-        assert abs(spectra.approximation_residual(u, mu) - distance) <= 1e-8
+        assert least_residual(u, mu) >= distance - 1e-8
+        assert abs(least_residual(u, mu) - distance) <= 1e-8
 
 
 class TestApproximateSpectrumTheorem:

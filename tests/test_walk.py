@@ -28,7 +28,7 @@ class TestAssembly:
 
     def test_n0_imaginary_coin(self):
         cs = coin.CoinSystem((np.array([[1j]]),))
-        op = walk.null_potential_operator(cs)
+        op = walk.evolution_operator(magnetic.null_potential(cs.n), cs)
         np.testing.assert_allclose(op.dense(), [[0, 1j], [1j, 0]], atol=1e-15)
 
     def test_n1_hadamard_unitary(self):
@@ -47,11 +47,13 @@ class TestAssembly:
         np.testing.assert_allclose(op.dense(), dense_oracle(nu, cs), atol=1e-15)
 
     def test_null_reduction_exact(self):
+        # at zero phases every shift is a plain bit flip, so the walk is the
+        # phase-free Kronecker sum entry for entry
         for seed in range(5):
             cs = coin.random_coin_system(2, 4, seed=seed)
-            a = walk.evolution_operator(magnetic.null_potential(2), cs).dense()
-            b = walk.null_potential_operator(cs).dense()
-            assert (a == b).all()
+            nu = magnetic.null_potential(2)
+            a = walk.evolution_operator(nu, cs).dense()
+            assert (a == dense_oracle(nu, cs)).all()
 
     def test_mismatched_order_rejected(self):
         cs = coin.grover_coin_system(2)
@@ -160,7 +162,7 @@ class TestDynamics:
 
     def test_evolve_zero_steps_is_identity(self):
         cs = coin.grover_coin_system(1)
-        op = walk.null_potential_operator(cs)
+        op = walk.evolution_operator(magnetic.null_potential(cs.n), cs)
         state = walk.vertex_state(1, 2, 0)
         out = walk.evolve(op, state, 0)
         np.testing.assert_array_equal(out.vector, state.vector)
@@ -188,13 +190,13 @@ class TestDynamics:
 
     def test_dimension_mismatch_rejected(self):
         cs = coin.grover_coin_system(1)
-        op = walk.null_potential_operator(cs)
+        op = walk.evolution_operator(magnetic.null_potential(cs.n), cs)
         with pytest.raises(ValueError):
             walk.step(op, walk.vertex_state(2, 2, 0))
 
     def test_negative_steps_rejected(self):
         cs = coin.grover_coin_system(1)
-        op = walk.null_potential_operator(cs)
+        op = walk.evolution_operator(magnetic.null_potential(cs.n), cs)
         with pytest.raises(ValueError):
             walk.evolve(op, walk.vertex_state(1, 2, 0), -1)
 
@@ -279,7 +281,7 @@ class TestFactoredKernel:
     ], ids=lambda cs: f"n{cs.n}-d{cs.d}")
     def test_builtin_coins_have_width_d(self, cs):
         # the two kernel matmuls stay (2^(n+1), d) @ (d, d)
-        op = walk.null_potential_operator(cs)
+        op = walk.evolution_operator(magnetic.null_potential(cs.n), cs)
         assert op.factor_width == cs.d
 
 
@@ -301,7 +303,7 @@ class TestPositionDistribution:
     def test_one_step_support_on_neighbors(self):
         n = 2
         cs = coin.grover_coin_system(n)
-        op = walk.null_potential_operator(cs)
+        op = walk.evolution_operator(magnetic.null_potential(cs.n), cs)
         state = walk.step(op, walk.vertex_state(n, n + 1, 0))
         dist = walk.position_distribution(state)
         support = set(np.nonzero(dist > 1e-14)[0])
@@ -319,14 +321,6 @@ class TestPositionDistribution:
             dist = walk.position_distribution(state)
             for tau in np.nonzero(dist > 1e-14)[0]:
                 assert fock.is_adjacent(sigma, int(tau))
-
-    def test_distribution_csv(self):
-        state = walk.vertex_state(1, 2, 0b10)
-        text = walk.distribution_csv(walk.position_distribution(state))
-        lines = text.strip().splitlines()
-        assert lines[0] == "sigma_bitmask,probability"
-        assert len(lines) == 5
-        assert lines[3].startswith("2,")
 
 
 class TestIntertwining:
