@@ -389,12 +389,13 @@ def _involution_residuals(n: int, nu: MagneticPotential) -> dict:
     square = adjoint = 0.0
     for j in range(n + 1):
         xi = magnetic_shift(n, j, nu)
-        square = max(square, float(np.abs((xi @ xi - eye).toarray()).max()))
-        adjoint = max(adjoint, float(np.abs((xi - xi.conj().T).toarray()).max()))
+        # np.maximum, unlike max, keeps a NaN residual
+        square = float(np.maximum(square, np.abs((xi @ xi - eye).toarray()).max()))
+        adjoint = float(np.maximum(adjoint, np.abs((xi - xi.conj().T).toarray()).max()))
     return {
         "square_residual": square,
         "self_adjoint_residual": adjoint,
-        "passed": max(square, adjoint) <= EXACT_TOL,
+        "passed": square <= EXACT_TOL and adjoint <= EXACT_TOL,
     }
 
 
@@ -408,7 +409,10 @@ def _eigenbasis_residuals(n: int, nu: MagneticPotential, tol: float) -> dict:
     for j in range(n + 1):
         signs = np.where((indices >> j) & 1 == 1, 1.0, -1.0)
         xi = magnetic_shift(n, j, nu)
-        eigen_rel = max(eigen_rel, float(np.abs(xi @ basis - basis * signs[None, :]).max()))
+        # np.maximum, unlike max, keeps a NaN residual
+        eigen_rel = float(
+            np.maximum(eigen_rel, np.abs(xi @ basis - basis * signs[None, :]).max())
+        )
 
     construction_gap = 0.0
     vacuum = np.zeros(dim, dtype=complex)
@@ -416,7 +420,9 @@ def _eigenbasis_residuals(n: int, nu: MagneticPotential, tol: float) -> dict:
     for sigma in range(dim):
         via_product = xi_hat(sigma, nu) @ vacuum / np.sqrt(dim)
         via_formula = magnetic_basis_vector(sigma, nu)
-        construction_gap = max(construction_gap, float(np.abs(via_product - via_formula).max()))
+        construction_gap = float(
+            np.maximum(construction_gap, np.abs(via_product - via_formula).max())
+        )
 
     return {
         "gram_residual": float(gram),

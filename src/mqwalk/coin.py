@@ -140,8 +140,9 @@ def validate_coin_system(cs: CoinSystem, tol: float = DEFAULT_COIN_TOL) -> CoinV
         for k in range(cs.n + 1):
             if j == k:
                 continue
-            mutual = max(mutual, max_abs(cs.ops[j].conj().T @ cs.ops[k]))
-            mutual = max(mutual, max_abs(cs.ops[j] @ cs.ops[k].conj().T))
+            # np.maximum, unlike max, keeps a NaN residual
+            mutual = float(np.maximum(mutual, max_abs(cs.ops[j].conj().T @ cs.ops[k])))
+            mutual = float(np.maximum(mutual, max_abs(cs.ops[j] @ cs.ops[k].conj().T)))
     return CoinValidationReport(
         n=cs.n,
         d=cs.d,

@@ -67,14 +67,17 @@ DEFAULT_SPECTRUM_TOL = 1e-8
 
 # Above this matrix side the O(N^3) explicit unitarity pre-check is skipped;
 # non-unitary input is still rejected by the a-posteriori residual and
-# unit-modulus gates, which the splitting algorithm provides for free.
+# unit-modulus gates, which the splitting algorithm provides for free.  The
+# side also splits the degenerate route: at or below it the split path runs
+# with eigenvectors and the residual gate, above it QR iteration runs.
 _UNITARITY_PRECHECK_LIMIT = 2048
 
-# Krylov probe used above the pre-check limit to pick the eigenvalue route:
-# a spectrum with at most ~_SATURATION_STEPS distinct values closes the
-# Krylov space of a random start vector, in which case QR iteration (zgeev,
-# which deflates heavily degenerate spectra quickly) beats the Hermitian
-# eigensolve, and conversely for generic spectra.
+# Krylov probe run at every side to pick the eigenvalue route: a spectrum
+# with at most ~_SATURATION_STEPS distinct values closes the Krylov space of
+# a random start vector.  Such spectra have large clusters, which LAPACK's
+# divide-and-conquer Hermitian driver (evd) deflates cheaply and its MRRR
+# driver (evr) does not; above the pre-check limit QR iteration (zgeev)
+# beats both.  Generic spectra keep evr at every side.
 _SATURATION_STEPS = 64
 _SATURATION_TOL = 1e-8
 
@@ -88,6 +91,12 @@ _COS_CLUSTER_GAP = 1e-6
 # absorbed by the downstream clustering tolerance.  Callers that gate the
 # residual pass a threshold kept below their gate (``_pure_column_tol``).
 _PURE_COLUMN_TOL = 1e-9
+
+# A cluster representative with negative real part and an imaginary part at
+# most this large is put exactly on the negative real axis (imaginary part
+# +0.0), so -1 reports arg +pi and sorts last whatever the sign of its
+# round-off (about 1e-17), far below every 1e-8 gate.
+_SEAM_IM_TOL = 1e-14
 
 
 class EigensolverError(RuntimeError):
@@ -104,9 +113,13 @@ def _pure_column_tol(gate: float) -> float:
 
 
 def _eig_unitary(
-    a: np.ndarray, pure_tol: float = _PURE_COLUMN_TOL
+    a: np.ndarray, pure_tol: float = _PURE_COLUMN_TOL, driver: str = "evr"
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalues, orthonormal eigenvectors, and max residual ||Av - lv||.
+
+    ``driver`` names the LAPACK driver of the Hermitian eigensolve: "evr"
+    (MRRR) for generic spectra, "evd" (divide and conquer) for spectra with
+    large clusters.
 
     After the Hermitian eigensolve, each column's Rayleigh quotient and
     defect norm cost O(N^2) in total; columns whose defect is at most
@@ -129,7 +142,7 @@ def _eig_unitary(
     """
     size = a.shape[0]
     herm = (a + a.conj().T) / 2
-    w, vecs = sla.eigh(herm, driver="evr", check_finite=False, overwrite_a=True)
+    w, vecs = sla.eigh(herm, driver=driver, check_finite=False, overwrite_a=True)
     images = a @ vecs
     lam = np.einsum("ij,ij->j", vecs.conj(), images)
     defect = np.linalg.norm(images - vecs * lam[None, :], axis=0)
@@ -173,6 +186,8 @@ def _krylov_saturation(a: np.ndarray, max_steps: int) -> tuple[bool, float]:
     fixed seed so results are reproducible.
     """
     size = a.shape[0]
+    if size == 0:  # the empty space is closed, and has no vector to norm
+        return True, 0.0
     rng = np.random.default_rng(0x5EED)
     q = rng.normal(size=size) + 1j * rng.normal(size=size)
     q /= np.linalg.norm(q)
@@ -228,7 +243,8 @@ def _cluster_unit_circle(
     Values are sorted by principal argument and grouped where consecutive
     neighbors (including across the -pi/pi seam) are within ``tol``; each
     group is reported as its normalized mean with the group size as
-    multiplicity, sorted by argument.
+    multiplicity, sorted by argument.  A mean on the negative real axis up
+    to round-off gets an imaginary part of +0.0, so it sorts last.
     """
     values = np.asarray(values, dtype=complex)
     if values.size == 0:
@@ -246,6 +262,8 @@ def _cluster_unit_circle(
         total = ring[grp].sum()
         reps[i] = total / abs(total) if abs(total) > 0 else ring[grp[0]]
         mults[i] = grp.size
+    on_seam = (reps.real < 0) & (np.abs(reps.imag) <= _SEAM_IM_TOL)
+    reps[on_seam] = reps.real[on_seam]
     final = np.argsort(np.angle(reps), kind="stable")
     return reps[final], mults[final]
 
@@ -310,12 +328,19 @@ def unitary_eigenvalues(
 ) -> SpectrumReport:
     """Clustered spectrum of a unitary matrix.
 
+    A fixed-seed Krylov probe picks the route at every side.  Generic
+    spectra take the Hermitian-splitting path with the MRRR driver (evr).
+    Spectra with few distinct values take the splitting path with the
+    divide-and-conquer driver (evd) up to ``_UNITARITY_PRECHECK_LIMIT``, and
+    LAPACK's nonsymmetric QR above it.
+
     Rejects non-unitary or non-finite input with ``ValueError``: small
-    matrices by the explicit product residual, large ones by the
-    Krylov-probe norm checks and the eigen-residual / unit-modulus gates the
-    solvers provide anyway.  On a small matrix the product residual has
-    already proven unitarity, so an eigen-residual above ``unitary_tol``
-    there is a solver failure and raises ``EigensolverError``.
+    matrices by the explicit product residual, before the probe runs; large
+    ones by the Krylov-probe norm checks and the eigen-residual /
+    unit-modulus gates the solvers provide anyway.  On a small matrix the
+    product residual has already proven unitarity, so an eigen-residual
+    above ``unitary_tol`` there is a solver failure and raises
+    ``EigensolverError``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim == 2 and a.shape[0] == a.shape[1] > _UNITARITY_PRECHECK_LIMIT:
@@ -323,7 +348,11 @@ def unitary_eigenvalues(
     else:
         # the product residual also rejects a non-square shape
         require_unitary(a, unitary_tol, what="input")
-        lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
+        # the pre-check has proven unitarity, so only the route is read
+        saturated, _ = _krylov_saturation(a, _SATURATION_STEPS)
+        lam, _, residual = _eig_unitary(
+            a, _pure_column_tol(unitary_tol), "evd" if saturated else "evr"
+        )
         if not residual <= unitary_tol:
             raise EigensolverError(
                 f"eigensolver failed on a unitary input: eigen-residual "
@@ -545,7 +574,8 @@ def verify_approximate_spectrum_theorem(
         for i in range(lam.size):
             lifted = np.kron(zhat, vecs[:, i])
             defect = op.apply(lifted) - lam[i] * lifted
-            max_witness = max(max_witness, float(np.linalg.norm(defect)))
+            # np.maximum, unlike max, keeps a NaN residual
+            max_witness = float(np.maximum(max_witness, np.linalg.norm(defect)))
 
     point_check = verify_point_spectrum_theorem(nu, cs, tol=tol)
     agreement = (
@@ -623,8 +653,11 @@ def verify_spectral_stability(
     max_diff = 0.0
     for i in range(len(potentials)):
         for j in range(i + 1, len(potentials)):
-            max_h = max(max_h, hausdorff_distance(reports[i].values, reports[j].values))
-            max_diff = max(max_diff, float(abs(sparse_ops[i] - sparse_ops[j]).max()))
+            # np.maximum, unlike max, keeps a NaN distance
+            max_h = float(
+                np.maximum(max_h, hausdorff_distance(reports[i].values, reports[j].values))
+            )
+            max_diff = float(np.maximum(max_diff, abs(sparse_ops[i] - sparse_ops[j]).max()))
 
     return SpectralStabilityReport(
         n=cs.n,

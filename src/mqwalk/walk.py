@@ -265,7 +265,9 @@ class IntertwiningReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.max_vector_residual, self.off_block_mass, self.max_block_mismatch)
+        # np.max, unlike the builtin max, keeps a NaN residual
+        residuals = [self.max_vector_residual, self.off_block_mass, self.max_block_mismatch]
+        return float(np.max(residuals))
 
     def passed(self, tol: float = 1e-10) -> bool:
         return self.max_residual <= tol
@@ -282,7 +284,10 @@ def intertwining_check(op: WalkOperator) -> IntertwiningReport:
         for a in range(d):
             lifted = np.kron(zhat, np.eye(d, dtype=complex)[a])
             expected = np.kron(zhat, sums[sigma][:, a])
-            vec_residual = max(vec_residual, float(np.linalg.norm(op.apply(lifted) - expected)))
+            # np.maximum, unlike max, keeps a NaN residual
+            vec_residual = float(
+                np.maximum(vec_residual, np.linalg.norm(op.apply(lifted) - expected))
+            )
 
     basis = magnetic_basis_change(op.nu)
     w4 = op.dense().reshape(op.dim_fock, d, op.dim_fock, d)
@@ -294,9 +299,9 @@ def intertwining_check(op: WalkOperator) -> IntertwiningReport:
         for tau in range(op.dim_fock):
             block = rotated[rho, :, tau, :]
             if rho == tau:
-                block_mismatch = max(block_mismatch, max_abs(block - sums[rho]))
+                block_mismatch = float(np.maximum(block_mismatch, max_abs(block - sums[rho])))
             else:
-                off_block = max(off_block, max_abs(block))
+                off_block = float(np.maximum(off_block, max_abs(block)))
 
     return IntertwiningReport(
         n=n,

@@ -2,13 +2,16 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mqwalk import cli, coin, spectra
+from mqwalk import cli, coin, magnetic, spectra
 
 
 def run_cli(*argv):
@@ -362,6 +365,39 @@ class TestVerifyTasks:
         assert report["passed"] is False
 
 
+class TestNanResidualFolds:
+    """A NaN residual stays in the report and fails the check."""
+
+    @staticmethod
+    def nan_shift(n, j, nu):
+        dim = 2 ** (n + 1)
+        return sp.csr_matrix(np.full((dim, dim), np.nan, dtype=complex))
+
+    def test_involution_residuals(self, monkeypatch):
+        monkeypatch.setattr(cli, "magnetic_shift", self.nan_shift)
+        nu = magnetic.random_potential(1, np.random.default_rng(80))
+        report = cli._involution_residuals(1, nu)
+        assert np.isnan(report["square_residual"])
+        assert np.isnan(report["self_adjoint_residual"])
+        assert report["passed"] is False
+
+    def test_eigen_relation_residual(self, monkeypatch):
+        monkeypatch.setattr(cli, "magnetic_shift", self.nan_shift)
+        nu = magnetic.random_potential(1, np.random.default_rng(81))
+        report = cli._eigenbasis_residuals(1, nu, 1e-10)
+        assert np.isnan(report["eigen_relation_residual"])
+        assert report["passed"] is False
+
+    def test_construction_agreement(self, monkeypatch):
+        monkeypatch.setattr(
+            cli, "magnetic_basis_vector", lambda sigma, nu: np.full(4, np.nan, dtype=complex)
+        )
+        nu = magnetic.random_potential(1, np.random.default_rng(82))
+        report = cli._eigenbasis_residuals(1, nu, 1e-10)
+        assert np.isnan(report["construction_agreement"])
+        assert report["passed"] is False
+
+
 class TestDeterminismAndFiles:
     def test_reports_byte_identical(self, tmp_path):
         args = ("--task", "verify-all", "--n", "1", "--coin", "hadamard-partition",
@@ -419,10 +455,13 @@ class TestDeterminismAndFiles:
 
 
 def test_console_entry_point_subprocess():
+    # the child finds the package on PYTHONPATH whether or not it is installed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mqwalk.cli", "--task", "spectrum", "--n", "1",
          "--coin", "grover"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

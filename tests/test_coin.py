@@ -56,6 +56,13 @@ class TestValidation:
         report = coin.validate_coin_system(coin.CoinSystem(tuple(ops)))
         assert not report.passed()
 
+    def test_nan_mutual_residual_is_kept(self, monkeypatch):
+        # the fold keeps a NaN residual instead of reading it as 0.0
+        monkeypatch.setattr(coin, "max_abs", lambda a: float("nan"))
+        report = coin.validate_coin_system(coin.hadamard_partition_coin_system())
+        assert np.isnan(report.mutual_annihilation)
+        assert not report.passed()
+
     def test_overlapping_coins_fail(self):
         half = 0.5 * np.eye(2)
         cs = coin.CoinSystem((half, half))

@@ -1,9 +1,13 @@
 """Tests for the unitary eigensolver, clustering, and the theorem checks."""
 
+import types
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mqwalk import coin, magnetic, spectra, walk
+from mqwalk import coin, fock, magnetic, spectra, walk
 
 
 def haar_unitary(d, rng):
@@ -86,6 +90,18 @@ class TestUnitaryEigenvalues:
         report = spectra.unitary_eigenvalues(mat)
         assert report.multiplicities == (1, 2)
 
+    def test_seam_order_ignores_round_off_sign(self):
+        # -1 reports arg +pi and sorts last whichever side of the real axis
+        # its round-off puts it, down to the bytes of the representatives
+        runs = [
+            spectra._cluster_unit_circle(np.array([complex(-1.0, im), 1j, 1.0, -1j]), 1e-8)
+            for im in (1e-17, -1e-17)
+        ]
+        (vals, mults), (vals2, mults2) = runs
+        assert vals.tobytes() == vals2.tobytes()
+        assert mults.tobytes() == mults2.tobytes()
+        assert vals[-1] == -1.0 and np.angle(vals[-1]) == np.pi
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_unitary_against_lapack(self, seed):
         rng = np.random.default_rng(seed)
@@ -165,8 +181,8 @@ class TestEigenResidualFloor:
     def test_solver_failure_is_not_input_error(self, monkeypatch):
         solve = spectra._eig_unitary
 
-        def missed_gate(a, pure_tol=spectra._PURE_COLUMN_TOL):
-            lam, vecs, _ = solve(a, pure_tol)
+        def missed_gate(a, pure_tol=spectra._PURE_COLUMN_TOL, driver="evr"):
+            lam, vecs, _ = solve(a, pure_tol, driver)
             return lam, vecs, 1.0
 
         monkeypatch.setattr(spectra, "_eig_unitary", missed_gate)
@@ -175,13 +191,80 @@ class TestEigenResidualFloor:
         assert not isinstance(info.value, ValueError)
 
 
+def clustered_unitary(side, phases, seed):
+    """Haar-rotated unitary with ``phases`` repeated evenly over ``side``."""
+    q = haar_unitary(side, np.random.default_rng(seed))
+    diag = np.repeat(np.exp(1j * np.asarray(phases)), side // len(phases))
+    return q @ np.diag(diag) @ q.conj().T
+
+
+def spy_drivers(monkeypatch):
+    """Record the LAPACK driver of every ``scipy.linalg.eigh`` call."""
+    drivers = []
+    eigh = spectra.sla.eigh
+
+    def spy(*args, **kwargs):
+        drivers.append(kwargs.get("driver"))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectra.sla, "eigh", spy)
+    return drivers
+
+
 class TestKrylovRouting:
+    def test_small_degenerate_uses_evd(self, monkeypatch):
+        drivers = spy_drivers(monkeypatch)
+        phases = [0.1, 0.9, -2.0, 2.4]
+        report = spectra.unitary_eigenvalues(clustered_unitary(96, phases, 40))
+        assert drivers == ["evd"]
+        assert report.multiplicities == (24, 24, 24, 24)
+        assert spectra.hausdorff_distance(report.values, np.exp(1j * np.array(phases))) <= 1e-9
+
+    def test_small_generic_uses_evr(self, monkeypatch):
+        drivers = spy_drivers(monkeypatch)
+        mat = haar_unitary(96, np.random.default_rng(41))
+        report = spectra.unitary_eigenvalues(mat)
+        assert drivers == ["evr"]
+        assert spectra.hausdorff_distance(report.values, np.linalg.eigvals(mat)) <= 1e-10
+
+    def test_small_degenerate_solver_miss_is_not_input_error(self, monkeypatch):
+        solve = spectra._eig_unitary
+        drivers = []
+
+        def missed_gate(a, pure_tol=spectra._PURE_COLUMN_TOL, driver="evr"):
+            drivers.append(driver)
+            lam, vecs, _ = solve(a, pure_tol, driver)
+            return lam, vecs, 1.0
+
+        monkeypatch.setattr(spectra, "_eig_unitary", missed_gate)
+        with pytest.raises(spectra.EigensolverError) as info:
+            spectra.unitary_eigenvalues(clustered_unitary(96, [0.5, -0.5], 43))
+        assert not isinstance(info.value, ValueError)
+        assert drivers == ["evd"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_small_route_rejects_nan_and_non_unitary(self, monkeypatch):
+        # the explicit pre-check rejects both before the probe or eigh runs
+        drivers = spy_drivers(monkeypatch)
+        bad_nan = clustered_unitary(96, [0.5, -0.5], 44)
+        bad_nan[3, 5] = np.nan
+        bad_scale = 1.01 * clustered_unitary(96, [0.5, -0.5], 44)
+        for mat in (bad_nan, bad_scale):
+            with pytest.raises(ValueError, match="not unitary"):
+                spectra.unitary_eigenvalues(mat)
+        assert drivers == []
+
+    def test_empty_and_scalar_inputs(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectra._krylov_saturation(np.zeros((0, 0), dtype=complex), 64) == (True, 0.0)
+            empty = spectra.unitary_eigenvalues(np.zeros((0, 0), dtype=complex))
+            scalar = spectra.unitary_eigenvalues(np.array([[1j]]))
+        assert empty.eigenvalues == () and empty.multiplicities == ()
+        assert scalar.eigenvalues == (1j,) and scalar.multiplicities == (1,)
+
     def test_saturation_detects_few_distinct_values(self):
-        rng = np.random.default_rng(30)
-        q = haar_unitary(96, rng)
-        phases = np.exp(1j * np.array([0.1, 0.9, -2.0, 2.4]))
-        diag = np.repeat(phases, 24)
-        mat = q @ np.diag(diag) @ q.conj().T
+        mat = clustered_unitary(96, [0.1, 0.9, -2.0, 2.4], 30)
         saturated, norm_defect = spectra._krylov_saturation(mat, 64)
         assert saturated
         assert norm_defect <= 1e-10
@@ -199,19 +282,28 @@ class TestKrylovRouting:
 
     def test_large_route_degenerate(self, monkeypatch):
         monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 64)
-        rng = np.random.default_rng(32)
-        q = haar_unitary(120, rng)
-        phases = np.exp(1j * np.array([0.3, -1.1, 2.7]))
-        mat = q @ np.diag(np.repeat(phases, 40)) @ q.conj().T
-        report = spectra.unitary_eigenvalues(mat)
+        drivers = spy_drivers(monkeypatch)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(spectra.np.linalg, "eigvals", counted)
+        phases = [0.3, -1.1, 2.7]
+        report = spectra.unitary_eigenvalues(clustered_unitary(120, phases, 32))
+        assert calls == [(120, 120)] and drivers == []
         assert report.multiplicities == (40, 40, 40)
-        assert spectra.hausdorff_distance(report.values, phases) <= 1e-9
+        assert spectra.hausdorff_distance(report.values, np.exp(1j * np.array(phases))) <= 1e-9
 
     def test_large_route_generic(self, monkeypatch):
         monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 64)
+        drivers = spy_drivers(monkeypatch)
         rng = np.random.default_rng(33)
         mat = haar_unitary(120, rng)
         report = spectra.unitary_eigenvalues(mat)
+        assert drivers == ["evr"]
         reference = np.linalg.eigvals(mat)
         assert spectra.hausdorff_distance(report.values, reference) <= 1e-10
         assert report.total_multiplicity == 120
@@ -438,6 +530,42 @@ class TestApproximateSpectrumTheorem:
         nu = magnetic.random_potential(1, np.random.default_rng(23))
         check = spectra.verify_approximate_spectrum_theorem(nu, cs)
         assert check.max_witness_residual <= 1e-12
+
+
+class TestNanResidualFolds:
+    """A NaN residual stays in the report and fails the check."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_witness_residual(self, monkeypatch):
+        def nan_vector(sigma, nu):
+            return np.full(fock.dimension(nu.n), np.nan, dtype=complex)
+
+        monkeypatch.setattr(spectra, "magnetic_basis_vector", nan_vector)
+        nu = magnetic.random_potential(1, np.random.default_rng(50))
+        check = spectra.verify_approximate_spectrum_theorem(
+            nu, coin.hadamard_partition_coin_system()
+        )
+        assert np.isnan(check.max_witness_residual)
+        assert not check.passed
+
+    def test_pairwise_hausdorff(self, monkeypatch):
+        monkeypatch.setattr(spectra, "hausdorff_distance", lambda a, b: float("nan"))
+        report = spectra.verify_spectral_stability(
+            coin.hadamard_partition_coin_system(), samples=2
+        )
+        assert np.isnan(report.max_pairwise_hausdorff)
+        assert not report.passed
+
+    def test_operator_difference(self, monkeypatch):
+        nan_sparse = types.SimpleNamespace(
+            csr_matrix=lambda mat: sp.csr_matrix(np.full(mat.shape, np.nan, dtype=complex))
+        )
+        monkeypatch.setattr(spectra, "sp", nan_sparse)
+        report = spectra.verify_spectral_stability(
+            coin.hadamard_partition_coin_system(), samples=2
+        )
+        assert np.isnan(report.max_operator_difference)
+        assert not report.passed
 
 
 class TestSpectralStability:

@@ -348,3 +348,30 @@ class TestIntertwining:
             report = walk.intertwining_check(walk.evolution_operator(nu, cs))
             assert report.max_residual <= 1e-10
             assert report.passed()
+
+    @staticmethod
+    def hadamard_operator():
+        nu = magnetic.random_potential(1, np.random.default_rng(73))
+        return walk.evolution_operator(nu, coin.hadamard_partition_coin_system())
+
+    def test_max_residual_keeps_nan(self):
+        report = walk.IntertwiningReport(
+            n=1, d=2, max_vector_residual=0.0, off_block_mass=np.nan, max_block_mismatch=0.0
+        )
+        assert np.isnan(report.max_residual)
+        assert not report.passed()
+
+    def test_nan_vector_residual_is_kept(self):
+        op = self.hadamard_operator()
+        op.apply = lambda vec: np.full_like(vec, np.nan)
+        report = walk.intertwining_check(op)
+        assert np.isnan(report.max_vector_residual)
+        assert report.off_block_mass <= 1e-12
+        assert not report.passed()
+
+    def test_nan_block_residuals_are_kept(self, monkeypatch):
+        monkeypatch.setattr(walk, "max_abs", lambda a: float("nan"))
+        report = walk.intertwining_check(self.hadamard_operator())
+        assert np.isnan(report.off_block_mass)
+        assert np.isnan(report.max_block_mismatch)
+        assert not report.passed()
