@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._linalg import max_abs
+
 __all__ = [
     "FockSpace",
     "CarReport",
@@ -127,11 +129,6 @@ class FockSpace:
         return creation_operator(self.n, k)
 
 
-def _max_abs(a: sp.spmatrix) -> float:
-    a = sp.coo_matrix(a)
-    return float(np.abs(a.data).max()) if a.nnz else 0.0
-
-
 @dataclass(frozen=True)
 class CarReport:
     """Max-norm residuals of the ladder-operator algebra at a given n.
@@ -150,14 +147,16 @@ class CarReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
+        # np.max, unlike the builtin max, keeps a NaN residual
+        residuals = [
             self.annihilation_commutator,
             self.creation_commutator,
             self.mixed_commutator,
             self.annihilation_square,
             self.creation_square,
             self.car_identity,
-        )
+        ]
+        return float(np.max(residuals))
 
     def passed(self, tol: float = 1e-12) -> bool:
         return self.max_residual <= tol
@@ -180,23 +179,24 @@ def verify_car(n: int) -> CarReport:
 
     ann_comm = creat_comm = mixed_comm = 0.0
     ann_sq = cre_sq = identity_res = 0.0
+    # np.maximum, unlike max, keeps a NaN residual
     for j in range(n + 1):
-        ann_sq = max(ann_sq, _max_abs(ann[j] @ ann[j]))
-        cre_sq = max(cre_sq, _max_abs(cre[j] @ cre[j]))
-        identity_res = max(identity_res, _max_abs(cre[j] @ ann[j] + ann[j] @ cre[j] - eye))
+        ann_sq = np.maximum(ann_sq, max_abs(ann[j] @ ann[j]))
+        cre_sq = np.maximum(cre_sq, max_abs(cre[j] @ cre[j]))
+        identity_res = np.maximum(identity_res, max_abs(cre[j] @ ann[j] + ann[j] @ cre[j] - eye))
         for k in range(n + 1):
             if j == k:
                 continue
-            ann_comm = max(ann_comm, _max_abs(ann[j] @ ann[k] - ann[k] @ ann[j]))
-            creat_comm = max(creat_comm, _max_abs(cre[j] @ cre[k] - cre[k] @ cre[j]))
-            mixed_comm = max(mixed_comm, _max_abs(cre[j] @ ann[k] - ann[k] @ cre[j]))
+            ann_comm = np.maximum(ann_comm, max_abs(ann[j] @ ann[k] - ann[k] @ ann[j]))
+            creat_comm = np.maximum(creat_comm, max_abs(cre[j] @ cre[k] - cre[k] @ cre[j]))
+            mixed_comm = np.maximum(mixed_comm, max_abs(cre[j] @ ann[k] - ann[k] @ cre[j]))
 
     return CarReport(
         n=n,
-        annihilation_commutator=ann_comm,
-        creation_commutator=creat_comm,
-        mixed_commutator=mixed_comm,
-        annihilation_square=ann_sq,
-        creation_square=cre_sq,
-        car_identity=identity_res,
+        annihilation_commutator=float(ann_comm),
+        creation_commutator=float(creat_comm),
+        mixed_commutator=float(mixed_comm),
+        annihilation_square=float(ann_sq),
+        creation_square=float(cre_sq),
+        car_identity=float(identity_res),
     )

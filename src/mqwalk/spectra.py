@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ._linalg import require_unitary
+from ._linalg import as_complex, max_abs, require_unitary
 from .coin import (
     DEFAULT_COIN_TOL,
     CoinSystem,
@@ -65,7 +65,8 @@ __all__ = [
 
 DEFAULT_SPECTRUM_TOL = 1e-8
 
-# Above this matrix side the O(N^3) explicit unitarity pre-check is skipped;
+# Above this matrix side the explicit unitarity pre-check (O(N^3) on an
+# ndarray, O(N d^2) on the sparse walk matrix) is skipped;
 # non-unitary input is still rejected by the a-posteriori residual and
 # unit-modulus gates, which the splitting algorithm provides for free.  The
 # side also splits the degenerate route: at or below it the split path runs
@@ -99,6 +100,11 @@ _PURE_COLUMN_TOL = 1e-9
 _SEAM_IM_TOL = 1e-14
 
 
+def _full(a):
+    """``a`` as an ndarray: a sparse matrix is expanded, an ndarray returned as is."""
+    return a.toarray() if sp.issparse(a) else a
+
+
 class EigensolverError(RuntimeError):
     """The eigensolver missed its residual gate on input proven unitary.
 
@@ -113,13 +119,15 @@ def _pure_column_tol(gate: float) -> float:
 
 
 def _eig_unitary(
-    a: np.ndarray, pure_tol: float = _PURE_COLUMN_TOL, driver: str = "evr"
+    a, pure_tol: float = _PURE_COLUMN_TOL, driver: str = "evr"
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalues, orthonormal eigenvectors, and max residual ||Av - lv||.
 
-    ``driver`` names the LAPACK driver of the Hermitian eigensolve: "evr"
-    (MRRR) for generic spectra, "evd" (divide and conquer) for spectra with
-    large clusters.
+    ``a`` is a complex ndarray or a scipy sparse matrix; only its Hermitian
+    part is made dense for the eigensolve, and the images ``a @ vecs`` are
+    sparse products when ``a`` is sparse.  ``driver`` names the LAPACK
+    driver of the Hermitian eigensolve: "evr" (MRRR) for generic spectra,
+    "evd" (divide and conquer) for spectra with large clusters.
 
     After the Hermitian eigensolve, each column's Rayleigh quotient and
     defect norm cost O(N^2) in total; columns whose defect is at most
@@ -141,7 +149,7 @@ def _eig_unitary(
     default 1e-8 gate.
     """
     size = a.shape[0]
-    herm = (a + a.conj().T) / 2
+    herm = _full((a + a.conj().T) / 2)
     w, vecs = sla.eigh(herm, driver=driver, check_finite=False, overwrite_a=True)
     images = a @ vecs
     lam = np.einsum("ij,ij->j", vecs.conj(), images)
@@ -175,7 +183,7 @@ def _eig_unitary(
     return lam, vecs, residual
 
 
-def _krylov_saturation(a: np.ndarray, max_steps: int) -> tuple[bool, float]:
+def _krylov_saturation(a, max_steps: int) -> tuple[bool, float]:
     """Probe whether a random-start Krylov space of ``a`` closes early.
 
     Returns (saturated, norm_defect).  Saturation within ``max_steps``
@@ -183,7 +191,8 @@ def _krylov_saturation(a: np.ndarray, max_steps: int) -> tuple[bool, float]:
     degree, i.e. the spectrum has few distinct values.  ``norm_defect`` is
     the largest deviation of ||A q|| from 1 over the orthonormal Krylov
     vectors, a free unitarity probe.  The start vector is drawn from a
-    fixed seed so results are reproducible.
+    fixed seed so results are reproducible.  ``a`` is a complex ndarray or
+    a scipy sparse matrix; only its products with vectors are used.
     """
     size = a.shape[0]
     if size == 0:  # the empty space is closed, and has no vector to norm
@@ -209,7 +218,7 @@ def _krylov_saturation(a: np.ndarray, max_steps: int) -> tuple[bool, float]:
     return False, norm_defect
 
 
-def _eigvals_unitary_large(a: np.ndarray, unitary_tol: float) -> np.ndarray:
+def _eigvals_unitary_large(a, unitary_tol: float) -> np.ndarray:
     """Eigenvalues of a large unitary matrix, route chosen by a Krylov probe.
 
     Heavily degenerate spectra (few distinct values) go to LAPACK's
@@ -217,6 +226,7 @@ def _eigvals_unitary_large(a: np.ndarray, unitary_tol: float) -> np.ndarray:
     Hermitian-splitting path.  Both routes are direct eigensolves of the
     matrix as given.  The probe's norm checks stand in for the skipped
     explicit unitarity product.  Every gate is written so a NaN fails it.
+    A sparse ``a`` is made dense only for the QR route.
     """
     saturated, norm_defect = _krylov_saturation(a, _SATURATION_STEPS)
     if not norm_defect <= unitary_tol:
@@ -225,7 +235,7 @@ def _eigvals_unitary_large(a: np.ndarray, unitary_tol: float) -> np.ndarray:
             f"probe vectors exceeds {unitary_tol:.1e}"
         )
     if saturated:
-        return np.linalg.eigvals(a)
+        return np.linalg.eigvals(_full(a))
     lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
     if not residual <= unitary_tol:
         raise ValueError(
@@ -320,13 +330,14 @@ def _make_report(
 
 
 def unitary_eigenvalues(
-    a: np.ndarray,
+    a,
     source: str = "unitary matrix",
     nu: MagneticPotential | None = None,
     cluster_tol: float = DEFAULT_SPECTRUM_TOL,
     unitary_tol: float = DEFAULT_SPECTRUM_TOL,
 ) -> SpectrumReport:
-    """Clustered spectrum of a unitary matrix.
+    """Clustered spectrum of a unitary matrix, given as an ndarray or as a
+    scipy sparse matrix.
 
     A fixed-seed Krylov probe picks the route at every side.  Generic
     spectra take the Hermitian-splitting path with the MRRR driver (evr).
@@ -341,8 +352,12 @@ def unitary_eigenvalues(
     product residual has already proven unitarity, so an eigen-residual
     above ``unitary_tol`` there is a solver failure and raises
     ``EigensolverError``.
+
+    A sparse matrix stays sparse through the pre-check, the probe and the
+    eigen-residual products; only the Hermitian part (and, on the QR route,
+    the matrix itself) is made dense.
     """
-    a = np.asarray(a, dtype=complex)
+    a = as_complex(a)
     if a.ndim == 2 and a.shape[0] == a.shape[1] > _UNITARITY_PRECHECK_LIMIT:
         lam = _eigvals_unitary_large(a, unitary_tol)
     else:
@@ -372,18 +387,18 @@ def walk_point_spectrum(
     cs: CoinSystem,
     cluster_tol: float = DEFAULT_SPECTRUM_TOL,
 ) -> SpectrumReport:
-    """Spectrum of the assembled walk operator (dense; n-limited).
+    """Spectrum of the assembled walk operator (dense eigensolve; n-limited).
 
-    The operator is materialized and eigensolved directly, without using
-    the per-vertex block structure, so the result is an independent side of
-    the spectral comparisons.  The size guard is the one in
-    ``WalkOperator.dense`` (``CapacityError``).
+    The operator is assembled as the literal Kronecker sum and eigensolved
+    directly, without using the per-vertex block structure, so the result
+    is an independent side of the spectral comparisons.  The size guard is
+    the one in ``WalkOperator.sparse`` (``CapacityError``).
     """
-    return _dense_walk_spectrum(evolution_operator(nu, cs).dense(), nu, cs, cluster_tol)
+    return _walk_spectrum(evolution_operator(nu, cs).sparse(), nu, cs, cluster_tol)
 
 
-def _dense_walk_spectrum(
-    mat: np.ndarray, nu: MagneticPotential, cs: CoinSystem, cluster_tol: float
+def _walk_spectrum(
+    mat: sp.csr_matrix, nu: MagneticPotential, cs: CoinSystem, cluster_tol: float
 ) -> SpectrumReport:
     """``walk_point_spectrum`` of a walk matrix already assembled."""
     return unitary_eigenvalues(
@@ -559,7 +574,7 @@ def verify_approximate_spectrum_theorem(
     _validated(cs)
     op = evolution_operator(nu, cs)
     walk_rep = unitary_eigenvalues(
-        op.dense(),
+        op.sparse(),
         source=f"walk operator (approximate path), n={cs.n}, d={cs.d}",
         nu=nu,
         cluster_tol=tol,
@@ -640,14 +655,10 @@ def verify_spectral_stability(
     potentials = [null_potential(cs.n)] + [
         random_potential(cs.n, rng) for _ in range(samples)
     ]
-    reports = []
-    # each operator is assembled once and kept in sparse form, which holds
-    # the same entries, so no eigensolve runs beside all the dense copies
-    sparse_ops = []
-    for nu in potentials:
-        mat = evolution_operator(nu, cs).dense()
-        reports.append(_dense_walk_spectrum(mat, nu, cs, tol))
-        sparse_ops.append(sp.csr_matrix(mat))
+    # each operator is assembled once, in sparse form, for its spectrum and
+    # for the pairwise differences
+    mats = [evolution_operator(nu, cs).sparse() for nu in potentials]
+    reports = [_walk_spectrum(mat, nu, cs, tol) for mat, nu in zip(mats, potentials)]
 
     max_h = 0.0
     max_diff = 0.0
@@ -657,7 +668,7 @@ def verify_spectral_stability(
             max_h = float(
                 np.maximum(max_h, hausdorff_distance(reports[i].values, reports[j].values))
             )
-            max_diff = float(np.maximum(max_diff, abs(sparse_ops[i] - sparse_ops[j]).max()))
+            max_diff = float(np.maximum(max_diff, max_abs(mats[i] - mats[j])))
 
     return SpectralStabilityReport(
         n=cs.n,

@@ -16,7 +16,8 @@ coin system the ranks sum to d, so one step costs two (2^(n+1), d) @ (d, d)
 products plus one gather of 2^(n+1) d amplitudes; operators of higher total
 rank stay exact and only widen the middle stage, up to (n+1) d.  The full
 matrix is never formed by stepping; it is reserved for spectral work at
-small n and kept as the literal Kronecker sum, the kernel's oracle.
+small n and kept as the literal Kronecker sum in CSR form, the kernel's
+oracle.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class WalkOperator:
 
     Immutable after construction; precomputes the stacked coin factors and
     the per-block direction phases used by the matrix-free kernel.  The
-    dense matrix is built lazily and cached, guarded to n <= DENSE_N_LIMIT.
+    assembled matrix is built lazily in CSR form and cached, guarded to
+    n <= DENSE_N_LIMIT; ``dense`` expands it.
     ``factor_width`` is the total rank of the coins, which is d for every
     valid coin system and sets the width of the kernel's middle stage.
     """
@@ -105,7 +107,7 @@ class WalkOperator:
         self.factor_width = start
         self._right_adj = np.vstack(rights)
         self._left_t = np.vstack(lefts)
-        self._dense: np.ndarray | None = None
+        self._sparse: sp.csr_matrix | None = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-free product of the operator with a state vector.
@@ -129,9 +131,11 @@ class WalkOperator:
             np.multiply(src[:, :, 0], down, out=dst[:, :, 1])
         return (y.T @ self._left_t).reshape(self.dim)
 
-    def dense(self) -> np.ndarray:
-        """Full matrix of the operator; cached, n <= DENSE_N_LIMIT only."""
-        if self._dense is None:
+    def sparse(self) -> sp.csr_matrix:
+        """Assembled matrix, the literal Kronecker sum in CSR form (d stored
+        entries per row for the built-in coins); cached, read-only,
+        n <= DENSE_N_LIMIT only."""
+        if self._sparse is None:
             if self.n > DENSE_N_LIMIT:
                 raise CapacityError(
                     f"dense walk matrix needs n <= {DENSE_N_LIMIT}, got n={self.n}; "
@@ -145,9 +149,14 @@ class WalkOperator:
                     format="csr",
                 )
                 acc = term if acc is None else acc + term
-            self._dense = np.asarray(acc.todense())
-            self._dense.flags.writeable = False
-        return self._dense
+            for part in (acc.data, acc.indices, acc.indptr):
+                part.flags.writeable = False
+            self._sparse = acc
+        return self._sparse
+
+    def dense(self) -> np.ndarray:
+        """Full matrix of the operator as an ndarray, from ``sparse``."""
+        return self.sparse().toarray()
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,18 @@ def test_car_report_fields():
         assert value <= 1e-12
 
 
+def test_nan_residual_fails_car_report(monkeypatch):
+    # one NaN field is enough: the fold keeps it and the check fails
+    report = fock.CarReport(3, 0.0, 0.0, float("nan"), 0.0, 0.0, 0.0)
+    assert np.isnan(report.max_residual)
+    assert not report.passed()
+    monkeypatch.setattr(fock, "max_abs", lambda a: float("nan"))
+    report = fock.verify_car(2)
+    assert np.isnan(report.annihilation_square) and np.isnan(report.mixed_commutator)
+    assert np.isnan(report.max_residual)
+    assert not report.passed()
+
+
 def test_basis_bijection():
     # each subset maps to a distinct column index covering the full range
     n = 3

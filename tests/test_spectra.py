@@ -1,13 +1,13 @@
 """Tests for the unitary eigensolver, clustering, and the theorem checks."""
 
-import types
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mqwalk import coin, fock, magnetic, spectra, walk
+from mqwalk import _linalg, coin, fock, magnetic, spectra, walk
 
 
 def haar_unitary(d, rng):
@@ -332,6 +332,85 @@ class TestKrylovRouting:
         assert np.isnan(norm_defect)
 
 
+def walk_forms(cs, seed):
+    """CSR and ndarray forms of one walk at a random potential."""
+    nu = magnetic.random_potential(cs.n, np.random.default_rng(seed))
+    op = walk.evolution_operator(nu, cs)
+    return op.sparse(), op.dense()
+
+
+class TestSparseInput:
+    """The CSR walk matrix gives the ndarray's gates, routes and clusters."""
+
+    @pytest.mark.parametrize("cs", [
+        coin.grover_coin_system(3),
+        coin.random_coin_system(4, 6, seed=60),
+    ], ids=["grover", "random"])
+    def test_unitarity_residual_parity(self, cs):
+        mat, dense = walk_forms(cs, 61)
+        assert sp.issparse(mat) and mat.nnz == cs.d * mat.shape[0]
+        sparse_res = _linalg.unitarity_residual(mat)
+        assert abs(sparse_res - _linalg.unitarity_residual(dense)) <= 1e-15
+        assert sparse_res <= 1e-13
+
+    def test_max_abs_of_sparse(self):
+        mat, dense = walk_forms(coin.random_coin_system(2, 4, seed=62), 62)
+        assert _linalg.max_abs(mat) == _linalg.max_abs(dense)
+        assert _linalg.max_abs(sp.csr_matrix((3, 3), dtype=complex)) == 0.0
+        mat = mat.copy()
+        mat.data[5] = np.nan
+        assert np.isnan(_linalg.max_abs(mat))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_bad_input_before_eigh(self, monkeypatch):
+        drivers = spy_drivers(monkeypatch)
+        mat, _ = walk_forms(coin.grover_coin_system(3), 63)
+        with_nan = mat.copy()
+        with_nan.data[7] = np.nan
+        perturbed = mat.copy()
+        perturbed.data[7] += 1e-6
+        for bad in (with_nan, perturbed):
+            with pytest.raises(ValueError, match="not unitary"):
+                spectra.unitary_eigenvalues(bad)
+        with pytest.raises(ValueError, match="square"):
+            spectra.unitary_eigenvalues(mat[:, :-1])
+        assert drivers == []
+
+    @pytest.mark.parametrize("route, cs, limit", [
+        ("evr", coin.random_coin_system(4, 6, seed=64), None),
+        ("evd", coin.grover_coin_system(4), None),
+        ("eigvals", coin.grover_coin_system(3), 32),
+    ])
+    def test_same_clusters_on_every_route(self, monkeypatch, route, cs, limit):
+        if limit is not None:
+            monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", limit)
+        drivers = spy_drivers(monkeypatch)
+        mat, dense = walk_forms(cs, 65)
+        from_sparse = spectra.unitary_eigenvalues(mat)
+        sparse_drivers, drivers[:] = drivers[:], []
+        from_dense = spectra.unitary_eigenvalues(dense)
+        assert sparse_drivers == drivers == ([] if route == "eigvals" else [route])
+        assert from_sparse.multiplicities == from_dense.multiplicities
+        assert np.abs(from_sparse.values - from_dense.values).max() <= 1e-12
+        assert from_sparse.total_multiplicity == mat.shape[0]
+
+    def test_capacity_guard_before_any_allocation(self, monkeypatch):
+        shifts = []
+        monkeypatch.setattr(walk, "magnetic_shift", lambda *args: shifts.append(args))
+        cs = coin.random_coin_system(11, 12, seed=0)
+        nu = magnetic.null_potential(11)
+        tracemalloc.start()
+        try:
+            with pytest.raises(walk.CapacityError, match="n <= 10"):
+                spectra.walk_point_spectrum(nu, cs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one n=11 shift alone would hold 2^12 entries
+        assert shifts == []
+        assert peak < 1 << 20
+
+
 class TestSpectrumReport:
     def test_json_schema(self):
         report = spectra.unitary_eigenvalues(
@@ -391,7 +470,7 @@ class TestWalkPointSpectrum:
         lambda cs: spectra.verify_spectral_stability(cs, samples=2),
     ], ids=["point", "aev", "stability"])
     def test_capacity_guard_of_every_dense_check(self, check):
-        # the guard of WalkOperator.dense is the only one
+        # the guard of WalkOperator.sparse is the only one
         cs = coin.random_coin_system(11, 12, seed=0)
         with pytest.raises(walk.CapacityError, match="n <= 10"):
             check(cs)
@@ -557,13 +636,20 @@ class TestNanResidualFolds:
         assert not report.passed
 
     def test_operator_difference(self, monkeypatch):
-        nan_sparse = types.SimpleNamespace(
-            csr_matrix=lambda mat: sp.csr_matrix(np.full(mat.shape, np.nan, dtype=complex))
-        )
-        monkeypatch.setattr(spectra, "sp", nan_sparse)
-        report = spectra.verify_spectral_stability(
-            coin.hadamard_partition_coin_system(), samples=2
-        )
+        cs = coin.hadamard_partition_coin_system()
+        fixed = spectra.walk_point_spectrum(magnetic.null_potential(cs.n), cs)
+        assemble = walk.WalkOperator.sparse
+
+        def with_nan(op):
+            mat = assemble(op).copy()
+            mat.data[0] = np.nan
+            return mat
+
+        # the operators carry the NaN; their spectra are held fixed, since
+        # the eigensolver rejects a NaN matrix before any difference is taken
+        monkeypatch.setattr(walk.WalkOperator, "sparse", with_nan)
+        monkeypatch.setattr(spectra, "_walk_spectrum", lambda mat, nu, cs, tol: fixed)
+        report = spectra.verify_spectral_stability(cs, samples=2)
         assert np.isnan(report.max_operator_difference)
         assert not report.passed
 
@@ -596,13 +682,13 @@ class TestSpectralStability:
 
     def test_each_operator_assembled_once(self, monkeypatch):
         calls = []
-        dense = walk.WalkOperator.dense
+        assemble = walk.WalkOperator.sparse
 
         def counted(op):
             calls.append(op)
-            return dense(op)
+            return assemble(op)
 
-        monkeypatch.setattr(walk.WalkOperator, "dense", counted)
+        monkeypatch.setattr(walk.WalkOperator, "sparse", counted)
         cs = coin.grover_coin_system(2)
         report = spectra.verify_spectral_stability(cs, samples=3, seed=2)
         assert len(calls) == len(set(map(id, calls))) == 4
