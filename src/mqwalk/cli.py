@@ -37,7 +37,7 @@ from .magnetic import (
     magnetic_shift,
     null_potential,
     random_potential,
-    xi_hat,
+    xi_hat_vacuum_columns,
 )
 from .spectra import (
     EigensolverError,
@@ -415,10 +415,9 @@ def _eigenbasis_residuals(n: int, nu: MagneticPotential, tol: float) -> dict:
         )
 
     construction_gap = 0.0
-    vacuum = np.zeros(dim, dtype=complex)
-    vacuum[0] = 1.0
+    via_products = xi_hat_vacuum_columns(nu) / np.sqrt(dim)
     for sigma in range(dim):
-        via_product = xi_hat(sigma, nu) @ vacuum / np.sqrt(dim)
+        via_product = via_products[:, sigma]
         via_formula = magnetic_basis_vector(sigma, nu)
         construction_gap = float(
             np.maximum(construction_gap, np.abs(via_product - via_formula).max())

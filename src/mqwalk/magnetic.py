@@ -39,6 +39,7 @@ __all__ = [
     "magnetic_shift",
     "shift_product_action",
     "xi_hat",
+    "xi_hat_vacuum_columns",
     "magnetic_basis_vector",
     "magnetic_basis_change",
 ]
@@ -204,6 +205,25 @@ def xi_hat(sigma: int, nu: MagneticPotential) -> np.ndarray:
         factor = sp.identity(dim, dtype=complex, format="csr") + signs[j] * magnetic_shift(n, j, nu)
         result = factor @ result
     return result
+
+
+def xi_hat_vacuum_columns(nu: MagneticPotential) -> np.ndarray:
+    """Every signed product applied to the vacuum: column sigma is
+    ``xi_hat(sigma, nu) @ basis_state(n, 0)``.
+
+    The factors (I + s_j Xi_j) are applied in order to one block that holds
+    the vacuum in every column, each column with the signs of its sigma, so
+    n + 1 sparse products stand in for 2^(n+1) dense operators.
+    """
+    n = nu.n
+    dim = dimension(n)
+    sigmas = np.arange(dim)
+    block = np.zeros((dim, dim), dtype=complex)
+    block[0] = 1.0
+    for j in range(n + 1):
+        signs = 2.0 * ((sigmas >> j) & 1) - 1.0  # membership_signs of every sigma
+        block = block + (magnetic_shift(n, j, nu) @ block) * signs
+    return block
 
 
 def _phase_sums(nu: MagneticPotential) -> np.ndarray:

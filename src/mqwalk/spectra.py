@@ -93,6 +93,11 @@ _COS_CLUSTER_GAP = 1e-6
 # residual pass a threshold kept below their gate (``_pure_column_tol``).
 _PURE_COLUMN_TOL = 1e-9
 
+# Columns per block of the images, Rayleigh quotients and defects formed
+# after the Hermitian eigensolve: the temporaries are side x block, not
+# side x side.
+_RESIDUAL_BLOCK = 64
+
 # A cluster representative with negative real part and an imaginary part at
 # most this large is put exactly on the negative real axis (imaginary part
 # +0.0), so -1 reports arg +pi and sorts last whatever the sign of its
@@ -129,6 +134,12 @@ def _eig_unitary(
     driver of the Hermitian eigensolve: "evr" (MRRR) for generic spectra,
     "evd" (divide and conquer) for spectra with large clusters.
 
+    The Hermitian part is built once in Fortran order and overwritten by
+    the eigensolve.  The Rayleigh quotients and defects, and the sparse
+    images, are then formed in blocks of ``_RESIDUAL_BLOCK`` columns, so
+    the working set is the eigenvectors, their images and LAPACK's
+    workspace: two side x side arrays for evr, three for evd.
+
     After the Hermitian eigensolve, each column's Rayleigh quotient and
     defect norm cost O(N^2) in total; columns whose defect is at most
     ``pure_tol`` (the common case, including every truly degenerate
@@ -149,11 +160,32 @@ def _eig_unitary(
     default 1e-8 gate.
     """
     size = a.shape[0]
-    herm = _full((a + a.conj().T) / 2)
+    sparse = sp.issparse(a)
+    # H in Fortran order, so eigh works in this one buffer (evd returns the
+    # eigenvectors in it) instead of copying it
+    if sparse:
+        herm = (a + a.conj().T).toarray(order="F")
+    else:
+        herm = np.conjugate(a.T, order="F")
+        np.add(herm, a, out=herm)
+    herm /= 2
     w, vecs = sla.eigh(herm, driver=driver, check_finite=False, overwrite_a=True)
-    images = a @ vecs
-    lam = np.einsum("ij,ij->j", vecs.conj(), images)
-    defect = np.linalg.norm(images - vecs * lam[None, :], axis=0)
+    del herm
+    images = np.empty((size, size), dtype=complex)
+    if not sparse:
+        # a dense product writes straight into images without a copy; cut
+        # into blocks, its narrowest blocks would round unlike the whole
+        np.matmul(a, vecs, out=images)
+    lam = np.empty(size, dtype=complex)
+    defect = np.empty(size)
+    for lo in range(0, size, _RESIDUAL_BLOCK):
+        cols = slice(lo, lo + _RESIDUAL_BLOCK)
+        v = vecs[:, cols]
+        if sparse:  # the sparse product copies its dense operand to C order
+            images[:, cols] = a @ v
+        y = images[:, cols]
+        lam[cols] = np.einsum("ij,ij->j", v.conj(), y)
+        defect[cols] = np.linalg.norm(y - v * lam[cols][None, :], axis=0)
 
     def rotate(cols: np.ndarray, block: np.ndarray, rot: np.ndarray) -> None:
         sub_v = vecs[:, cols] @ rot

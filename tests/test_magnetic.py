@@ -286,6 +286,15 @@ class TestMagneticBasis:
             via_formula = magnetic.magnetic_basis_vector(sigma, nu)
             assert np.abs(via_product - via_formula).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", range(4))
+    def test_vacuum_columns_are_xi_hat_columns(self, n):
+        # the batched products equal each operator's first column exactly
+        nu = magnetic.random_potential(n, np.random.default_rng(66 + n))
+        columns = magnetic.xi_hat_vacuum_columns(nu)
+        assert columns.shape == (2 ** (n + 1),) * 2
+        for sigma in range(2 ** (n + 1)):
+            np.testing.assert_array_equal(columns[:, sigma], magnetic.xi_hat(sigma, nu)[:, 0])
+
     def test_basis_change_n0(self):
         basis = magnetic.magnetic_basis_change(magnetic.null_potential(0))
         np.testing.assert_allclose(

@@ -411,6 +411,88 @@ class TestSparseInput:
         assert peak < 1 << 20
 
 
+def unblocked_eig_unitary(a, driver):
+    """Eigenpairs and defects of ``a`` formed on whole arrays, unblocked."""
+    herm = (a + a.conj().T) / 2
+    herm = herm.toarray() if sp.issparse(herm) else herm
+    _, vecs = spectra.sla.eigh(herm, driver=driver, check_finite=False)
+    images = a @ vecs
+    lam = np.einsum("ij,ij->j", vecs.conj(), images)
+    return lam, vecs, np.linalg.norm(images - vecs * lam[None, :], axis=0)
+
+
+BLOCK = spectra._RESIDUAL_BLOCK
+# a walk side below one block, one not a multiple of it, and one a multiple
+BLOCK_SIDES = [BLOCK // 2 + 3, 2 * BLOCK + BLOCK // 4 + 1, 2 * BLOCK]
+BLOCK_WALKS = [
+    coin.random_coin_system(2, 5, seed=70),  # side 40
+    coin.random_coin_system(3, 9, seed=71),  # side 144
+    coin.random_coin_system(3, 8, seed=72),  # side 128
+    coin.grover_coin_system(3),  # side 64, degenerate
+]
+
+
+class TestBlockedResiduals:
+    """The blocked eigen-residuals: same numbers, smaller working set."""
+
+    @pytest.mark.parametrize("driver", ["evr", "evd"])
+    @pytest.mark.parametrize("form", ["ndarray", "csr"])
+    @pytest.mark.parametrize("side", BLOCK_SIDES, ids=["below", "ragged", "multiple"])
+    def test_bit_identical_to_unblocked(self, side, form, driver):
+        mat = haar_unitary(side, np.random.default_rng(side))
+        a = sp.csr_matrix(mat) if form == "csr" else mat
+        lam_ref, vecs_ref, defect_ref = unblocked_eig_unitary(a, driver)
+        # no column is rotated, so the outputs are the formula's
+        assert defect_ref.max() <= spectra._PURE_COLUMN_TOL
+        lam, vecs, residual = spectra._eig_unitary(a, driver=driver)
+        assert lam.tobytes() == lam_ref.tobytes()
+        assert vecs.tobytes() == vecs_ref.tobytes()
+        assert residual == defect_ref.max()
+
+    @pytest.mark.parametrize("cs", BLOCK_WALKS, ids=["below", "ragged", "multiple", "grover"])
+    def test_ndarray_and_csr_give_the_same_clusters(self, cs):
+        mat, dense = walk_forms(cs, 73)
+        from_sparse = spectra.unitary_eigenvalues(mat)
+        from_dense = spectra.unitary_eigenvalues(dense)
+        assert from_sparse.multiplicities == from_dense.multiplicities
+        assert np.abs(from_sparse.values - from_dense.values).max() <= 1e-12
+        assert from_sparse.total_multiplicity == mat.shape[0]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("form", ["ndarray", "csr"])
+    def test_rejects_nan_and_non_unitary(self, form):
+        mat, dense = walk_forms(BLOCK_WALKS[1], 74)
+        good = mat if form == "csr" else dense
+        rows, cols = mat.nonzero()
+        with_nan = good.copy()
+        with_nan[rows[7], cols[7]] = np.nan  # a stored entry of the CSR form
+        scaled = 1.01 * good
+        for bad in (with_nan, scaled):
+            with pytest.raises(ValueError, match="not unitary"):
+                spectra.unitary_eigenvalues(bad)
+
+    @pytest.mark.parametrize("cs, driver", [
+        (coin.grover_coin_system(6), "evd"),
+        (coin.random_coin_system(6, 7, seed=75), "evr"),
+    ], ids=["grover", "random"])
+    def test_peak_memory_of_a_side_896_walk(self, monkeypatch, cs, driver):
+        nu = magnetic.random_potential(cs.n, np.random.default_rng(76))
+        mat = walk.evolution_operator(nu, cs).sparse()
+        side = mat.shape[0]
+        assert side == 896
+        drivers = spy_drivers(monkeypatch)
+        tracemalloc.start()
+        try:
+            spectra.unitary_eigenvalues(mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert drivers == [driver]
+        # evr holds H and the eigenvectors, evd H and its workspace; the
+        # images join the eigenvectors once H is gone
+        assert peak <= 3.25 * side * side * 16
+
+
 class TestSpectrumReport:
     def test_json_schema(self):
         report = spectra.unitary_eigenvalues(

@@ -354,6 +354,31 @@ class TestIntertwining:
         nu = magnetic.random_potential(1, np.random.default_rng(73))
         return walk.evolution_operator(nu, coin.hadamard_partition_coin_system())
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_block_scan_matches_per_block_scan(self, monkeypatch, noise):
+        nu = magnetic.random_potential(2, np.random.default_rng(74))
+        cs = coin.random_coin_system(2, 4, seed=7)
+        op = walk.evolution_operator(nu, cs)
+        mat = op.dense() + noise * np.random.default_rng(75).normal(size=(op.dim, op.dim))
+        monkeypatch.setattr(op, "dense", lambda: mat.copy())
+        basis = magnetic.magnetic_basis_change(nu)
+        # the same rotation, scanned one (rho, tau) block at a time
+        rotated = np.einsum("gr,gasb,st->ratb", basis.conj(), mat.reshape(8, 4, 8, 4), basis,
+                            optimize=True)
+        off_block = block_mismatch = 0.0
+        for rho in range(8):
+            for tau in range(8):
+                block = rotated[rho, :, tau, :]
+                if rho == tau:
+                    block_mismatch = max(block_mismatch,
+                                         np.abs(block - coin.algebraic_sum(cs, rho)).max())
+                else:
+                    off_block = max(off_block, np.abs(block).max())
+        report = walk.intertwining_check(op)
+        assert report.off_block_mass == off_block
+        assert report.max_block_mismatch == block_mismatch
+        assert report.passed() == (noise == 0.0)
+
     def test_max_residual_keeps_nan(self):
         report = walk.IntertwiningReport(
             n=1, d=2, max_vector_residual=0.0, off_block_mass=np.nan, max_block_mismatch=0.0
