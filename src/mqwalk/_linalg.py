@@ -12,6 +12,10 @@ import scipy.sparse as sp
 
 __all__ = ["as_complex", "max_abs", "unitarity_residual", "require_unitary"]
 
+# Rows per block of an ndarray's Gram matrices in ``unitarity_residual``:
+# the temporaries are block x side, not side x side.
+_GRAM_BLOCK = 64
+
 
 def as_complex(a):
     """``a`` as a complex CSR matrix if it is sparse, else as a complex ndarray."""
@@ -32,15 +36,30 @@ def max_abs(a) -> float:
 
 
 def unitarity_residual(a) -> float:
-    """max(|A*A - I|, |AA* - I|) entrywise, for an ndarray or a sparse matrix."""
+    """max(|A*A - I|, |AA* - I|) entrywise, for an ndarray or a sparse matrix.
+
+    An ndarray's products are formed ``_GRAM_BLOCK`` rows at a time, as the
+    rows ``A[:, r]* A`` of A*A and the conjugate rows ``conj(A[r, :]) A^T``
+    of AA*, so no side x side array is made; the conjugate has the moduli of
+    AA* - I.
+    """
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     side = a.shape[0]
-    eye = sp.identity(side, dtype=complex, format="csr") if sp.issparse(a) else np.eye(side)
-    adj = a.conj().T
     # np.maximum, unlike max, keeps a NaN from either side
-    return float(np.maximum(max_abs(adj @ a - eye), max_abs(a @ adj - eye)))
+    if sp.issparse(a):
+        eye = sp.identity(side, dtype=complex, format="csr")
+        adj = a.conj().T
+        return float(np.maximum(max_abs(adj @ a - eye), max_abs(a @ adj - eye)))
+    res = 0.0
+    for lo in range(0, side, _GRAM_BLOCK):
+        rows = slice(lo, lo + _GRAM_BLOCK)
+        for gram in (a[:, rows].conj().T @ a, a[rows].conj() @ a.T):
+            k = gram.shape[0]
+            gram[np.arange(k), lo + np.arange(k)] -= 1
+            res = np.maximum(res, max_abs(gram))
+    return float(res)
 
 
 def require_unitary(a, tol: float, what: str = "matrix"):

@@ -7,7 +7,8 @@ each cluster of (nearly) equal real parts, the restriction of S is
 diagonalized to separate the imaginary parts.  This keeps every reported
 eigenvalue a Rayleigh quotient of an orthonormal vector, which is both
 faster and better conditioned than a general nonsymmetric solve, and makes
-eigenvector witnesses available at no extra cost.
+eigenvector witnesses available at no extra cost.  Only spectra with few
+distinct values go to nonsymmetric QR, which deflates their clusters faster.
 
 Raw eigenvalues are grouped into multiplicity classes by single-linkage
 clustering on the unit circle, and finite spectra are compared as point
@@ -44,7 +45,7 @@ from .magnetic import (
     null_potential,
     random_potential,
 )
-from .walk import evolution_operator
+from .walk import CapacityError, evolution_operator
 
 __all__ = [
     "SpectrumReport",
@@ -65,22 +66,24 @@ __all__ = [
 
 DEFAULT_SPECTRUM_TOL = 1e-8
 
-# Above this matrix side the explicit unitarity pre-check (O(N^3) on an
-# ndarray, O(N d^2) on the sparse walk matrix) is skipped;
-# non-unitary input is still rejected by the a-posteriori residual and
-# unit-modulus gates, which the splitting algorithm provides for free.  The
-# side also splits the degenerate route: at or below it the split path runs
-# with eigenvectors and the residual gate, above it QR iteration runs.
+# Above this side an ndarray skips the explicit unitarity pre-check (O(N^3)
+# products); non-unitary input is then rejected by the Krylov probe's norm
+# checks and the eigen-residual and unit-circle gates.  A sparse matrix
+# takes the pre-check, two sparse products, at every side.
 _UNITARITY_PRECHECK_LIMIT = 2048
 
-# Krylov probe run at every side to pick the eigenvalue route: a spectrum
-# with at most ~_SATURATION_STEPS distinct values closes the Krylov space of
-# a random start vector.  Such spectra have large clusters, which LAPACK's
-# divide-and-conquer Hermitian driver (evd) deflates cheaply and its MRRR
-# driver (evr) does not; above the pre-check limit QR iteration (zgeev)
-# beats both.  Generic spectra keep evr at every side.
+# Krylov probe that picks the eigenvalue route above _SATURATION_STEPS: a
+# spectrum with at most ~_SATURATION_STEPS distinct values closes the Krylov
+# space of a random start vector, and goes to LAPACK's nonsymmetric QR
+# (zgeev), which deflates its large clusters faster than the split path.
+# At or below that side every Krylov space closes, so the probe is not run.
 _SATURATION_STEPS = 64
 _SATURATION_TOL = 1e-8
+
+# Side x side complex arrays held by the dense step on either route: H, then
+# the eigenvectors and their images, on the split path; the dense A and
+# LAPACK's copy of it on the QR route.
+_DENSE_ARRAYS = 2
 
 # Consecutive real-part gap below which eigh output is treated as one
 # cluster.  Generous merging is safe (the skew restriction re-separates the
@@ -105,13 +108,9 @@ _RESIDUAL_BLOCK = 64
 _SEAM_IM_TOL = 1e-14
 
 
-def _full(a):
-    """``a`` as an ndarray: a sparse matrix is expanded, an ndarray returned as is."""
-    return a.toarray() if sp.issparse(a) else a
-
-
 class EigensolverError(RuntimeError):
-    """The eigensolver missed its residual gate on input proven unitary.
+    """The eigensolver missed its eigen-residual or unit-circle gate on
+    input proven unitary.
 
     Raised instead of ``ValueError`` once the explicit unitarity pre-check
     has passed, so a numerical failure is never reported as invalid input.
@@ -124,21 +123,19 @@ def _pure_column_tol(gate: float) -> float:
 
 
 def _eig_unitary(
-    a, pure_tol: float = _PURE_COLUMN_TOL, driver: str = "evr"
+    a, pure_tol: float = _PURE_COLUMN_TOL
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalues, orthonormal eigenvectors, and max residual ||Av - lv||.
 
     ``a`` is a complex ndarray or a scipy sparse matrix; only its Hermitian
-    part is made dense for the eigensolve, and the images ``a @ vecs`` are
-    sparse products when ``a`` is sparse.  ``driver`` names the LAPACK
-    driver of the Hermitian eigensolve: "evr" (MRRR) for generic spectra,
-    "evd" (divide and conquer) for spectra with large clusters.
+    part is made dense for the eigensolve (LAPACK's MRRR driver, evr), and
+    the images ``a @ vecs`` are sparse products when ``a`` is sparse.
 
     The Hermitian part is built once in Fortran order and overwritten by
     the eigensolve.  The Rayleigh quotients and defects, and the sparse
     images, are then formed in blocks of ``_RESIDUAL_BLOCK`` columns, so
-    the working set is the eigenvectors, their images and LAPACK's
-    workspace: two side x side arrays for evr, three for evd.
+    the working set is two side x side arrays: H, then the eigenvectors and
+    their images.
 
     After the Hermitian eigensolve, each column's Rayleigh quotient and
     defect norm cost O(N^2) in total; columns whose defect is at most
@@ -161,15 +158,15 @@ def _eig_unitary(
     """
     size = a.shape[0]
     sparse = sp.issparse(a)
-    # H in Fortran order, so eigh works in this one buffer (evd returns the
-    # eigenvectors in it) instead of copying it
+    # H in Fortran order, so eigh works in this one buffer instead of
+    # copying it
     if sparse:
         herm = (a + a.conj().T).toarray(order="F")
     else:
         herm = np.conjugate(a.T, order="F")
         np.add(herm, a, out=herm)
     herm /= 2
-    w, vecs = sla.eigh(herm, driver=driver, check_finite=False, overwrite_a=True)
+    w, vecs = sla.eigh(herm, driver="evr", check_finite=False, overwrite_a=True)
     del herm
     images = np.empty((size, size), dtype=complex)
     if not sparse:
@@ -250,31 +247,14 @@ def _krylov_saturation(a, max_steps: int) -> tuple[bool, float]:
     return False, norm_defect
 
 
-def _eigvals_unitary_large(a, unitary_tol: float) -> np.ndarray:
-    """Eigenvalues of a large unitary matrix, route chosen by a Krylov probe.
-
-    Heavily degenerate spectra (few distinct values) go to LAPACK's
-    nonsymmetric QR, which deflates them quickly; generic spectra go to the
-    Hermitian-splitting path.  Both routes are direct eigensolves of the
-    matrix as given.  The probe's norm checks stand in for the skipped
-    explicit unitarity product.  Every gate is written so a NaN fails it.
-    A sparse ``a`` is made dense only for the QR route.
-    """
-    saturated, norm_defect = _krylov_saturation(a, _SATURATION_STEPS)
-    if not norm_defect <= unitary_tol:
-        raise ValueError(
-            f"input is not unitary: norm defect {norm_defect:.3e} on Krylov "
-            f"probe vectors exceeds {unitary_tol:.1e}"
-        )
-    if saturated:
-        return np.linalg.eigvals(_full(a))
-    lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
-    if not residual <= unitary_tol:
-        raise ValueError(
-            f"input is not unitary: eigen-residual {residual:.3e} exceeds "
-            f"{unitary_tol:.1e}"
-        )
-    return lam
+def _available_memory() -> float:
+    """MemAvailable of /proc/meminfo in bytes; infinite where it is not read."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            fields = dict(line.split(":", 1) for line in meminfo)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError):
+        return float("inf")
 
 
 def _cluster_unit_circle(
@@ -371,45 +351,59 @@ def unitary_eigenvalues(
     """Clustered spectrum of a unitary matrix, given as an ndarray or as a
     scipy sparse matrix.
 
-    A fixed-seed Krylov probe picks the route at every side.  Generic
-    spectra take the Hermitian-splitting path with the MRRR driver (evr).
-    Spectra with few distinct values take the splitting path with the
-    divide-and-conquer driver (evd) up to ``_UNITARITY_PRECHECK_LIMIT``, and
-    LAPACK's nonsymmetric QR above it.
+    Above side ``_SATURATION_STEPS`` a fixed-seed Krylov probe sends a
+    spectrum with few distinct values to LAPACK's nonsymmetric QR; every
+    other spectrum takes the Hermitian-splitting path.  Both are direct
+    eigensolves of the matrix as given.  A sparse matrix stays sparse
+    except for the Hermitian part, or on the QR route the matrix itself.
 
-    Rejects non-unitary or non-finite input with ``ValueError``: small
-    matrices by the explicit product residual, before the probe runs; large
-    ones by the Krylov-probe norm checks and the eigen-residual /
-    unit-modulus gates the solvers provide anyway.  On a small matrix the
-    product residual has already proven unitarity, so an eigen-residual
-    above ``unitary_tol`` there is a solver failure and raises
-    ``EigensolverError``.
-
-    A sparse matrix stays sparse through the pre-check, the probe and the
-    eigen-residual products; only the Hermitian part (and, on the QR route,
-    the matrix itself) is made dense.
+    The explicit pre-check (every sparse matrix, an ndarray up to side
+    ``_UNITARITY_PRECHECK_LIMIT``) rejects non-unitary or non-finite input
+    with ``ValueError``; on input it has proven unitary, a miss of the
+    eigen-residual or unit-circle gate raises ``EigensolverError``.  A
+    larger ndarray is checked by the probe's norm checks and those gates,
+    and a miss raises ``ValueError``.  ``CapacityError`` is raised before
+    the dense step when its working set exceeds the available memory.
     """
     a = as_complex(a)
-    if a.ndim == 2 and a.shape[0] == a.shape[1] > _UNITARITY_PRECHECK_LIMIT:
-        lam = _eigvals_unitary_large(a, unitary_tol)
-    else:
+    proven = sp.issparse(a) or not (
+        a.ndim == 2 and a.shape[0] == a.shape[1] > _UNITARITY_PRECHECK_LIMIT
+    )
+    if proven:
         # the product residual also rejects a non-square shape
         require_unitary(a, unitary_tol, what="input")
-        # the pre-check has proven unitarity, so only the route is read
-        saturated, _ = _krylov_saturation(a, _SATURATION_STEPS)
-        lam, _, residual = _eig_unitary(
-            a, _pure_column_tol(unitary_tol), "evd" if saturated else "evr"
+        fail, failure = EigensolverError, "eigensolver failed on a unitary input"
+    else:
+        fail, failure = ValueError, "input is not unitary"
+    side = a.shape[0]
+    saturated = False
+    if side > _SATURATION_STEPS:
+        saturated, norm_defect = _krylov_saturation(a, _SATURATION_STEPS)
+        # on proven input only the route is read
+        if not proven and not norm_defect <= unitary_tol:
+            raise ValueError(
+                f"input is not unitary: norm defect {norm_defect:.3e} on Krylov "
+                f"probe vectors exceeds {unitary_tol:.1e}"
+            )
+    need = _DENSE_ARRAYS * side * side * np.dtype(complex).itemsize
+    available = _available_memory()
+    if need > available:
+        raise CapacityError(
+            f"dense eigensolve of side {side} needs about {need / 2**30:.1f} GiB, "
+            f"{available / 2**30:.1f} GiB is available"
         )
+    if saturated:
+        lam = np.linalg.eigvals(a.toarray() if sp.issparse(a) else a)
+    else:
+        lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
         if not residual <= unitary_tol:
-            raise EigensolverError(
-                f"eigensolver failed on a unitary input: eigen-residual "
-                f"{residual:.3e} exceeds {unitary_tol:.1e}"
+            raise fail(
+                f"{failure}: eigen-residual {residual:.3e} exceeds {unitary_tol:.1e}"
             )
     off_circle = float(np.abs(np.abs(lam) - 1.0).max()) if lam.size else 0.0
     if not off_circle <= unitary_tol:
-        raise ValueError(
-            f"input is not unitary: unit-circle defect {off_circle:.3e} "
-            f"exceeds {unitary_tol:.1e}"
+        raise fail(
+            f"{failure}: unit-circle defect {off_circle:.3e} exceeds {unitary_tol:.1e}"
         )
     return _make_report(lam, source, nu, cluster_tol)
 

@@ -1,5 +1,6 @@
 """Tests for the unitary eigensolver, clustering, and the theorem checks."""
 
+import os
 import tracemalloc
 import warnings
 
@@ -181,8 +182,8 @@ class TestEigenResidualFloor:
     def test_solver_failure_is_not_input_error(self, monkeypatch):
         solve = spectra._eig_unitary
 
-        def missed_gate(a, pure_tol=spectra._PURE_COLUMN_TOL, driver="evr"):
-            lam, vecs, _ = solve(a, pure_tol, driver)
+        def missed_gate(a, pure_tol=spectra._PURE_COLUMN_TOL):
+            lam, vecs, _ = solve(a, pure_tol)
             return lam, vecs, 1.0
 
         monkeypatch.setattr(spectra, "_eig_unitary", missed_gate)
@@ -211,12 +212,30 @@ def spy_drivers(monkeypatch):
     return drivers
 
 
+def spy_eigvals(monkeypatch, off_circle=False):
+    """Record the shape of every ``numpy.linalg.eigvals`` call; with
+    ``off_circle``, move its first eigenvalue 1 % off the unit circle."""
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        shapes.append(a.shape)
+        lam = eigvals(a)
+        if off_circle:
+            lam[0] *= 1.01
+        return lam
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", spy)
+    return shapes
+
+
 class TestKrylovRouting:
-    def test_small_degenerate_uses_evd(self, monkeypatch):
+    def test_small_degenerate_uses_qr(self, monkeypatch):
         drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
         phases = [0.1, 0.9, -2.0, 2.4]
         report = spectra.unitary_eigenvalues(clustered_unitary(96, phases, 40))
-        assert drivers == ["evd"]
+        assert shapes == [(96, 96)] and drivers == []
         assert report.multiplicities == (24, 24, 24, 24)
         assert spectra.hausdorff_distance(report.values, np.exp(1j * np.array(phases))) <= 1e-9
 
@@ -228,19 +247,65 @@ class TestKrylovRouting:
         assert spectra.hausdorff_distance(report.values, np.linalg.eigvals(mat)) <= 1e-10
 
     def test_small_degenerate_solver_miss_is_not_input_error(self, monkeypatch):
-        solve = spectra._eig_unitary
-        drivers = []
-
-        def missed_gate(a, pure_tol=spectra._PURE_COLUMN_TOL, driver="evr"):
-            drivers.append(driver)
-            lam, vecs, _ = solve(a, pure_tol, driver)
-            return lam, vecs, 1.0
-
-        monkeypatch.setattr(spectra, "_eig_unitary", missed_gate)
-        with pytest.raises(spectra.EigensolverError) as info:
+        shapes = spy_eigvals(monkeypatch, off_circle=True)
+        with pytest.raises(spectra.EigensolverError, match="unit-circle") as info:
             spectra.unitary_eigenvalues(clustered_unitary(96, [0.5, -0.5], 43))
         assert not isinstance(info.value, ValueError)
-        assert drivers == ["evd"]
+        assert shapes == [(96, 96)]
+
+    @pytest.mark.parametrize("form, error", [
+        ("csr", spectra.EigensolverError),
+        ("large-ndarray", ValueError),
+    ], ids=["csr", "large-ndarray"])
+    def test_qr_result_off_the_circle(self, monkeypatch, form, error):
+        # the CSR form is proven unitary by the pre-check at every side, an
+        # ndarray above the limit is not
+        mat, dense = walk_forms(coin.grover_coin_system(4), 45)
+        if form == "large-ndarray":
+            monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 64)
+            mat = dense
+        shapes = spy_eigvals(monkeypatch, off_circle=True)
+        with pytest.raises(error, match="unit-circle") as info:
+            spectra.unitary_eigenvalues(mat)
+        assert isinstance(info.value, ValueError) == (error is ValueError)
+        assert shapes == [(160, 160)]
+
+    @pytest.mark.parametrize("form", ["ndarray", "csr"])
+    def test_split_path_at_or_below_64_whatever_the_spectrum(self, monkeypatch, form):
+        probes = []
+        monkeypatch.setattr(spectra, "_krylov_saturation", lambda *args: probes.append(args))
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
+        grover, _ = walk_forms(coin.grover_coin_system(3), 46)  # side 64, degenerate
+        phases = [0.2, -1.4]
+        clustered = clustered_unitary(64, phases, 47)
+        generic = haar_unitary(64, np.random.default_rng(48))
+        mats = [grover.toarray(), clustered, generic]
+        if form == "csr":
+            mats = [sp.csr_matrix(mat) for mat in mats]
+        reports = [spectra.unitary_eigenvalues(mat) for mat in mats]
+        assert drivers == ["evr"] * 3 and shapes == [] and probes == []
+        assert reports[0].total_multiplicity == 64
+        assert reports[1].multiplicities == (32, 32)
+        assert spectra.hausdorff_distance(reports[1].values, np.exp(1j * np.array(phases))) <= 1e-9
+        reference = np.linalg.eigvals(generic)
+        assert spectra.hausdorff_distance(reports[2].values, reference) <= 1e-10
+
+    @pytest.mark.parametrize("cs", [
+        coin.grover_coin_system(4),
+        coin.grover_coin_system(5),
+        coin.grover_coin_system(6),
+    ], ids=["side160", "side384", "side896"])
+    def test_qr_against_the_split_path(self, monkeypatch, cs):
+        mat, _ = walk_forms(cs, 49)
+        shapes = spy_eigvals(monkeypatch)
+        report = spectra.unitary_eigenvalues(mat)
+        assert shapes == [mat.shape]
+        lam, _, residual = spectra._eig_unitary(mat, spectra._pure_column_tol(1e-8))
+        assert residual <= 1e-8
+        split_vals, split_mults = spectra._cluster_unit_circle(lam, 1e-8)
+        assert report.multiplicities == tuple(split_mults)
+        assert np.abs(report.values - split_vals).max() <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_small_route_rejects_nan_and_non_unitary(self, monkeypatch):
@@ -316,13 +381,13 @@ class TestKrylovRouting:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_large_route_rejects_nan(self, monkeypatch):
-        # the probe's norm fold and every gate after it must see the NaN
+        # the probe's norm fold (side 96) and every gate after it (side 8,
+        # where no probe runs) must see the NaN
         monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 4)
-        mat = np.full((8, 8), np.nan, dtype=complex)
-        with pytest.raises(ValueError, match="not unitary"):
-            spectra.unitary_eigenvalues(mat)
-        with pytest.raises(ValueError, match="not unitary"):
-            spectra._eigvals_unitary_large(mat, 1e-8)
+        for side in (8, 96):
+            mat = np.full((side, side), np.nan, dtype=complex)
+            with pytest.raises(ValueError, match="not unitary"):
+                spectra.unitary_eigenvalues(mat)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_probe_keeps_nan_norm_defect(self):
@@ -378,8 +443,9 @@ class TestSparseInput:
 
     @pytest.mark.parametrize("route, cs, limit", [
         ("evr", coin.random_coin_system(4, 6, seed=64), None),
-        ("evd", coin.grover_coin_system(4), None),
-        ("eigvals", coin.grover_coin_system(3), 32),
+        ("eigvals", coin.grover_coin_system(4), None),
+        # the ndarray skips the pre-check, the CSR form takes it
+        ("eigvals", coin.grover_coin_system(4), 32),
     ])
     def test_same_clusters_on_every_route(self, monkeypatch, route, cs, limit):
         if limit is not None:
@@ -435,7 +501,7 @@ BLOCK_WALKS = [
 class TestBlockedResiduals:
     """The blocked eigen-residuals: same numbers, smaller working set."""
 
-    @pytest.mark.parametrize("driver", ["evr", "evd"])
+    @pytest.mark.parametrize("driver", ["evr"])
     @pytest.mark.parametrize("form", ["ndarray", "csr"])
     @pytest.mark.parametrize("side", BLOCK_SIDES, ids=["below", "ragged", "multiple"])
     def test_bit_identical_to_unblocked(self, side, form, driver):
@@ -444,7 +510,7 @@ class TestBlockedResiduals:
         lam_ref, vecs_ref, defect_ref = unblocked_eig_unitary(a, driver)
         # no column is rotated, so the outputs are the formula's
         assert defect_ref.max() <= spectra._PURE_COLUMN_TOL
-        lam, vecs, residual = spectra._eig_unitary(a, driver=driver)
+        lam, vecs, residual = spectra._eig_unitary(a)
         assert lam.tobytes() == lam_ref.tobytes()
         assert vecs.tobytes() == vecs_ref.tobytes()
         assert residual == defect_ref.max()
@@ -471,26 +537,85 @@ class TestBlockedResiduals:
             with pytest.raises(ValueError, match="not unitary"):
                 spectra.unitary_eigenvalues(bad)
 
-    @pytest.mark.parametrize("cs, driver", [
-        (coin.grover_coin_system(6), "evd"),
-        (coin.random_coin_system(6, 7, seed=75), "evr"),
+    @pytest.mark.parametrize("cs, route, arrays", [
+        (coin.grover_coin_system(6), "eigvals", 1.25),
+        (coin.random_coin_system(6, 7, seed=75), "evr", 3.25),
     ], ids=["grover", "random"])
-    def test_peak_memory_of_a_side_896_walk(self, monkeypatch, cs, driver):
+    def test_peak_memory_of_a_side_896_walk(self, monkeypatch, cs, route, arrays):
         nu = magnetic.random_potential(cs.n, np.random.default_rng(76))
         mat = walk.evolution_operator(nu, cs).sparse()
         side = mat.shape[0]
         assert side == 896
         drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
         tracemalloc.start()
         try:
             spectra.unitary_eigenvalues(mat)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert drivers == [driver]
-        # evr holds H and the eigenvectors, evd H and its workspace; the
-        # images join the eigenvectors once H is gone
-        assert peak <= 3.25 * side * side * 16
+        assert (drivers, shapes) == (([], [(side, side)]) if route == "eigvals" else ([route], []))
+        # evr holds H, then the eigenvectors and their images; QR the dense
+        # A (numpy's own copy of it is not traced)
+        assert peak <= arrays * side * side * 16
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("cs, route", [
+        (coin.grover_coin_system(6), "eigvals"),
+        (coin.random_coin_system(6, 7, seed=75), "evr"),
+    ], ids=["grover", "random"])
+    def test_peak_memory_of_a_side_896_ndarray(self, monkeypatch, cs, route):
+        _, dense = walk_forms(cs, 77)
+        side = dense.shape[0]
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
+        tracemalloc.start()
+        try:
+            spectra.unitary_eigenvalues(dense)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (drivers, shapes) == (([], [(side, side)]) if route == "eigvals" else ([route], []))
+        # the pre-check's products are formed in blocks of rows, so only
+        # the split path's two arrays are side x side
+        assert peak <= 2.25 * side * side * 16
+        with_nan = dense.copy()
+        with_nan[side - 3, 5] = np.nan
+        for bad in (with_nan, 1.01 * dense):
+            with pytest.raises(ValueError, match="not unitary"):
+                spectra.unitary_eigenvalues(bad)
+
+
+class TestMemoryGuard:
+    """The dense step is refused when its two side x side arrays do not fit."""
+
+    @pytest.mark.parametrize("route", ["eigvals", "evr"])
+    def test_refused_before_the_dense_step(self, monkeypatch, route):
+        side = 512
+        mat = (clustered_unitary(side, [0.5, -0.5], 50) if route == "eigvals"
+               else haar_unitary(side, np.random.default_rng(51)))
+        need = 2 * side * side * 16
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
+        monkeypatch.setattr(spectra, "_available_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(walk.CapacityError, match=f"side {side}"):
+                spectra.unitary_eigenvalues(mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert drivers == [] and shapes == []
+        # the pre-check's row blocks and the probe's basis, no side x side array
+        assert peak < side * side * 16
+        monkeypatch.setattr(spectra, "_available_memory", lambda: need)
+        report = spectra.unitary_eigenvalues(mat)
+        assert report.total_multiplicity == side
+        assert (drivers, shapes) == (([], [(side, side)]) if route == "eigvals" else (["evr"], []))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="no /proc/meminfo")
+    def test_reads_meminfo(self):
+        assert 0 < spectra._available_memory() < float("inf")
 
 
 class TestSpectrumReport:
