@@ -80,9 +80,9 @@ _UNITARITY_PRECHECK_LIMIT = 2048
 _SATURATION_STEPS = 64
 _SATURATION_TOL = 1e-8
 
-# Side x side complex arrays held by the dense step on either route: H, then
-# the eigenvectors and their images, on the split path; the dense A and
-# LAPACK's copy of it on the QR route.
+# Side x side complex arrays held by the dense step, sized for the larger
+# route: the split path holds H, then the eigenvectors and their images; the
+# QR route holds only the dense A, which zgeev overwrites in place.
 _DENSE_ARRAYS = 2
 
 # Consecutive real-part gap below which eigh output is treated as one
@@ -229,7 +229,7 @@ def _krylov_saturation(a, max_steps: int) -> tuple[bool, float]:
     rng = np.random.default_rng(0x5EED)
     q = rng.normal(size=size) + 1j * rng.normal(size=size)
     q /= np.linalg.norm(q)
-    basis = np.empty((size, max_steps + 1), dtype=complex)
+    basis = np.empty((size, max_steps + 1), dtype=complex, order="F")
     basis[:, 0] = q
     norm_defect = 0.0
     for step in range(1, max_steps + 1):
@@ -238,7 +238,11 @@ def _krylov_saturation(a, max_steps: int) -> tuple[bool, float]:
         norm_defect = float(np.maximum(norm_defect, abs(np.linalg.norm(y) - 1.0)))
         held = basis[:, :step]
         for _ in range(2):  # double reorthogonalization
-            y -= held @ (held.conj().T @ y)
+            # held (held* y) (trans=2: conjugate transpose) on scipy's BLAS,
+            # which the eigensolve after the probe runs on: numpy's own BLAS
+            # threads keep spinning for a while after a product and would
+            # take cores from that eigensolve
+            y -= sla.blas.zgemv(1.0, held, sla.blas.zgemv(1.0, held, y, trans=2))
         beta = float(np.linalg.norm(y))
         if beta <= _SATURATION_TOL:
             return True, norm_defect
@@ -393,7 +397,11 @@ def unitary_eigenvalues(
             f"{available / 2**30:.1f} GiB is available"
         )
     if saturated:
-        lam = np.linalg.eigvals(a.toarray() if sp.issparse(a) else a)
+        # a Fortran-order copy of A (np.array always copies, so the caller's
+        # ndarray is kept) is LAPACK's work array; the pre-check and the
+        # probe's norm gate have already rejected non-finite input
+        dense = a.toarray(order="F") if sp.issparse(a) else np.array(a, order="F")
+        lam = sla.eigvals(dense, overwrite_a=True, check_finite=False)
     else:
         lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
         if not residual <= unitary_tol:

@@ -1,5 +1,7 @@
 """Tests for the walk operator, dynamics, and the block reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -378,6 +380,40 @@ class TestIntertwining:
         assert report.off_block_mass == off_block
         assert report.max_block_mismatch == block_mismatch
         assert report.passed() == (noise == 0.0)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_row_blocked_rotation_at_n6(self, monkeypatch, noise):
+        # 128 rows of the rotation, formed in 8 blocks
+        nu = magnetic.random_potential(6, np.random.default_rng(76))
+        cs = coin.random_coin_system(6, 7, seed=8)
+        op = walk.evolution_operator(nu, cs)
+        side, dim_fock = op.dim, op.dim_fock
+        assert dim_fock == 8 * walk._ROTATION_ROWS
+        mat = op.dense() + noise * np.random.default_rng(77).normal(size=(side, side))
+        monkeypatch.setattr(op, "dense", lambda: mat.copy())
+        basis = magnetic.magnetic_basis_change(nu)
+        rotated = np.einsum("gr,gasb,st->ratb", basis.conj(), mat.reshape(dim_fock, 7, dim_fock, 7),
+                            basis, optimize=True)
+        off_block = block_mismatch = 0.0
+        for rho in range(dim_fock):
+            # the largest entry of each (rho, tau) block
+            block_max = np.abs(rotated[rho]).max(axis=(0, 2))
+            block_max[rho] = 0.0
+            off_block = max(off_block, block_max.max())
+            block_mismatch = max(block_mismatch, np.abs(
+                rotated[rho, :, rho, :] - coin.algebraic_sum(cs, rho)).max())
+        del rotated
+        tracemalloc.start()
+        try:
+            report = walk.intertwining_check(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(report.off_block_mass - off_block) <= 1e-15
+        assert abs(report.max_block_mismatch - block_mismatch) <= 1e-15
+        assert report.passed() == (noise == 0.0)
+        # the dense copy and one block of rows of the rotation
+        assert peak <= 1.75 * side * side * 16
 
     def test_max_residual_keeps_nan(self):
         report = walk.IntertwiningReport(
