@@ -4,8 +4,9 @@ One experiment per invocation.  The configuration comes from flags, from a
 JSON config file, or both (flags win).  All randomness flows through a
 single generator seeded by --seed and echoed in the report header, so a
 fixed configuration produces byte-identical report files.  Reports are
-written atomically (write to a temporary name, then rename), and nothing is
-written at all when the input is rejected.
+streamed to a temporary name as they are rendered and renamed at the end,
+so a report file appears whole or not at all, and nothing is written at all
+when the input is rejected.
 
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 invalid
 input or capacity guard, 3 internal numerical failure.
@@ -14,9 +15,11 @@ input or capacity guard, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -282,23 +285,24 @@ def _config_echo(cfg: dict, cs: CoinSystem) -> dict:
     return echo
 
 
-def _run_simulate(cfg, rng) -> tuple[int, dict | str]:
+def _run_simulate(cfg, rng) -> tuple[int, dict | Iterable[str]]:
     cs = _build_coin(cfg, rng)
     nu = _build_nu(cfg, rng)
     op = evolution_operator(nu, cs)
     state = _build_initial(cfg, nu, cs)
-    distributions = [position_distribution(state)]
-    for _ in range(cfg["steps"]):
+    distributions = np.empty((cfg["steps"] + 1, op.dim_fock))
+    distributions[0] = position_distribution(state)
+    for t in range(1, cfg["steps"] + 1):
         state = step(op, state)
-        distributions.append(position_distribution(state))
-    distributions = np.array(distributions)
+        distributions[t] = position_distribution(state)
 
     if cfg["format"] == "csv":
-        header = ["step"] + [f"p_{sigma}" for sigma in range(op.dim_fock)]
-        lines = [",".join(header)]
-        for t, dist in enumerate(distributions.tolist()):
-            lines.append(",".join([str(t), *map(float.__repr__, dist)]))
-        return 0, "\n".join(lines) + "\n"
+        header = ",".join(["step"] + [f"p_{sigma}" for sigma in range(op.dim_fock)])
+        rows = (
+            ",".join([str(t), *map(float.__repr__, dist.tolist())])
+            for t, dist in enumerate(distributions)
+        )
+        return 0, itertools.chain([header], rows)
 
     report = {
         "task": "simulate",
@@ -311,7 +315,7 @@ def _run_simulate(cfg, rng) -> tuple[int, dict | str]:
     return 0, report
 
 
-def _run_spectrum(cfg, rng) -> tuple[int, dict | str]:
+def _run_spectrum(cfg, rng) -> tuple[int, dict | Iterable[str]]:
     cs = _build_coin(cfg, rng)
     nu = _build_nu(cfg, rng)
     spectrum = walk_point_spectrum(nu, cs, cluster_tol=cfg["tol_spectrum"])
@@ -322,7 +326,7 @@ def _run_spectrum(cfg, rng) -> tuple[int, dict | str]:
             lines.append(
                 f"{entry['re']!r},{entry['im']!r},{entry['arg']!r},{entry['mult']}"
             )
-        return 0, "\n".join(lines) + "\n"
+        return 0, lines
 
     report = {
         "task": "spectrum",
@@ -507,44 +511,62 @@ _RUNNERS = {
 }
 
 
-def _render(value, level: int) -> str:
-    """JSON text of ``value`` at indent ``level``, ndarrays as nested lists.
+# Floats rendered at a time by the report writer: an array is turned into
+# text in blocks of whole rows of about this many values, so the writer
+# holds one block rather than the report.  While its block is rendered a
+# value costs ~140 bytes of Python objects (float, repr string, list and
+# tuple slots) against ~27 bytes of report text.
+_BLOCK_VALUES = 16384
 
-    The text is byte for byte what ``json.dumps(indent=2, sort_keys=True)``
-    writes for the payload with its arrays converted by ``tolist``; that
-    encoder is pure Python once ``indent`` is set, so float arrays are
-    rendered in bulk instead.
+
+def _pieces(value, level: int) -> Iterator[str]:
+    """JSON text of ``value`` at indent ``level``, in pieces, ndarrays as lists.
+
+    The pieces join to what ``json.dumps(indent=2, sort_keys=True)`` writes
+    for the payload with its arrays converted by ``tolist``; that encoder
+    is pure Python once ``indent`` is set, so float arrays are rendered in
+    bulk instead, and dicts and lists are streamed item by item.
     """
     if isinstance(value, np.ndarray):
-        return _render_array(value, level)
+        yield from _array_pieces(value, level)
+        return
     pad = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (
-            f"{json.dumps(key)}: {_render(item, level + 1)}"
-            for key, item in sorted(value.items())
-        )
-        return "{" + pad + ("," + pad).join(items) + close + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + pad + ("," + pad).join(_render(item, level + 1) for item in value) + close + "]"
-    return json.dumps(value)
+        brackets = "{}"
+        items = [(json.dumps(key) + ": ", item) for key, item in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [("", item) for item in value]
+    else:
+        yield json.dumps(value)
+        return
+    if not items:
+        yield brackets
+        return
+    sep = brackets[0] + pad
+    for prefix, item in items:
+        yield sep + prefix
+        yield from _pieces(item, level + 1)
+        sep = "," + pad
+    yield close + brackets[1]
 
 
-def _render_array(arr: np.ndarray, level: int) -> str:
-    """Nested-list JSON text of an array at indent ``level``.
+def _array_pieces(arr: np.ndarray, level: int) -> Iterator[str]:
+    """Nested-list JSON text of an array at indent ``level``, in row blocks.
 
-    The values are joined by C-level string joins, axis by axis from the
-    innermost: the separator between two neighbours along an axis closes
-    the brackets of every deeper axis, writes the comma, and opens them
-    again.
+    Within a block of rows along axis 0 the values are joined by C-level
+    string joins, axis by axis from the innermost: the separator between
+    two neighbours along an axis closes the brackets of every deeper axis,
+    writes the comma, and opens them again.
     """
     if arr.dtype.kind != "f" or arr.size == 0 or not np.isfinite(arr).all():
         # empty rows print as "[]" and json spells non-finite values its own way
-        return _render(arr.tolist(), level)
+        yield from _pieces(arr.tolist(), level)
+        return
+    if arr.ndim == 0:
+        yield float.__repr__(arr.item())
+        return
     pads = ["\n" + "  " * (level + k) for k in range(arr.ndim + 1)]
 
     def head(axis: int) -> str:  # opening brackets of ``axis`` and deeper
@@ -553,27 +575,44 @@ def _render_array(arr: np.ndarray, level: int) -> str:
     def tail(axis: int) -> str:  # closing brackets of ``axis`` and deeper
         return "".join(pads[k] + "]" for k in reversed(range(axis, arr.ndim)))
 
-    text = map(float.__repr__, arr.ravel().tolist())
-    for axis in reversed(range(arr.ndim)):
-        sep = tail(axis + 1) + "," + pads[axis + 1] + head(axis + 1)
-        text = map(sep.join, zip(*[iter(text)] * arr.shape[axis]))
-    return head(0) + next(text) + tail(0)
+    seps = [tail(axis + 1) + "," + pads[axis + 1] + head(axis + 1) for axis in range(arr.ndim)]
+    rows = max(1, _BLOCK_VALUES // (arr.size // arr.shape[0]))
+    yield head(0)
+    for start in range(0, arr.shape[0], rows):
+        text = map(float.__repr__, arr[start:start + rows].ravel().tolist())
+        for axis in reversed(range(1, arr.ndim)):
+            text = map(seps[axis].join, zip(*[iter(text)] * arr.shape[axis]))
+        if start:
+            yield seps[0]
+        yield seps[0].join(text)
+    yield tail(0)
 
 
-def _emit(payload: dict | str, out: str | None) -> None:
+def _emit(payload: dict | Iterable[str], out: str | None) -> None:
+    """Write a report: a JSON payload, or the lines of a CSV one.
+
+    The text goes out piece by piece as it is rendered.  A file report is
+    written to ``<out>.tmp`` and renamed over ``out`` after the last piece,
+    so a failure leaves any earlier report at ``out`` untouched.
+    """
     if isinstance(payload, dict):
-        text = _render(payload, 0) + "\n"
+        pieces = itertools.chain(_pieces(payload, 0), ["\n"])
     else:
-        text = payload
+        pieces = (line + "\n" for line in payload)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     path = Path(out)
     if path.parent and not path.parent.exists():
         raise InputError(f"output directory does not exist: {path.parent}")
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def run(cfg: dict) -> int:

@@ -174,7 +174,20 @@ class WalkState:
     coin_dim: int
 
     def __post_init__(self) -> None:
-        vec = np.array(self.vector, dtype=complex)
+        # a copy, so the state never aliases an array its caller holds
+        self._own(np.array(self.vector, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, vec: np.ndarray, t: int, coin_dim: int) -> WalkState:
+        """State that takes ``vec``, a fresh complex array no one else holds, uncopied."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "t", t)
+        object.__setattr__(state, "coin_dim", coin_dim)
+        state._own(vec)
+        return state
+
+    def _own(self, vec: np.ndarray) -> None:
+        """Check ``vec`` and make it this state's read-only vector."""
         if vec.ndim != 1:
             raise ValueError("state vector must be 1-d")
         if self.coin_dim < 1 or vec.size % self.coin_dim:
@@ -206,7 +219,7 @@ def step(op: WalkOperator, state: WalkState) -> WalkState:
             f"state of length {state.vector.size} (d={state.coin_dim}) does not "
             f"match operator of dimension {op.dim} (d={op.d})"
         )
-    return WalkState(op.apply(state.vector), state.t + 1, op.d)
+    return WalkState._adopt(op.apply(state.vector), state.t + 1, op.d)
 
 
 def evolve(op: WalkOperator, initial: WalkState, t: int) -> WalkState:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,36 @@ def reference_text(payload):
     return json.dumps(as_lists(payload), indent=2, sort_keys=True) + "\n"
 
 
+def edge_payload():
+    """Every kind of value and array shape the report writer handles."""
+    values = np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1, -2.5e-300, 1.0, 123456789.0])
+    return {
+        "floats": values.tolist(),
+        "row": values,
+        "rows": values.reshape(4, 2),
+        "cube": values.reshape(2, 2, 2),
+        "column": values.reshape(8, 1),
+        "scalar_array": np.array(0.5),
+        "empty_rows": np.zeros((2, 0)),
+        "no_rows": np.zeros((0, 3)),
+        "non_finite": np.array([np.nan, np.inf, -np.inf, 1.5]),
+        "ints": [0, -7, 2**70],
+        "int_array": np.arange(3),
+        "nothing": None,
+        "flags": [True, False],
+        "empty_list": [],
+        "empty_dict": {},
+        "nested": {"b": [[], [[1.5]], {"z": "\u00e9\"q"}], "a": (1, 2.0)},
+        "float64": np.float64(1e16),
+    }
+
+
+def simulate_payload(*argv):
+    """Exit code and payload of a simulate runner, before the writer sees it."""
+    cfg = cli.resolve_config(cli.build_parser().parse_args(list(argv)))
+    return cli._RUNNERS["simulate"](cfg, np.random.default_rng(cfg["seed"]))
+
+
 class TestReportWriter:
     """_emit writes what json.dumps(indent=2, sort_keys=True) writes."""
 
@@ -230,28 +261,53 @@ class TestReportWriter:
         assert out.read_text(encoding="utf-8") == reference_text(payload)
 
     def test_edge_values_and_shapes(self, capsys):
-        values = np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1, -2.5e-300, 1.0, 123456789.0])
-        payload = {
-            "floats": values.tolist(),
-            "row": values,
-            "rows": values.reshape(4, 2),
-            "cube": values.reshape(2, 2, 2),
-            "column": values.reshape(8, 1),
-            "scalar_array": np.array(0.5),
-            "empty_rows": np.zeros((2, 0)),
-            "no_rows": np.zeros((0, 3)),
-            "non_finite": np.array([np.nan, np.inf, -np.inf, 1.5]),
-            "ints": [0, -7, 2**70],
-            "int_array": np.arange(3),
-            "nothing": None,
-            "flags": [True, False],
-            "empty_list": [],
-            "empty_dict": {},
-            "nested": {"b": [[], [[1.5]], {"z": "\u00e9\"q"}], "a": (1, 2.0)},
-            "float64": np.float64(1e16),
-        }
+        payload = edge_payload()
         cli._emit(payload, None)
         assert capsys.readouterr().out == reference_text(payload)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_block_size_does_not_change_bytes(self, block, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "_BLOCK_VALUES", block)
+        payload = edge_payload()
+        cli._emit(payload, None)
+        assert capsys.readouterr().out == reference_text(payload)
+
+        args = ("--task", "simulate", "--n", "2", "--coin", "random:4", "--nu", "random",
+                "--seed", "6", "--steps", "4", "--initial", "uniform:5")
+        _, payload = simulate_payload(*args)
+        cli._emit(payload, str(tmp_path / "sim.json"))
+        assert (tmp_path / "sim.json").read_text(encoding="utf-8") == reference_text(payload)
+
+        _, lines = simulate_payload(*args, "--format", "csv")
+        cli._emit(lines, str(tmp_path / "sim.csv"))
+        header = "step," + ",".join(f"p_{sigma}" for sigma in range(8))
+        rows = [",".join([str(t), *map(repr, dist)])
+                for t, dist in enumerate(payload["distributions"].tolist())]
+        assert (tmp_path / "sim.csv").read_text(encoding="utf-8") == (
+            "\n".join([header, *rows]) + "\n"
+        )
+
+    def test_failure_leaves_no_partial_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"earlier report")
+        payload = {"a": np.random.default_rng(0).random((64, 1024)), "z": object()}
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._emit(payload, str(out))
+        assert out.read_bytes() == b"earlier report"
+        assert sorted(tmp_path.iterdir()) == [out]
+
+    def test_writer_holds_a_block_not_the_report(self, tmp_path):
+        # the earlier writer held the text, a copy with its newline, and the
+        # encoded bytes at once: over 3x the report
+        payload = {"distributions": np.random.default_rng(1).random((61, 16384))}
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            cli._emit(payload, str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size / 8
 
 
 class TestSpectrumTask:

@@ -95,6 +95,34 @@ class TestStates:
         state = walk.magnetic_eigenstate(nu, 0b011, u)
         assert np.linalg.norm(state.vector) == pytest.approx(1.0)
 
+    def test_state_copies_a_caller_array(self):
+        for writeable in (True, False):
+            vec = np.zeros(8, dtype=complex)
+            vec[3] = 1.0
+            vec.flags.writeable = writeable
+            state = walk.WalkState(vec, 0, 2)
+            assert not np.shares_memory(state.vector, vec)
+            assert vec.flags.writeable == writeable
+            assert not state.vector.flags.writeable
+
+    def test_stepped_state_is_read_only(self):
+        op = walk.evolution_operator(magnetic.null_potential(1), coin.grover_coin_system(1))
+        state = walk.step(op, walk.vertex_state(1, 2, 0))
+        assert state.t == 1 and state.coin_dim == 2
+        assert not state.vector.flags.writeable
+        with pytest.raises(ValueError):
+            state.vector[0] = 0.0
+
+    def test_step_keeps_the_state_checks(self, monkeypatch):
+        op = walk.evolution_operator(magnetic.null_potential(1), coin.grover_coin_system(1))
+        state = walk.vertex_state(1, 2, 0)
+        monkeypatch.setattr(op, "apply", lambda vec: 2 * vec)
+        with pytest.raises(ValueError, match="unit"):
+            walk.step(op, state)
+        monkeypatch.setattr(op, "apply", lambda vec: vec.reshape(4, 2).copy())
+        with pytest.raises(ValueError, match="1-d"):
+            walk.step(op, state)
+
     def test_non_unit_state_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             walk.WalkState(np.ones(4, dtype=complex), 0, 2)
