@@ -14,10 +14,11 @@ position rows of each column block j in pairs (sigma, sigma xor bit j)
 with the direction phases attached, and multiplies by L^T.  For a valid
 coin system the ranks sum to d, so one step costs two (2^(n+1), d) @ (d, d)
 products plus one gather of 2^(n+1) d amplitudes; operators of higher total
-rank stay exact and only widen the middle stage, up to (n+1) d.  The full
-matrix is never formed by stepping; it is reserved for spectral work at
-small n and kept as the literal Kronecker sum in CSR form, the kernel's
-oracle.
+rank stay exact and only widen the middle stage, up to (n+1) d.  Both
+products run in blocks of position rows that stay on the calling thread
+(see ``_GEMM_MACS``).  The full matrix is never formed by stepping; it is
+reserved for spectral work at small n and kept as the literal Kronecker
+sum in CSR form, the kernel's oracle.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ _RANK_TOL = 1e-13
 # einsum copy the whole matrix once per block.
 _ROTATION_ROWS = 16
 
+# Multiply-adds per coin-factor product in ``apply``: a step multiplies
+# blocks of position rows, each within the size that OpenBLAS runs on the
+# calling thread.  Larger products go to its thread pool, whose threads spin
+# between a step's calls and compete with the caller for a core, so a
+# step's time would depend on whether the host has a core to spare.
+_GEMM_MACS = 65536
+
 
 class CapacityError(RuntimeError):
     """Raised when a dense materialization would exceed the size guard."""
@@ -114,6 +122,11 @@ class WalkOperator:
         self._right_adj = np.vstack(rights)
         self._left_t = np.vstack(lefts)
         self._sparse: sp.csr_matrix | None = None
+        # a power of two, so the blocks tile the 2^(n+1) position rows
+        rows = self.dim_fock
+        while rows > 1 and rows * self.d * self.factor_width > _GEMM_MACS:
+            rows //= 2
+        self._gemm_rows = rows
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-free product of the operator with a state vector.
@@ -125,8 +138,13 @@ class WalkOperator:
         vec = np.asarray(vec, dtype=complex)
         if vec.shape != (self.dim,):
             raise ValueError(f"state has shape {vec.shape}, expected ({self.dim},)")
-        psi = vec.reshape(self.dim_fock, self.d)
-        x = self._right_adj @ psi.T  # (psi @ conj(R))^T
+        width, rows = self.factor_width, self._gemm_rows
+        blocks = self.dim_fock // rows
+        psi = vec.reshape(blocks, rows, self.d)
+        # (psi @ conj(R))^T, one block of columns per product
+        x = np.empty((width, self.dim_fock), dtype=complex)
+        np.matmul(self._right_adj, psi.transpose(0, 2, 1),
+                  out=x.reshape(width, blocks, rows).transpose(1, 0, 2))
         y = np.empty_like(x)
         for j, (start, stop, up, down) in enumerate(self._blocks):
             shape = (stop - start, self.dim_fock >> (j + 1), 2, 1 << j)
@@ -135,7 +153,9 @@ class WalkOperator:
             # row sigma receives row sigma xor bit j, phased by the source's bit j
             np.multiply(src[:, :, 1], up, out=dst[:, :, 0])
             np.multiply(src[:, :, 0], down, out=dst[:, :, 1])
-        return (y.T @ self._left_t).reshape(self.dim)
+        out = np.empty((blocks, rows, self.d), dtype=complex)
+        np.matmul(y.reshape(width, blocks, rows).transpose(1, 2, 0), self._left_t, out=out)
+        return out.reshape(self.dim)
 
     def sparse(self) -> sp.csr_matrix:
         """Assembled matrix, the literal Kronecker sum in CSR form (d stored
@@ -196,7 +216,10 @@ class WalkState:
             )
         if self.t < 0:
             raise ValueError(f"time index must be nonnegative, got {self.t}")
-        norm = np.linalg.norm(vec)
+        # einsum sums on this thread; numpy's norm calls a BLAS dot, which
+        # hands a stepped state's length to the thread pool (see _GEMM_MACS)
+        flat = vec.view(float)
+        norm = np.sqrt(np.einsum("i,i", flat, flat))
         if not abs(norm - 1.0) <= STATE_NORM_TOL:  # also rejects a NaN norm
             raise ValueError(f"walk states are unit vectors; got norm {norm}")
         vec.flags.writeable = False

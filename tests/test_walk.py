@@ -264,6 +264,23 @@ class TestFactoredKernel:
         assert coin.validate_coin_system(cs).passed()
         assert assert_kernel_matches_dense(cs).factor_width == d
 
+    @pytest.mark.parametrize("macs,rows", [(1, 1), (200, 4), (1000, 16)])
+    def test_products_in_row_blocks(self, monkeypatch, macs, rows):
+        # n=4, d=7: 32 position rows, 49 multiply-adds per row
+        monkeypatch.setattr(walk, "_GEMM_MACS", macs)
+        op = assert_kernel_matches_dense(rotated_partition_coin(4, 7, seed=3), seed=8)
+        assert op._gemm_rows == rows
+
+    def test_generic_matrices_in_row_blocks(self, monkeypatch):
+        # n=2, d=4: 8 position rows, and the width (n+1) d = 12 makes 48
+        # multiply-adds per row
+        monkeypatch.setattr(walk, "_GEMM_MACS", 100)
+        rng = np.random.default_rng(9)
+        cs = coin.CoinSystem(tuple(
+            rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3)
+        ))
+        assert assert_kernel_matches_dense(cs, seed=9)._gemm_rows == 2
+
     def test_grover_uneven_blocks(self):
         d = 7
         s = 2.0 / d * np.ones((d, d)) - np.eye(d)
