@@ -1,14 +1,24 @@
 """Eigenvalue machinery for unitary matrices and the verification checks.
 
 Unitary matrices are normal, so their eigenproblem is solved here through
-the Hermitian splitting A = H + iS with H = (A + A*)/2 and S = (A - A*)/2i:
-a Hermitian eigensolve of H fixes the real parts and an eigenbasis; within
+Hermitian eigensolves, never a general nonsymmetric one.  In general, the
+splitting A = H + iS with H = (A + A*)/2 and S = (A - A*)/2i is used: a
+Hermitian eigensolve of H fixes the real parts and an eigenbasis; within
 each cluster of (nearly) equal real parts, the restriction of S is
 diagonalized to separate the imaginary parts.  This keeps every reported
-eigenvalue a Rayleigh quotient of an orthonormal vector, which is both
-faster and better conditioned than a general nonsymmetric solve, and makes
-eigenvector witnesses available at no extra cost.  Only spectra with few
-distinct values go to nonsymmetric QR, which deflates their clusters faster.
+eigenvalue a Rayleigh quotient of an orthonormal vector, and makes
+eigenvector witnesses available at no extra cost.
+
+A spectrum with few distinct values is found, and its distinct values
+listed, by a short Krylov probe (the Ritz values of a space that closes).
+It then needs no eigenvectors: the real parts of e^{-i alpha} A, for an
+angle alpha that keeps every value off the line through +-e^{i alpha} and
+no two values mirror images across it, are the eigenvalues of the Hermitian
+matrix Re(e^{-i alpha} A), found by one eigenvalues-only solve (a
+tridiagonal reduction, about half the cost of nonsymmetric QR).  The Ritz
+values say on which side of the line each value lies, and the trace
+moments tr A and tr A^2 certify the sides and multiplicities; a miss falls
+back to the splitting.
 
 Raw eigenvalues are grouped into multiplicity classes by single-linkage
 clustering on the unit circle, and finite spectra are compared as point
@@ -74,20 +84,26 @@ _UNITARITY_PRECHECK_LIMIT = 2048
 
 # Krylov probe that picks the eigenvalue route above _SATURATION_STEPS: a
 # spectrum with at most ~_SATURATION_STEPS distinct values closes the Krylov
-# space of a random start vector, and goes to LAPACK's nonsymmetric QR
-# (zgeev), which deflates its large clusters faster than the split path.
-# At or below that side every Krylov space closes, so the probe is not run.
+# space of a random start vector, whose Ritz values are then those distinct
+# values, and goes to the eigenvalues-only Hermitian route (see the module
+# docstring), which skips the eigenvectors and the clusters' rotations of
+# the split path.  At or below that side every Krylov space closes, so the
+# probe is not run.
 _SATURATION_STEPS = 64
 _SATURATION_TOL = 1e-8
 
 # Side x side complex arrays held by the dense step, sized for the larger
-# route: the split path holds H, then the eigenvectors and their images; the
-# QR route holds only the dense A, which zgeev overwrites in place.
+# route: the split path holds H, then the eigenvectors and their images.
+# The eigenvalues-only route holds one, Re(e^{-i alpha} A), which eigh
+# overwrites in place, and frees it before a certificate miss falls back to
+# the split path.
 _DENSE_ARRAYS = 2
 
 # Consecutive real-part gap below which eigh output is treated as one
-# cluster.  Generous merging is safe (the skew restriction re-separates the
-# members); splitting too finely risks mixing nearly degenerate vectors.
+# cluster.  Generous merging is safe: on the split path the skew
+# restriction re-separates the members, and on the eigenvalues-only route
+# each member keeps its own real part and shares only its side of the line.
+# Splitting too finely risks mixing nearly degenerate vectors.
 _COS_CLUSTER_GAP = 1e-6
 
 # Columns whose eigen-residual is already below this are accepted without
@@ -212,43 +228,132 @@ def _eig_unitary(
     return lam, vecs, residual
 
 
-def _krylov_saturation(a, max_steps: int) -> tuple[bool, float]:
+def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray | None, float]:
     """Probe whether a random-start Krylov space of ``a`` closes early.
 
-    Returns (saturated, norm_defect).  Saturation within ``max_steps``
-    means the minimal polynomial relative to the start vector has small
-    degree, i.e. the spectrum has few distinct values.  ``norm_defect`` is
-    the largest deviation of ||A q|| from 1 over the orthonormal Krylov
-    vectors, a free unitarity probe.  The start vector is drawn from a
-    fixed seed so results are reproducible.  ``a`` is a complex ndarray or
-    a scipy sparse matrix; only its products with vectors are used.
+    Returns (ritz, norm_defect).  ``ritz`` is None unless the space closes
+    within ``max_steps``; then it holds the eigenvalues of the Arnoldi
+    Hessenberg block (the Ritz values).  Closing at step k means the
+    minimal polynomial relative to the start vector has degree k, and as
+    the start vector meets every eigenspace with probability one, the k
+    Ritz values are the spectrum's distinct values, accurate to about the
+    closing tolerance.  ``norm_defect`` is the largest deviation of
+    ||A q|| from 1 over the orthonormal Krylov vectors, a free unitarity
+    probe.  The start vector is drawn from a fixed seed so results are
+    reproducible.  ``a`` is a complex ndarray or a scipy sparse matrix;
+    only its products with vectors are used.
     """
     size = a.shape[0]
     if size == 0:  # the empty space is closed, and has no vector to norm
-        return True, 0.0
+        return np.zeros(0, dtype=complex), 0.0
     rng = np.random.default_rng(0x5EED)
     q = rng.normal(size=size) + 1j * rng.normal(size=size)
     q /= np.linalg.norm(q)
     basis = np.empty((size, max_steps + 1), dtype=complex, order="F")
     basis[:, 0] = q
+    hess = np.zeros((max_steps + 1, max_steps), dtype=complex)
     norm_defect = 0.0
     for step in range(1, max_steps + 1):
         y = a @ q
         # np.maximum, unlike max, keeps a NaN norm
         norm_defect = float(np.maximum(norm_defect, abs(np.linalg.norm(y) - 1.0)))
         held = basis[:, :step]
+        coeffs = hess[:step, step - 1]
         for _ in range(2):  # double reorthogonalization
             # held (held* y) (trans=2: conjugate transpose) on scipy's BLAS,
             # which the eigensolve after the probe runs on: numpy's own BLAS
             # threads keep spinning for a while after a product and would
             # take cores from that eigensolve
-            y -= sla.blas.zgemv(1.0, held, sla.blas.zgemv(1.0, held, y, trans=2))
+            proj = sla.blas.zgemv(1.0, held, y, trans=2)
+            y -= sla.blas.zgemv(1.0, held, proj)
+            coeffs += proj
         beta = float(np.linalg.norm(y))
         if beta <= _SATURATION_TOL:
-            return True, norm_defect
+            triangle, _ = sla.schur(hess[:step, :step], output="complex")
+            return triangle.diagonal().copy(), norm_defect
+        hess[step, step - 1] = beta
         q = y / beta
         basis[:, step] = q
-    return False, norm_defect
+    return None, norm_defect
+
+
+def _mirror_free_angle(ritz: np.ndarray) -> float:
+    """Angle alpha in the middle of the widest gap, mod pi, among the Ritz
+    angles and the bisectors of every pair of them.
+
+    A value e^{i theta} lies on the line through +-e^{i alpha} when theta
+    = alpha mod pi, and two values are mirror images across it when their
+    bisector is; with at most k(k+1)/2 such marks on a half circle, each
+    stays at least pi / (k(k+1)) away from alpha.
+    """
+    phi = np.angle(ritz)
+    rows, cols = np.triu_indices(phi.size)
+    marks = np.sort((phi[rows] + phi[cols]) / 2 % np.pi)
+    gaps = np.diff(marks, append=marks[0] + np.pi)
+    widest = int(np.argmax(gaps))
+    return float(marks[widest] + gaps[widest] / 2)
+
+
+def _eigvals_from_ritz(a, ritz: np.ndarray, tol: float) -> np.ndarray | None:
+    """Eigenvalues of a unitary ``a`` whose distinct values are the Ritz
+    values ``ritz``, or None when the result is not certified.
+
+    With alpha from ``_mirror_free_angle``, the eigenvalues c of the
+    Hermitian matrix Re(e^{-i alpha} A) are the real parts of e^{-i alpha}
+    lambda, with their multiplicities, and distinct values of A give
+    distinct c.  One eigenvalues-only solve (LAPACK's MRRR driver, evr)
+    finds them; each c gives lambda = e^{i(alpha +- arccos c)}, and the
+    sign is the one whose candidate lies nearer a Ritz value, chosen once
+    per cluster of c.  The result is accepted when the clusters match the
+    Ritz values one to one and the power sums of lambda equal tr A and
+    tr A^2 within side * ``tol``; a value put on the wrong side of the line
+    moves the first sum by at least twice its distance from the line.
+
+    The Hermitian matrix is built once in Fortran order and overwritten by
+    the eigensolve: from the sparse form directly, or from an ndarray in
+    blocks of ``_RESIDUAL_BLOCK`` columns, leaving the caller's array as
+    it is.
+    """
+    side = a.shape[0]
+    alpha = _mirror_free_angle(ritz)
+    half = np.exp(-1j * alpha) / 2  # Re(e^{-i alpha} A) = half A + conj(half) A*
+    # tr A^2 is the sum of A * A^T, so A^2 is never formed
+    if sp.issparse(a):
+        trace, trace_sq = a.diagonal().sum(), a.multiply(a.T).sum()
+        rotated = a * half
+        herm = (rotated + rotated.conj().T).toarray(order="F")
+    else:
+        trace, trace_sq = np.trace(a), np.einsum("ij,ji->", a, a)
+        herm = np.conjugate(a.T, order="F")
+        herm *= half.conjugate()
+        for lo in range(0, side, _RESIDUAL_BLOCK):
+            cols = slice(lo, lo + _RESIDUAL_BLOCK)
+            herm[:, cols] += half * a[:, cols]
+    cos = sla.eigh(
+        herm, eigvals_only=True, driver="evr", overwrite_a=True, check_finite=False
+    )
+    del herm
+    splits = np.nonzero(np.diff(cos) > _COS_CLUSTER_GAP)[0] + 1
+    bounds = np.concatenate(([0], splits, [side]))
+    if bounds.size - 1 != ritz.size:
+        return None
+    arcs = np.arccos(cos)
+    owners = set()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        arc = np.arccos(cos[lo:hi].mean())
+        dist = np.abs(np.exp(1j * (alpha + np.array([[arc], [-arc]]))) - ritz)
+        below, owner = np.unravel_index(np.argmin(dist), dist.shape)
+        if below:
+            arcs[lo:hi] *= -1
+        owners.add(int(owner))
+    if len(owners) != ritz.size:
+        return None
+    lam = np.exp(1j * (alpha + arcs))
+    # written so that a NaN sum fails
+    if not (abs(lam.sum() - trace) <= side * tol
+            and abs((lam * lam).sum() - trace_sq) <= side * tol):
+        return None
+    return lam
 
 
 def _available_memory() -> float:
@@ -356,10 +461,12 @@ def unitary_eigenvalues(
     scipy sparse matrix.
 
     Above side ``_SATURATION_STEPS`` a fixed-seed Krylov probe sends a
-    spectrum with few distinct values to LAPACK's nonsymmetric QR; every
-    other spectrum takes the Hermitian-splitting path.  Both are direct
-    eigensolves of the matrix as given.  A sparse matrix stays sparse
-    except for the Hermitian part, or on the QR route the matrix itself.
+    spectrum with few distinct values to the eigenvalues-only Hermitian
+    route (``_eigvals_from_ritz``); every other spectrum, and one whose
+    certificate on that route fails, takes the Hermitian-splitting path.
+    Both are direct eigensolves of the matrix as given.  A sparse matrix
+    stays sparse except for the one Hermitian matrix each route makes
+    dense.
 
     The explicit pre-check (every sparse matrix, an ndarray up to side
     ``_UNITARITY_PRECHECK_LIMIT``) rejects non-unitary or non-finite input
@@ -380,9 +487,9 @@ def unitary_eigenvalues(
     else:
         fail, failure = ValueError, "input is not unitary"
     side = a.shape[0]
-    saturated = False
+    ritz = None
     if side > _SATURATION_STEPS:
-        saturated, norm_defect = _krylov_saturation(a, _SATURATION_STEPS)
+        ritz, norm_defect = _krylov_saturation(a, _SATURATION_STEPS)
         # on proven input only the route is read
         if not proven and not norm_defect <= unitary_tol:
             raise ValueError(
@@ -396,13 +503,10 @@ def unitary_eigenvalues(
             f"dense eigensolve of side {side} needs about {need / 2**30:.1f} GiB, "
             f"{available / 2**30:.1f} GiB is available"
         )
-    if saturated:
-        # a Fortran-order copy of A (np.array always copies, so the caller's
-        # ndarray is kept) is LAPACK's work array; the pre-check and the
-        # probe's norm gate have already rejected non-finite input
-        dense = a.toarray(order="F") if sp.issparse(a) else np.array(a, order="F")
-        lam = sla.eigvals(dense, overwrite_a=True, check_finite=False)
-    else:
+    # both routes skip LAPACK's finiteness check: the pre-check and the
+    # probe's norm gate have already rejected non-finite input
+    lam = None if ritz is None else _eigvals_from_ritz(a, ritz, unitary_tol)
+    if lam is None:
         lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
         if not residual <= unitary_tol:
             raise fail(
@@ -619,12 +723,13 @@ def verify_approximate_spectrum_theorem(
     max_witness = 0.0
     for sigma in range(dimension(cs.n)):
         lam, vecs = coin_sum_eigensystem(cs, sigma, tol)
-        zhat = magnetic_basis_vector(sigma, nu)
-        for i in range(lam.size):
-            lifted = np.kron(zhat, vecs[:, i])
-            defect = op.apply(lifted) - lam[i] * lifted
-            # np.maximum, unlike max, keeps a NaN residual
-            max_witness = float(np.maximum(max_witness, np.linalg.norm(defect)))
+        # column i: the eigenbasis vector times coin eigenvector i
+        lifted = np.kron(magnetic_basis_vector(sigma, nu)[:, None], vecs)
+        defects = op.apply(lifted) - lifted * lam
+        # np.maximum, unlike max, keeps a NaN residual
+        max_witness = float(
+            np.maximum(max_witness, np.linalg.norm(defects, axis=0).max())
+        )
 
     point_check = verify_point_spectrum_theorem(nu, cs, tol=tol)
     agreement = (

@@ -36,6 +36,17 @@ def spectrum_dict(report):
     }
 
 
+def miss_split_gate(monkeypatch):
+    """Make the split path report a residual above every gate."""
+    solve = spectra._eig_unitary
+
+    def missed_gate(a, pure_tol=spectra._PURE_COLUMN_TOL):
+        lam, vecs, _ = solve(a, pure_tol)
+        return lam, vecs, 1.0
+
+    monkeypatch.setattr(spectra, "_eig_unitary", missed_gate)
+
+
 class TestUnitaryEigenvalues:
     def test_identity(self):
         report = spectra.unitary_eigenvalues(np.eye(4, dtype=complex))
@@ -180,14 +191,21 @@ class TestEigenResidualFloor:
         assert spectra.hausdorff_distance(report.values, reference) <= 1e-10
 
     def test_solver_failure_is_not_input_error(self, monkeypatch):
+        miss_split_gate(monkeypatch)
+        with pytest.raises(spectra.EigensolverError) as info:
+            spectra.unitary_eigenvalues(np.eye(3, dtype=complex))
+        assert not isinstance(info.value, ValueError)
+
+    def test_unit_circle_miss_is_not_input_error(self, monkeypatch):
         solve = spectra._eig_unitary
 
-        def missed_gate(a, pure_tol=spectra._PURE_COLUMN_TOL):
-            lam, vecs, _ = solve(a, pure_tol)
-            return lam, vecs, 1.0
+        def off_circle(a, pure_tol=spectra._PURE_COLUMN_TOL):
+            lam, vecs, residual = solve(a, pure_tol)
+            lam[0] *= 1.01
+            return lam, vecs, residual
 
-        monkeypatch.setattr(spectra, "_eig_unitary", missed_gate)
-        with pytest.raises(spectra.EigensolverError) as info:
+        monkeypatch.setattr(spectra, "_eig_unitary", off_circle)
+        with pytest.raises(spectra.EigensolverError, match="unit-circle") as info:
             spectra.unitary_eigenvalues(np.eye(3, dtype=complex))
         assert not isinstance(info.value, ValueError)
 
@@ -200,36 +218,50 @@ def clustered_unitary(side, phases, seed):
 
 
 def spy_drivers(monkeypatch):
-    """Record the LAPACK driver of every ``scipy.linalg.eigh`` call."""
+    """Record the LAPACK driver of every ``scipy.linalg.eigh`` call that
+    computes eigenvectors (the split path and the coin sums)."""
     drivers = []
     eigh = spectra.sla.eigh
 
     def spy(*args, **kwargs):
-        drivers.append(kwargs.get("driver"))
+        if not kwargs.get("eigvals_only"):
+            drivers.append(kwargs.get("driver"))
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(spectra.sla, "eigh", spy)
     return drivers
 
 
-def spy_eigvals(monkeypatch, off_circle=False):
-    """Record the shape of every ``scipy.linalg.eigvals`` call; with
-    ``off_circle``, move its first eigenvalue 1 % off the unit circle."""
+def spy_eigvals(monkeypatch, miss=False):
+    """Record the shape of every eigenvalues-only ``scipy.linalg.eigh`` call
+    (the route of a spectrum with few distinct values); with ``miss``, move
+    its lowest value into the highest cluster, a multiplicity error that
+    the trace certificate refuses."""
     shapes = []
-    eigvals = spectra.sla.eigvals
+    eigh = spectra.sla.eigh
 
     def spy(a, **kwargs):
+        if not kwargs.get("eigvals_only"):
+            return eigh(a, **kwargs)
         shapes.append(a.shape)
-        lam = eigvals(a, **kwargs)
-        if off_circle:
-            lam[0] *= 1.01
-        return lam
+        w = eigh(a, **kwargs)
+        if miss:
+            w[0] = w[-1]
+            w.sort()
+        return w
 
-    monkeypatch.setattr(spectra.sla, "eigvals", spy)
+    monkeypatch.setattr(spectra.sla, "eigh", spy)
     return shapes
 
 
 class TestKrylovRouting:
+    """The probe's choice of route and the probe itself.
+
+    A test named for "qr" checks the route of a spectrum with few distinct
+    values, now the eigenvalues-only Hermitian solve that ``spy_eigvals``
+    watches; the names date from the nonsymmetric QR route it replaced.
+    """
+
     def test_small_degenerate_uses_qr(self, monkeypatch):
         drivers = spy_drivers(monkeypatch)
         shapes = spy_eigvals(monkeypatch)
@@ -241,7 +273,8 @@ class TestKrylovRouting:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_qr_route_keeps_the_callers_ndarray(self, monkeypatch, order):
-        # LAPACK overwrites its input on the QR route; that must be a copy
+        # LAPACK overwrites the rotated Hermitian matrix it is given; that
+        # must be built beside the caller's array, not in it
         shapes = spy_eigvals(monkeypatch)
         mat = np.array(clustered_unitary(96, [0.1, 0.9, -2.0, 2.4], 40), order=order)
         before = mat.tobytes(order="A")
@@ -258,28 +291,44 @@ class TestKrylovRouting:
         assert spectra.hausdorff_distance(report.values, np.linalg.eigvals(mat)) <= 1e-10
 
     def test_small_degenerate_solver_miss_is_not_input_error(self, monkeypatch):
-        shapes = spy_eigvals(monkeypatch, off_circle=True)
-        with pytest.raises(spectra.EigensolverError, match="unit-circle") as info:
-            spectra.unitary_eigenvalues(clustered_unitary(96, [0.5, -0.5], 43))
+        # a certificate miss falls back to the split path, which answers;
+        # a miss there too is a solver failure, not invalid input
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch, miss=True)
+        mat = clustered_unitary(96, [0.5, -0.5], 43)
+        report = spectra.unitary_eigenvalues(mat)
+        assert shapes == [(96, 96)] and drivers == ["evr"]
+        assert report.multiplicities == (48, 48)
+        assert spectra.hausdorff_distance(report.values, np.exp([-0.5j, 0.5j])) <= 1e-9
+        miss_split_gate(monkeypatch)
+        with pytest.raises(spectra.EigensolverError, match="eigen-residual") as info:
+            spectra.unitary_eigenvalues(mat)
         assert not isinstance(info.value, ValueError)
-        assert shapes == [(96, 96)]
 
     @pytest.mark.parametrize("form, error", [
         ("csr", spectra.EigensolverError),
         ("large-ndarray", ValueError),
     ], ids=["csr", "large-ndarray"])
     def test_qr_result_off_the_circle(self, monkeypatch, form, error):
-        # the CSR form is proven unitary by the pre-check at every side, an
-        # ndarray above the limit is not
+        # a certificate miss ends on the split path with the right answer;
+        # a miss of its gate then raises by what the pre-check proved: the
+        # CSR form is proven unitary at every side, an ndarray above the
+        # limit is not
         mat, dense = walk_forms(coin.grover_coin_system(4), 45)
+        reference = spectra.unitary_eigenvalues(mat)
         if form == "large-ndarray":
             monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 64)
             mat = dense
-        shapes = spy_eigvals(monkeypatch, off_circle=True)
-        with pytest.raises(error, match="unit-circle") as info:
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch, miss=True)
+        report = spectra.unitary_eigenvalues(mat)
+        assert shapes == [(160, 160)] and drivers == ["evr"]
+        assert report.multiplicities == reference.multiplicities
+        assert np.abs(report.values - reference.values).max() <= 1e-12
+        miss_split_gate(monkeypatch)
+        with pytest.raises(error, match="eigen-residual") as info:
             spectra.unitary_eigenvalues(mat)
         assert isinstance(info.value, ValueError) == (error is ValueError)
-        assert shapes == [(160, 160)]
 
     @pytest.mark.parametrize("form", ["ndarray", "csr"])
     def test_split_path_at_or_below_64_whatever_the_spectrum(self, monkeypatch, form):
@@ -318,6 +367,49 @@ class TestKrylovRouting:
         assert report.multiplicities == tuple(split_mults)
         assert np.abs(report.values - split_vals).max() <= 1e-12
 
+    def test_conjugate_pairs(self, monkeypatch):
+        # e^{i theta} and e^{-i theta} share their real part, so the line
+        # through +-1 would merge each pair; the chosen line keeps every
+        # real part of e^{-i alpha} lambda apart
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
+        phases = np.array([0.4, -0.4, 2.2, -2.2])
+        mat = clustered_unitary(96, phases, 52)
+        report = spectra.unitary_eigenvalues(mat)
+        assert shapes == [(96, 96)] and drivers == []
+        assert report.multiplicities == (24, 24, 24, 24)
+        assert spectra.hausdorff_distance(report.values, np.exp(1j * phases)) <= 1e-9
+        ritz, _ = spectra._krylov_saturation(mat, 64)
+        cos = np.sort(np.cos(phases - spectra._mirror_free_angle(ritz)))
+        assert np.diff(cos).min() > 0.1
+
+    def test_sixty_distinct_phases(self, monkeypatch):
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
+        phases = np.angle(np.exp(1j * (2 * np.pi * np.arange(60) / 60 + 0.1)))
+        report = spectra.unitary_eigenvalues(clustered_unitary(240, phases, 53))
+        assert shapes == [(240, 240)] and drivers == []
+        assert report.multiplicities == (4,) * 60
+        assert spectra.hausdorff_distance(report.values, np.exp(1j * phases)) <= 1e-9
+
+    def test_certificate_refuses_a_missing_ritz_value(self, monkeypatch):
+        phases = [0.3, -1.1, 2.7]
+        mat = clustered_unitary(120, phases, 54)
+        ritz, _ = spectra._krylov_saturation(mat, 64)
+        assert ritz.shape == (3,)
+        assert spectra._eigvals_from_ritz(mat, ritz[1:], 1e-8) is None
+        # the probe loses a value: the split path answers
+        probe = spectra._krylov_saturation
+        monkeypatch.setattr(
+            spectra, "_krylov_saturation", lambda a, steps: (probe(a, steps)[0][1:], 0.0)
+        )
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
+        report = spectra.unitary_eigenvalues(mat)
+        assert shapes == [(120, 120)] and drivers == ["evr"]
+        assert report.multiplicities == (40, 40, 40)
+        assert spectra.hausdorff_distance(report.values, np.exp(1j * np.array(phases))) <= 1e-9
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_small_route_rejects_nan_and_non_unitary(self, monkeypatch):
         # the explicit pre-check rejects both before the probe or eigh runs
@@ -333,23 +425,27 @@ class TestKrylovRouting:
     def test_empty_and_scalar_inputs(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert spectra._krylov_saturation(np.zeros((0, 0), dtype=complex), 64) == (True, 0.0)
+            ritz, norm_defect = spectra._krylov_saturation(np.zeros((0, 0), dtype=complex), 64)
+            assert ritz.shape == (0,) and norm_defect == 0.0
             empty = spectra.unitary_eigenvalues(np.zeros((0, 0), dtype=complex))
             scalar = spectra.unitary_eigenvalues(np.array([[1j]]))
         assert empty.eigenvalues == () and empty.multiplicities == ()
         assert scalar.eigenvalues == (1j,) and scalar.multiplicities == (1,)
 
     def test_saturation_detects_few_distinct_values(self):
-        mat = clustered_unitary(96, [0.1, 0.9, -2.0, 2.4], 30)
-        saturated, norm_defect = spectra._krylov_saturation(mat, 64)
-        assert saturated
+        phases = [0.1, 0.9, -2.0, 2.4]
+        mat = clustered_unitary(96, phases, 30)
+        ritz, norm_defect = spectra._krylov_saturation(mat, 64)
+        # the Ritz values are the four distinct values
+        assert ritz.shape == (4,)
+        assert spectra.hausdorff_distance(ritz, np.exp(1j * np.array(phases))) <= 1e-9
         assert norm_defect <= 1e-10
 
     def test_generic_spectrum_does_not_saturate(self):
         rng = np.random.default_rng(31)
         mat = haar_unitary(96, rng)
-        saturated, _ = spectra._krylov_saturation(mat, 64)
-        assert not saturated
+        ritz, _ = spectra._krylov_saturation(mat, 64)
+        assert ritz is None
 
     def test_norm_defect_flags_non_unitary(self):
         mat = np.diag(np.concatenate([np.full(50, 2.0), np.ones(46)])).astype(complex)
@@ -359,14 +455,7 @@ class TestKrylovRouting:
     def test_large_route_degenerate(self, monkeypatch):
         monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 64)
         drivers = spy_drivers(monkeypatch)
-        calls = []
-        eigvals = spectra.sla.eigvals
-
-        def counted(a, **kwargs):
-            calls.append(a.shape)
-            return eigvals(a, **kwargs)
-
-        monkeypatch.setattr(spectra.sla, "eigvals", counted)
+        calls = spy_eigvals(monkeypatch)
         phases = [0.3, -1.1, 2.7]
         report = spectra.unitary_eigenvalues(clustered_unitary(120, phases, 32))
         assert calls == [(120, 120)] and drivers == []
@@ -462,11 +551,14 @@ class TestSparseInput:
         if limit is not None:
             monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", limit)
         drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
         mat, dense = walk_forms(cs, 65)
         from_sparse = spectra.unitary_eigenvalues(mat)
         sparse_drivers, drivers[:] = drivers[:], []
+        sparse_shapes, shapes[:] = shapes[:], []
         from_dense = spectra.unitary_eigenvalues(dense)
         assert sparse_drivers == drivers == ([] if route == "eigvals" else [route])
+        assert sparse_shapes == shapes == ([mat.shape] if route == "eigvals" else [])
         assert from_sparse.multiplicities == from_dense.multiplicities
         assert np.abs(from_sparse.values - from_dense.values).max() <= 1e-12
         assert from_sparse.total_multiplicity == mat.shape[0]
@@ -566,8 +658,9 @@ class TestBlockedResiduals:
         finally:
             tracemalloc.stop()
         assert (drivers, shapes) == (([], [(side, side)]) if route == "eigvals" else ([route], []))
-        # evr holds H, then the eigenvectors and their images; QR the dense
-        # A, which LAPACK overwrites in place (traced, as a numpy array)
+        # evr holds H, then the eigenvectors and their images; the
+        # eigenvalues-only route the rotated Hermitian matrix, which LAPACK
+        # overwrites in place (traced, as a numpy array)
         assert peak <= arrays * side * side * 16
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -246,12 +246,17 @@ def rotated_partition_coin(n, d, seed):
 
 
 def assert_kernel_matches_dense(cs, seed=0):
+    """apply of one state against the dense matrix, and of a block of
+    states against the sparse one."""
     nu = magnetic.random_potential(cs.n, np.random.default_rng(seed))
     op = walk.evolution_operator(nu, cs)
     rng = np.random.default_rng(seed + 1)
     vec = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
     vec /= np.linalg.norm(vec)
     assert np.abs(op.apply(vec) - op.dense() @ vec).max() <= 1e-12
+    block = rng.normal(size=(op.dim, 3)) + 1j * rng.normal(size=(op.dim, 3))
+    block /= np.linalg.norm(block, axis=0)
+    assert np.abs(op.apply(block) - op.sparse() @ block).max() <= 1e-12
     return op
 
 
@@ -290,6 +295,27 @@ class TestFactoredKernel:
     def test_random_coin_wider_than_n_plus_1(self):
         cs = coin.random_coin_system(2, 9, seed=4)
         assert assert_kernel_matches_dense(cs, seed=4).factor_width == 9
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_block_columns_are_single_applies(self, m):
+        # a C-order and a Fortran-order block, each column against apply of
+        # that column alone
+        cs = rotated_partition_coin(4, 7, seed=11)
+        op = walk.evolution_operator(magnetic.random_potential(4, np.random.default_rng(11)), cs)
+        rng = np.random.default_rng(12)
+        block = rng.normal(size=(op.dim, m)) + 1j * rng.normal(size=(op.dim, m))
+        for form in (block, np.asfortranarray(block)):
+            out = op.apply(form)
+            assert out.shape == (op.dim, m)
+            for i in range(m):
+                assert np.abs(out[:, i] - op.apply(block[:, i])).max() <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(223,), (225, 2), (224, 2, 2), (2, 224)])
+    def test_wrong_shapes_rejected(self, shape):
+        op = walk.evolution_operator(magnetic.null_potential(4), rotated_partition_coin(4, 7, seed=3))
+        assert op.dim == 224
+        with pytest.raises(ValueError, match="expected"):
+            op.apply(np.zeros(shape, dtype=complex))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_n0(self, d):
