@@ -16,9 +16,9 @@ coin system the ranks sum to d, so one step costs two (2^(n+1), d) @ (d, d)
 products plus one gather of 2^(n+1) d amplitudes; operators of higher total
 rank stay exact and only widen the middle stage, up to (n+1) d.  Both
 products run in blocks of position rows that stay on the calling thread
-(see ``_GEMM_MACS``).  The full matrix is never formed by stepping; it is
-reserved for spectral work at small n and kept as the literal Kronecker
-sum in CSR form, the kernel's oracle.
+(see ``_GEMM_MACS``).  Neither stepping nor ``intertwining_check`` forms
+the full matrix; it is reserved for spectral work at small n and kept as
+the literal Kronecker sum in CSR form, the kernel's oracle.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ STATE_NORM_TOL = 1e-8
 # value of any coin are round-off of an exactly rank-deficient operator.
 _RANK_TOL = 1e-13
 
-# Rows (rho) of the rotated operator (B* (x) I) W (B (x) I) formed at a time
-# by ``intertwining_check``: each block is a 16 / 2^(n+1) share of the side x
-# side dense matrix.  Blocking over the other index (tau) would make the
-# einsum copy the whole matrix once per block.
-_ROTATION_ROWS = 16
-
 # Multiply-adds per coin-factor product in ``apply``: a step multiplies
 # blocks of position rows, each within the size that OpenBLAS runs on the
 # calling thread.  Larger products go to its thread pool, whose threads spin
@@ -89,7 +83,7 @@ class WalkOperator:
     Immutable after construction; precomputes the stacked coin factors and
     the per-block direction phases used by the matrix-free kernel.  The
     assembled matrix is built lazily in CSR form and cached, guarded to
-    n <= DENSE_N_LIMIT; ``dense`` expands it.
+    n <= DENSE_N_LIMIT; ``dense`` expands it for the tests.
     ``factor_width`` is the total rank of the coins, which is d for every
     valid coin system and sets the width of the kernel's middle stage.
     """
@@ -207,7 +201,8 @@ class WalkOperator:
         return self._sparse
 
     def dense(self) -> np.ndarray:
-        """Full matrix of the operator as an ndarray, from ``sparse``."""
+        """Full matrix of the operator as an ndarray, from ``sparse``: the
+        tests' oracle; the library itself never expands the walk."""
         return self.sparse().toarray()
 
 
@@ -330,8 +325,10 @@ class IntertwiningReport:
     ``max_vector_residual`` is the worst 2-norm defect of applying the walk
     to an eigenbasis-times-coin-axis product versus routing the coin vector
     through the signed coin sum of that vertex.  ``off_block_mass`` and
-    ``max_block_mismatch`` measure the same reduction at the matrix level,
-    after conjugating the dense operator by (basis change tensor identity).
+    ``max_block_mismatch`` measure the same reduction at the matrix level:
+    the largest entry of the off-diagonal blocks of (B* (x) I) W (B (x) I),
+    with B the basis change and W the CSR matrix, and of its diagonal blocks
+    minus the signed coin sums.
     """
 
     n: int
@@ -351,44 +348,39 @@ class IntertwiningReport:
 
 
 def intertwining_check(op: WalkOperator) -> IntertwiningReport:
-    """Verify that the walk acts as U_sigma on each eigenbasis fiber."""
-    n, d = op.n, op.d
-    sums = [algebraic_sum(op.cs, sigma) for sigma in range(op.dim_fock)]
+    """Verify that the walk acts as U_tau on each eigenbasis fiber.
 
-    vec_residual = 0.0
+    One pass over the vertices tau: the kernel's defect W X - E, with the
+    lift X = b_tau (x) I_d and E = b_tau (x) U_tau, gives the vector
+    residual; the CSR matrix's defect rotated by (B* (x) I) is column block
+    tau of (B* (x) I) W (B (x) I) - e_tau (x) U_tau, which gives the block
+    residuals.
+    """
+    d = op.d
+    mat = op.sparse()  # raises CapacityError before any vertex is applied
+    basis = magnetic_basis_change(op.nu)
+    basis_adj = basis.conj().T
     eye = np.eye(d, dtype=complex)
-    for sigma in range(op.dim_fock):
-        zhat = magnetic_basis_vector(sigma, op.nu)[:, None]
+    vec_residual = block_mismatch = off_block = 0.0
+    for tau in range(op.dim_fock):
         # column a: the eigenbasis vector times coin axis a, and its
         # expected image through the signed coin sum
-        defects = op.apply(np.kron(zhat, eye)) - np.kron(zhat, sums[sigma])
+        lift = np.kron(basis[:, tau, None], eye)
+        expected = np.kron(basis[:, tau, None], algebraic_sum(op.cs, tau))
         # np.maximum, unlike max, keeps a NaN residual
-        vec_residual = float(
-            np.maximum(vec_residual, np.linalg.norm(defects, axis=0).max())
+        vec_residual = np.maximum(
+            vec_residual, np.linalg.norm(op.apply(lift) - expected, axis=0).max()
         )
-
-    basis = magnetic_basis_change(op.nu)
-    basis_conj = basis.conj()
-    w4 = op.dense().reshape(op.dim_fock, d, op.dim_fock, d)
-    block_mismatch = off_block = 0.0
-    for lo in range(0, op.dim_fock, _ROTATION_ROWS):
-        rows = slice(lo, lo + _ROTATION_ROWS)
-        rotated = np.einsum(
-            "gr,gasb,st->ratb", basis_conj[:, rows], w4, basis, optimize=True
-        )
-        local = np.arange(rotated.shape[0])
-        # np.maximum, unlike max, keeps a NaN block residual
-        block_mismatch = np.maximum(
-            block_mismatch,
-            max_abs(rotated[local, :, lo + local, :] - np.stack(sums[rows])),
-        )
-        rotated[local, :, lo + local, :] = 0.0
+        # row rho holds the rotated (rho, tau) block, flattened
+        rotated = basis_adj @ (mat @ lift - expected).reshape(op.dim_fock, d * d)
+        block_mismatch = np.maximum(block_mismatch, max_abs(rotated[tau]))
+        rotated[tau] = 0.0
         off_block = np.maximum(off_block, max_abs(rotated))
 
     return IntertwiningReport(
-        n=n,
+        n=op.n,
         d=d,
-        max_vector_residual=vec_residual,
+        max_vector_residual=float(vec_residual),
         off_block_mass=float(off_block),
         max_block_mismatch=float(block_mismatch),
     )

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mqwalk import coin, fock, magnetic, walk
 
@@ -428,43 +429,20 @@ class TestIntertwining:
         return walk.evolution_operator(nu, coin.hadamard_partition_coin_system())
 
     @pytest.mark.parametrize("noise", [0.0, 1e-3])
-    def test_block_scan_matches_per_block_scan(self, monkeypatch, noise):
-        nu = magnetic.random_potential(2, np.random.default_rng(74))
-        cs = coin.random_coin_system(2, 4, seed=7)
-        op = walk.evolution_operator(nu, cs)
-        mat = op.dense() + noise * np.random.default_rng(75).normal(size=(op.dim, op.dim))
-        monkeypatch.setattr(op, "dense", lambda: mat.copy())
-        basis = magnetic.magnetic_basis_change(nu)
-        # the same rotation, scanned one (rho, tau) block at a time
-        rotated = np.einsum("gr,gasb,st->ratb", basis.conj(), mat.reshape(8, 4, 8, 4), basis,
-                            optimize=True)
-        off_block = block_mismatch = 0.0
-        for rho in range(8):
-            for tau in range(8):
-                block = rotated[rho, :, tau, :]
-                if rho == tau:
-                    block_mismatch = max(block_mismatch,
-                                         np.abs(block - coin.algebraic_sum(cs, rho)).max())
-                else:
-                    off_block = max(off_block, np.abs(block).max())
-        report = walk.intertwining_check(op)
-        assert report.off_block_mass == off_block
-        assert report.max_block_mismatch == block_mismatch
-        assert report.passed() == (noise == 0.0)
-
-    @pytest.mark.parametrize("noise", [0.0, 1e-3])
-    def test_row_blocked_rotation_at_n6(self, monkeypatch, noise):
-        # 128 rows of the rotation, formed in 8 blocks
-        nu = magnetic.random_potential(6, np.random.default_rng(76))
-        cs = coin.random_coin_system(6, 7, seed=8)
+    @pytest.mark.parametrize(("n", "d"), [(2, 4), (6, 7)])
+    def test_block_residuals_match_per_block_scan(self, monkeypatch, n, d, noise):
+        nu = magnetic.random_potential(n, np.random.default_rng(74))
+        cs = coin.random_coin_system(n, d, seed=7)
         op = walk.evolution_operator(nu, cs)
         side, dim_fock = op.dim, op.dim_fock
-        assert dim_fock == 8 * walk._ROTATION_ROWS
-        mat = op.dense() + noise * np.random.default_rng(77).normal(size=(side, side))
-        monkeypatch.setattr(op, "dense", lambda: mat.copy())
+        mat = op.dense() + noise * np.random.default_rng(75).normal(size=(side, side))
+        csr = sp.csr_matrix(mat)
+        monkeypatch.setattr(op, "sparse", lambda: csr)
         basis = magnetic.magnetic_basis_change(nu)
-        rotated = np.einsum("gr,gasb,st->ratb", basis.conj(), mat.reshape(dim_fock, 7, dim_fock, 7),
-                            basis, optimize=True)
+        # the whole rotation (B* (x) I) W (B (x) I), scanned one (rho, tau)
+        # block at a time
+        rotated = np.einsum("gr,gasb,st->ratb", basis.conj(),
+                            mat.reshape(dim_fock, d, dim_fock, d), basis, optimize=True)
         off_block = block_mismatch = 0.0
         for rho in range(dim_fock):
             # the largest entry of each (rho, tau) block
@@ -473,18 +451,45 @@ class TestIntertwining:
             off_block = max(off_block, block_max.max())
             block_mismatch = max(block_mismatch, np.abs(
                 rotated[rho, :, rho, :] - coin.algebraic_sum(cs, rho)).max())
-        del rotated
+        del rotated, mat
         tracemalloc.start()
         try:
             report = walk.intertwining_check(op)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        # the check rotates the defect, not W, so the two agree at round-off
         assert abs(report.off_block_mass - off_block) <= 1e-15
         assert abs(report.max_block_mismatch - block_mismatch) <= 1e-15
         assert report.passed() == (noise == 0.0)
-        # the dense copy and one block of rows of the rotation
-        assert peak <= 1.75 * side * side * 16
+        if n == 6:
+            # the basis change and one vertex's blocks, no side x side array
+            assert peak <= 0.25 * side * side * 16
+
+    @pytest.mark.parametrize("bad", [1e-3, np.nan])
+    def test_block_residuals_come_from_the_csr_form(self, monkeypatch, bad):
+        op = self.hadamard_operator()
+        clean = walk.intertwining_check(op)
+        csr = op.sparse().copy()
+        csr.data[0] += bad
+        monkeypatch.setattr(op, "sparse", lambda: csr)
+        report = walk.intertwining_check(op)
+        # one entry moved by bad shows in every rotated block as bad / 2^(n+1)
+        np.testing.assert_allclose([report.off_block_mass, report.max_block_mismatch],
+                                   bad / op.dim_fock, rtol=0, atol=1e-12)
+        # the kernel never reads the CSR form
+        assert report.max_vector_residual == clean.max_vector_residual
+        assert not report.passed()
+
+    def test_past_the_dense_limit_fails_before_any_vertex(self, monkeypatch):
+        n = walk.DENSE_N_LIMIT + 1
+        op = walk.evolution_operator(magnetic.null_potential(n), coin.grover_coin_system(n))
+        calls = []
+        monkeypatch.setattr(op, "apply", lambda vec: calls.append("apply"))
+        monkeypatch.setattr(walk, "magnetic_basis_change", lambda nu: calls.append("basis"))
+        with pytest.raises(walk.CapacityError):
+            walk.intertwining_check(op)
+        assert calls == []
 
     def test_max_residual_keeps_nan(self):
         report = walk.IntertwiningReport(
