@@ -394,8 +394,8 @@ def _involution_residuals(n: int, nu: MagneticPotential) -> dict:
     for j in range(n + 1):
         xi = magnetic_shift(n, j, nu)
         # np.maximum, unlike max, keeps a NaN residual
-        square = float(np.maximum(square, np.abs((xi @ xi - eye).toarray()).max()))
-        adjoint = float(np.maximum(adjoint, np.abs((xi - xi.conj().T).toarray()).max()))
+        square = float(np.maximum(square, abs(xi @ xi - eye).max()))
+        adjoint = float(np.maximum(adjoint, abs(xi - xi.conj().T).max()))
     return {
         "square_residual": square,
         "self_adjoint_residual": adjoint,

@@ -1,13 +1,16 @@
 """Eigenvalue machinery for unitary matrices and the verification checks.
 
 Unitary matrices are normal, so their eigenproblem is solved here through
-Hermitian eigensolves, never a general nonsymmetric one.  In general, the
-splitting A = H + iS with H = (A + A*)/2 and S = (A - A*)/2i is used: a
-Hermitian eigensolve of H fixes the real parts and an eigenbasis; within
-each cluster of (nearly) equal real parts, the restriction of S is
-diagonalized to separate the imaginary parts.  This keeps every reported
-eigenvalue a Rayleigh quotient of an orthonormal vector, and makes
-eigenvector witnesses available at no extra cost.
+Hermitian eigensolves; no nonsymmetric solve runs at the matrix's own side.
+The only Schur forms (``zgees``) are of small blocks: the Krylov probe's
+Hessenberg block and the compression in the split path's second pass.
+
+In general, the splitting A = H + iS with H = (A + A*)/2 and S = (A -
+A*)/2i is used: a Hermitian eigensolve of H fixes the real parts and an
+eigenbasis; within each cluster of (nearly) equal real parts, the
+restriction of S is diagonalized to separate the imaginary parts.  This
+keeps every reported eigenvalue a Rayleigh quotient of an orthonormal
+vector, and makes eigenvector witnesses available at no extra cost.
 
 A spectrum with few distinct values is found, and its distinct values
 listed, by a short Krylov probe (the Ritz values of a space that closes).
@@ -41,7 +44,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ._linalg import as_complex, max_abs, require_unitary
+from ._linalg import max_abs, require_unitary
 from .coin import (
     DEFAULT_COIN_TOL,
     CoinSystem,
@@ -75,12 +78,6 @@ __all__ = [
 ]
 
 DEFAULT_SPECTRUM_TOL = 1e-8
-
-# Above this side an ndarray skips the explicit unitarity pre-check (O(N^3)
-# products); non-unitary input is then rejected by the Krylov probe's norm
-# checks and the eigen-residual and unit-circle gates.  A sparse matrix
-# takes the pre-check, two sparse products, at every side.
-_UNITARITY_PRECHECK_LIMIT = 2048
 
 # Krylov probe that picks the eigenvalue route above _SATURATION_STEPS: a
 # spectrum with at most ~_SATURATION_STEPS distinct values closes the Krylov
@@ -125,8 +122,8 @@ _SEAM_IM_TOL = 1e-14
 
 
 class EigensolverError(RuntimeError):
-    """The eigensolver missed its eigen-residual or unit-circle gate on
-    input proven unitary.
+    """The eigensolver failed on input proven unitary: LAPACK did not
+    converge, or the result missed its eigen-residual or unit-circle gate.
 
     Raised instead of ``ValueError`` once the explicit unitarity pre-check
     has passed, so a numerical failure is never reported as invalid input.
@@ -138,6 +135,26 @@ def _pure_column_tol(gate: float) -> float:
     return min(_PURE_COLUMN_TOL, gate / 10)
 
 
+def _hermitian_part(a, alpha: float = 0.0) -> np.ndarray:
+    """Re(e^{-i alpha} A) as a new Fortran-order ndarray, which eigh
+    overwrites in place instead of copying it.
+
+    A is scaled by e^{-i alpha} / 2 before the sum with its adjoint.  The
+    sparse form is made dense once; an ndarray is read in blocks of
+    ``_RESIDUAL_BLOCK`` columns, leaving the caller's array as it is.
+    """
+    half = np.exp(-1j * alpha) / 2
+    if sp.issparse(a):
+        rotated = a * half
+        return (rotated + rotated.conj().T).toarray(order="F")
+    herm = np.conjugate(a.T, order="F")
+    herm *= half.conjugate()
+    for lo in range(0, a.shape[0], _RESIDUAL_BLOCK):
+        cols = slice(lo, lo + _RESIDUAL_BLOCK)
+        herm[:, cols] += half * a[:, cols]
+    return herm
+
+
 def _eig_unitary(
     a, pure_tol: float = _PURE_COLUMN_TOL
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -147,7 +164,7 @@ def _eig_unitary(
     part is made dense for the eigensolve (LAPACK's MRRR driver, evr), and
     the images ``a @ vecs`` are sparse products when ``a`` is sparse.
 
-    The Hermitian part is built once in Fortran order and overwritten by
+    The Hermitian part comes from ``_hermitian_part`` and is overwritten by
     the eigensolve.  The Rayleigh quotients and defects, and the sparse
     images, are then formed in blocks of ``_RESIDUAL_BLOCK`` columns, so
     the working set is two side x side arrays: H, then the eigenvectors and
@@ -174,16 +191,9 @@ def _eig_unitary(
     """
     size = a.shape[0]
     sparse = sp.issparse(a)
-    # H in Fortran order, so eigh works in this one buffer instead of
-    # copying it
-    if sparse:
-        herm = (a + a.conj().T).toarray(order="F")
-    else:
-        herm = np.conjugate(a.T, order="F")
-        np.add(herm, a, out=herm)
-    herm /= 2
-    w, vecs = sla.eigh(herm, driver="evr", check_finite=False, overwrite_a=True)
-    del herm
+    w, vecs = sla.eigh(
+        _hermitian_part(a), driver="evr", check_finite=False, overwrite_a=True
+    )
     images = np.empty((size, size), dtype=complex)
     if not sparse:
         # a dense product writes straight into images without a copy; cut
@@ -228,35 +238,30 @@ def _eig_unitary(
     return lam, vecs, residual
 
 
-def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray | None, float]:
-    """Probe whether a random-start Krylov space of ``a`` closes early.
+def _krylov_saturation(a, max_steps: int) -> np.ndarray | None:
+    """Ritz values of a random-start Krylov space of ``a`` that closes
+    within ``max_steps``, or None when it does not close.
 
-    Returns (ritz, norm_defect).  ``ritz`` is None unless the space closes
-    within ``max_steps``; then it holds the eigenvalues of the Arnoldi
-    Hessenberg block (the Ritz values).  Closing at step k means the
-    minimal polynomial relative to the start vector has degree k, and as
-    the start vector meets every eigenspace with probability one, the k
-    Ritz values are the spectrum's distinct values, accurate to about the
-    closing tolerance.  ``norm_defect`` is the largest deviation of
-    ||A q|| from 1 over the orthonormal Krylov vectors, a free unitarity
-    probe.  The start vector is drawn from a fixed seed so results are
-    reproducible.  ``a`` is a complex ndarray or a scipy sparse matrix;
-    only its products with vectors are used.
+    The Ritz values are the eigenvalues of the Arnoldi Hessenberg block.
+    Closing at step k means the minimal polynomial relative to the start
+    vector has degree k, and as the start vector meets every eigenspace
+    with probability one, the k Ritz values are the spectrum's distinct
+    values, accurate to about the closing tolerance.  The start vector is
+    drawn from a fixed seed so results are reproducible.  ``a`` is a
+    complex ndarray or a scipy sparse matrix; only its products with
+    vectors are used.
     """
     size = a.shape[0]
-    if size == 0:  # the empty space is closed, and has no vector to norm
-        return np.zeros(0, dtype=complex), 0.0
+    if size == 0:  # the empty space is closed, and has no start vector
+        return np.zeros(0, dtype=complex)
     rng = np.random.default_rng(0x5EED)
     q = rng.normal(size=size) + 1j * rng.normal(size=size)
     q /= np.linalg.norm(q)
     basis = np.empty((size, max_steps + 1), dtype=complex, order="F")
     basis[:, 0] = q
     hess = np.zeros((max_steps + 1, max_steps), dtype=complex)
-    norm_defect = 0.0
     for step in range(1, max_steps + 1):
         y = a @ q
-        # np.maximum, unlike max, keeps a NaN norm
-        norm_defect = float(np.maximum(norm_defect, abs(np.linalg.norm(y) - 1.0)))
         held = basis[:, :step]
         coeffs = hess[:step, step - 1]
         for _ in range(2):  # double reorthogonalization
@@ -270,11 +275,11 @@ def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray | None, float]:
         beta = float(np.linalg.norm(y))
         if beta <= _SATURATION_TOL:
             triangle, _ = sla.schur(hess[:step, :step], output="complex")
-            return triangle.diagonal().copy(), norm_defect
+            return triangle.diagonal().copy()
         hess[step, step - 1] = beta
         q = y / beta
         basis[:, step] = q
-    return None, norm_defect
+    return None
 
 
 def _mirror_free_angle(ritz: np.ndarray) -> float:
@@ -308,31 +313,21 @@ def _eigvals_from_ritz(a, ritz: np.ndarray, tol: float) -> np.ndarray | None:
     Ritz values one to one and the power sums of lambda equal tr A and
     tr A^2 within side * ``tol``; a value put on the wrong side of the line
     moves the first sum by at least twice its distance from the line.
-
-    The Hermitian matrix is built once in Fortran order and overwritten by
-    the eigensolve: from the sparse form directly, or from an ndarray in
-    blocks of ``_RESIDUAL_BLOCK`` columns, leaving the caller's array as
-    it is.
     """
     side = a.shape[0]
     alpha = _mirror_free_angle(ritz)
-    half = np.exp(-1j * alpha) / 2  # Re(e^{-i alpha} A) = half A + conj(half) A*
     # tr A^2 is the sum of A * A^T, so A^2 is never formed
     if sp.issparse(a):
         trace, trace_sq = a.diagonal().sum(), a.multiply(a.T).sum()
-        rotated = a * half
-        herm = (rotated + rotated.conj().T).toarray(order="F")
     else:
         trace, trace_sq = np.trace(a), np.einsum("ij,ji->", a, a)
-        herm = np.conjugate(a.T, order="F")
-        herm *= half.conjugate()
-        for lo in range(0, side, _RESIDUAL_BLOCK):
-            cols = slice(lo, lo + _RESIDUAL_BLOCK)
-            herm[:, cols] += half * a[:, cols]
     cos = sla.eigh(
-        herm, eigvals_only=True, driver="evr", overwrite_a=True, check_finite=False
+        _hermitian_part(a, alpha),
+        eigvals_only=True,
+        driver="evr",
+        overwrite_a=True,
+        check_finite=False,
     )
-    del herm
     splits = np.nonzero(np.diff(cos) > _COS_CLUSTER_GAP)[0] + 1
     bounds = np.concatenate(([0], splits, [side]))
     if bounds.size - 1 != ritz.size:
@@ -468,34 +463,16 @@ def unitary_eigenvalues(
     stays sparse except for the one Hermitian matrix each route makes
     dense.
 
-    The explicit pre-check (every sparse matrix, an ndarray up to side
-    ``_UNITARITY_PRECHECK_LIMIT``) rejects non-unitary or non-finite input
-    with ``ValueError``; on input it has proven unitary, a miss of the
-    eigen-residual or unit-circle gate raises ``EigensolverError``.  A
-    larger ndarray is checked by the probe's norm checks and those gates,
-    and a miss raises ``ValueError``.  ``CapacityError`` is raised before
-    the dense step when its working set exceeds the available memory.
+    The explicit pre-check rejects non-square, non-finite or non-unitary
+    input with ``ValueError``, and is the only source of that error.  Every
+    failure after it, a LAPACK non-convergence or a miss of the
+    eigen-residual or unit-circle gate, raises ``EigensolverError``.
+    ``CapacityError`` is raised before the probe and the dense step when
+    the dense step's working set exceeds the available memory.
     """
-    a = as_complex(a)
-    proven = sp.issparse(a) or not (
-        a.ndim == 2 and a.shape[0] == a.shape[1] > _UNITARITY_PRECHECK_LIMIT
-    )
-    if proven:
-        # the product residual also rejects a non-square shape
-        require_unitary(a, unitary_tol, what="input")
-        fail, failure = EigensolverError, "eigensolver failed on a unitary input"
-    else:
-        fail, failure = ValueError, "input is not unitary"
+    # the product residual also rejects a non-square shape
+    a = require_unitary(a, unitary_tol, what="input")
     side = a.shape[0]
-    ritz = None
-    if side > _SATURATION_STEPS:
-        ritz, norm_defect = _krylov_saturation(a, _SATURATION_STEPS)
-        # on proven input only the route is read
-        if not proven and not norm_defect <= unitary_tol:
-            raise ValueError(
-                f"input is not unitary: norm defect {norm_defect:.3e} on Krylov "
-                f"probe vectors exceeds {unitary_tol:.1e}"
-            )
     need = _DENSE_ARRAYS * side * side * np.dtype(complex).itemsize
     available = _available_memory()
     if need > available:
@@ -503,18 +480,25 @@ def unitary_eigenvalues(
             f"dense eigensolve of side {side} needs about {need / 2**30:.1f} GiB, "
             f"{available / 2**30:.1f} GiB is available"
         )
-    # both routes skip LAPACK's finiteness check: the pre-check and the
-    # probe's norm gate have already rejected non-finite input
-    lam = None if ritz is None else _eigvals_from_ritz(a, ritz, unitary_tol)
-    if lam is None:
-        lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
-        if not residual <= unitary_tol:
-            raise fail(
-                f"{failure}: eigen-residual {residual:.3e} exceeds {unitary_tol:.1e}"
-            )
+    failure = "eigensolver failed on a unitary input"
+    try:
+        ritz = None
+        if side > _SATURATION_STEPS:
+            ritz = _krylov_saturation(a, _SATURATION_STEPS)
+        # both routes skip LAPACK's finiteness check: the pre-check has
+        # already rejected non-finite input
+        lam = None if ritz is None else _eigvals_from_ritz(a, ritz, unitary_tol)
+        if lam is None:
+            lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
+            if not residual <= unitary_tol:
+                raise EigensolverError(
+                    f"{failure}: eigen-residual {residual:.3e} exceeds {unitary_tol:.1e}"
+                )
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not invalid input
+        raise EigensolverError(f"{failure}: {exc}") from exc
     off_circle = float(np.abs(np.abs(lam) - 1.0).max()) if lam.size else 0.0
     if not off_circle <= unitary_tol:
-        raise fail(
+        raise EigensolverError(
             f"{failure}: unit-circle defect {off_circle:.3e} exceeds {unitary_tol:.1e}"
         )
     return _make_report(lam, source, nu, cluster_tol)

@@ -359,6 +359,15 @@ class TestSpectrumTask:
         assert run_cli("--task", "spectrum", "--n", "1", "--coin", "grover") == 3
         assert "internal numerical failure" in capsys.readouterr().err
 
+    def test_lapack_failure_is_not_input_error(self, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+        monkeypatch.setattr(spectra.sla, "eigh", no_convergence)
+        assert run_cli("--task", "spectrum", "--n", "1", "--coin", "grover") == 3
+        err = capsys.readouterr().err
+        assert "internal numerical failure" in err and "converge" in err
+
 
 class TestVerifyTasks:
     def test_verify_point_passes(self, tmp_path):

@@ -23,6 +23,12 @@ CONFIGS = {
     "verify-stability.json": "--task verify-stability --n 2 --coin grover --samples 3 --seed 3",
     "spectrum.json": "--task spectrum --n 1 --coin hadamard-partition --nu 0.3,0.9",
     "spectrum.csv": "--task spectrum --n 2 --coin random --nu random --seed 3 --format csv",
+    # side 160, above the probe's side of 64: the eigenvalues-only route
+    "spectrum-n4-grover.json": "--task spectrum --n 4 --coin grover --nu random --seed 3",
+    # side 160, the probe does not close: the split path
+    "spectrum-n4-random.csv": (
+        "--task spectrum --n 4 --coin random --nu random --seed 3 --format csv"
+    ),
     "simulate.json": (
         "--task simulate --n 2 --coin random --nu random --seed 4 --steps 5 --initial eigen:5:1"
     ),

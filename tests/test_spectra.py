@@ -209,6 +209,23 @@ class TestEigenResidualFloor:
             spectra.unitary_eigenvalues(np.eye(3, dtype=complex))
         assert not isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("solver, side", [
+        ("eigh", 3),  # the split path
+        ("eigh", 96),  # the eigenvalues-only route
+        ("schur", 96),  # the probe's Hessenberg block
+    ])
+    def test_lapack_failure_is_not_input_error(self, monkeypatch, solver, side):
+        # LinAlgError subclasses ValueError; after the pre-check it is a
+        # solver failure
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+        monkeypatch.setattr(spectra.sla, solver, no_convergence)
+        with pytest.raises(spectra.EigensolverError, match="converge") as info:
+            spectra.unitary_eigenvalues(clustered_unitary(side, [0.5, -0.5, 2.0], 42))
+        assert not isinstance(info.value, ValueError)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
 
 def clustered_unitary(side, phases, seed):
     """Haar-rotated unitary with ``phases`` repeated evenly over ``side``."""
@@ -254,15 +271,23 @@ def spy_eigvals(monkeypatch, miss=False):
     return shapes
 
 
+def spy_probe(monkeypatch):
+    """Record the shape of every matrix the Krylov probe runs on."""
+    shapes = []
+    probe = spectra._krylov_saturation
+
+    def spy(a, max_steps):
+        shapes.append(a.shape)
+        return probe(a, max_steps)
+
+    monkeypatch.setattr(spectra, "_krylov_saturation", spy)
+    return shapes
+
+
 class TestKrylovRouting:
-    """The probe's choice of route and the probe itself.
+    """The probe's choice of route and the probe itself."""
 
-    A test named for "qr" checks the route of a spectrum with few distinct
-    values, now the eigenvalues-only Hermitian solve that ``spy_eigvals``
-    watches; the names date from the nonsymmetric QR route it replaced.
-    """
-
-    def test_small_degenerate_uses_qr(self, monkeypatch):
+    def test_small_degenerate_uses_eigvals_only(self, monkeypatch):
         drivers = spy_drivers(monkeypatch)
         shapes = spy_eigvals(monkeypatch)
         phases = [0.1, 0.9, -2.0, 2.4]
@@ -272,7 +297,7 @@ class TestKrylovRouting:
         assert spectra.hausdorff_distance(report.values, np.exp(1j * np.array(phases))) <= 1e-9
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_qr_route_keeps_the_callers_ndarray(self, monkeypatch, order):
+    def test_eigvals_route_keeps_the_callers_ndarray(self, monkeypatch, order):
         # LAPACK overwrites the rotated Hermitian matrix it is given; that
         # must be built beside the caller's array, not in it
         shapes = spy_eigvals(monkeypatch)
@@ -305,19 +330,14 @@ class TestKrylovRouting:
             spectra.unitary_eigenvalues(mat)
         assert not isinstance(info.value, ValueError)
 
-    @pytest.mark.parametrize("form, error", [
-        ("csr", spectra.EigensolverError),
-        ("large-ndarray", ValueError),
-    ], ids=["csr", "large-ndarray"])
-    def test_qr_result_off_the_circle(self, monkeypatch, form, error):
+    @pytest.mark.parametrize("form", ["csr", "ndarray"])
+    def test_eigvals_certificate_miss(self, monkeypatch, form):
         # a certificate miss ends on the split path with the right answer;
-        # a miss of its gate then raises by what the pre-check proved: the
-        # CSR form is proven unitary at every side, an ndarray above the
-        # limit is not
+        # a miss of its gate then is a solver failure, as the pre-check has
+        # proven either form unitary
         mat, dense = walk_forms(coin.grover_coin_system(4), 45)
         reference = spectra.unitary_eigenvalues(mat)
-        if form == "large-ndarray":
-            monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 64)
+        if form == "ndarray":
             mat = dense
         drivers = spy_drivers(monkeypatch)
         shapes = spy_eigvals(monkeypatch, miss=True)
@@ -326,14 +346,13 @@ class TestKrylovRouting:
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_split_gate(monkeypatch)
-        with pytest.raises(error, match="eigen-residual") as info:
+        with pytest.raises(spectra.EigensolverError, match="eigen-residual") as info:
             spectra.unitary_eigenvalues(mat)
-        assert isinstance(info.value, ValueError) == (error is ValueError)
+        assert not isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("form", ["ndarray", "csr"])
     def test_split_path_at_or_below_64_whatever_the_spectrum(self, monkeypatch, form):
-        probes = []
-        monkeypatch.setattr(spectra, "_krylov_saturation", lambda *args: probes.append(args))
+        probes = spy_probe(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         shapes = spy_eigvals(monkeypatch)
         grover, _ = walk_forms(coin.grover_coin_system(3), 46)  # side 64, degenerate
@@ -356,7 +375,7 @@ class TestKrylovRouting:
         coin.grover_coin_system(5),
         coin.grover_coin_system(6),
     ], ids=["side160", "side384", "side896"])
-    def test_qr_against_the_split_path(self, monkeypatch, cs):
+    def test_eigvals_route_against_the_split_path(self, monkeypatch, cs):
         mat, _ = walk_forms(cs, 49)
         shapes = spy_eigvals(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
@@ -379,7 +398,7 @@ class TestKrylovRouting:
         assert shapes == [(96, 96)] and drivers == []
         assert report.multiplicities == (24, 24, 24, 24)
         assert spectra.hausdorff_distance(report.values, np.exp(1j * phases)) <= 1e-9
-        ritz, _ = spectra._krylov_saturation(mat, 64)
+        ritz = spectra._krylov_saturation(mat, 64)
         cos = np.sort(np.cos(phases - spectra._mirror_free_angle(ritz)))
         assert np.diff(cos).min() > 0.1
 
@@ -395,14 +414,12 @@ class TestKrylovRouting:
     def test_certificate_refuses_a_missing_ritz_value(self, monkeypatch):
         phases = [0.3, -1.1, 2.7]
         mat = clustered_unitary(120, phases, 54)
-        ritz, _ = spectra._krylov_saturation(mat, 64)
+        ritz = spectra._krylov_saturation(mat, 64)
         assert ritz.shape == (3,)
         assert spectra._eigvals_from_ritz(mat, ritz[1:], 1e-8) is None
         # the probe loses a value: the split path answers
         probe = spectra._krylov_saturation
-        monkeypatch.setattr(
-            spectra, "_krylov_saturation", lambda a, steps: (probe(a, steps)[0][1:], 0.0)
-        )
+        monkeypatch.setattr(spectra, "_krylov_saturation", lambda a, steps: probe(a, steps)[1:])
         drivers = spy_drivers(monkeypatch)
         shapes = spy_eigvals(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
@@ -413,6 +430,7 @@ class TestKrylovRouting:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_small_route_rejects_nan_and_non_unitary(self, monkeypatch):
         # the explicit pre-check rejects both before the probe or eigh runs
+        probes = spy_probe(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         bad_nan = clustered_unitary(96, [0.5, -0.5], 44)
         bad_nan[3, 5] = np.nan
@@ -420,13 +438,13 @@ class TestKrylovRouting:
         for mat in (bad_nan, bad_scale):
             with pytest.raises(ValueError, match="not unitary"):
                 spectra.unitary_eigenvalues(mat)
-        assert drivers == []
+        assert drivers == [] and probes == []
 
     def test_empty_and_scalar_inputs(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ritz, norm_defect = spectra._krylov_saturation(np.zeros((0, 0), dtype=complex), 64)
-            assert ritz.shape == (0,) and norm_defect == 0.0
+            ritz = spectra._krylov_saturation(np.zeros((0, 0), dtype=complex), 64)
+            assert ritz.shape == (0,)
             empty = spectra.unitary_eigenvalues(np.zeros((0, 0), dtype=complex))
             scalar = spectra.unitary_eigenvalues(np.array([[1j]]))
         assert empty.eigenvalues == () and empty.multiplicities == ()
@@ -435,66 +453,16 @@ class TestKrylovRouting:
     def test_saturation_detects_few_distinct_values(self):
         phases = [0.1, 0.9, -2.0, 2.4]
         mat = clustered_unitary(96, phases, 30)
-        ritz, norm_defect = spectra._krylov_saturation(mat, 64)
+        ritz = spectra._krylov_saturation(mat, 64)
         # the Ritz values are the four distinct values
         assert ritz.shape == (4,)
         assert spectra.hausdorff_distance(ritz, np.exp(1j * np.array(phases))) <= 1e-9
-        assert norm_defect <= 1e-10
 
     def test_generic_spectrum_does_not_saturate(self):
         rng = np.random.default_rng(31)
         mat = haar_unitary(96, rng)
-        ritz, _ = spectra._krylov_saturation(mat, 64)
+        ritz = spectra._krylov_saturation(mat, 64)
         assert ritz is None
-
-    def test_norm_defect_flags_non_unitary(self):
-        mat = np.diag(np.concatenate([np.full(50, 2.0), np.ones(46)])).astype(complex)
-        _, norm_defect = spectra._krylov_saturation(mat, 8)
-        assert norm_defect > 1e-3
-
-    def test_large_route_degenerate(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 64)
-        drivers = spy_drivers(monkeypatch)
-        calls = spy_eigvals(monkeypatch)
-        phases = [0.3, -1.1, 2.7]
-        report = spectra.unitary_eigenvalues(clustered_unitary(120, phases, 32))
-        assert calls == [(120, 120)] and drivers == []
-        assert report.multiplicities == (40, 40, 40)
-        assert spectra.hausdorff_distance(report.values, np.exp(1j * np.array(phases))) <= 1e-9
-
-    def test_large_route_generic(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 64)
-        drivers = spy_drivers(monkeypatch)
-        rng = np.random.default_rng(33)
-        mat = haar_unitary(120, rng)
-        report = spectra.unitary_eigenvalues(mat)
-        assert drivers == ["evr"]
-        reference = np.linalg.eigvals(mat)
-        assert spectra.hausdorff_distance(report.values, reference) <= 1e-10
-        assert report.total_multiplicity == 120
-
-    def test_large_route_rejects_non_unitary(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 64)
-        mat = np.diag(np.linspace(0.5, 2.0, 120)).astype(complex)
-        with pytest.raises(ValueError, match="not unitary"):
-            spectra.unitary_eigenvalues(mat)
-
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_large_route_rejects_nan(self, monkeypatch):
-        # the probe's norm fold (side 96) and every gate after it (side 8,
-        # where no probe runs) must see the NaN
-        monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", 4)
-        for side in (8, 96):
-            mat = np.full((side, side), np.nan, dtype=complex)
-            with pytest.raises(ValueError, match="not unitary"):
-                spectra.unitary_eigenvalues(mat)
-
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_probe_keeps_nan_norm_defect(self):
-        mat = np.eye(8, dtype=complex)
-        mat[3, 3] = np.nan
-        _, norm_defect = spectra._krylov_saturation(mat, 8)
-        assert np.isnan(norm_defect)
 
 
 def walk_forms(cs, seed):
@@ -528,6 +496,7 @@ class TestSparseInput:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_rejects_bad_input_before_eigh(self, monkeypatch):
+        probes = spy_probe(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         mat, _ = walk_forms(coin.grover_coin_system(3), 63)
         with_nan = mat.copy()
@@ -539,17 +508,13 @@ class TestSparseInput:
                 spectra.unitary_eigenvalues(bad)
         with pytest.raises(ValueError, match="square"):
             spectra.unitary_eigenvalues(mat[:, :-1])
-        assert drivers == []
+        assert drivers == [] and probes == []
 
-    @pytest.mark.parametrize("route, cs, limit", [
-        ("evr", coin.random_coin_system(4, 6, seed=64), None),
-        ("eigvals", coin.grover_coin_system(4), None),
-        # the ndarray skips the pre-check, the CSR form takes it
-        ("eigvals", coin.grover_coin_system(4), 32),
+    @pytest.mark.parametrize("route, cs", [
+        ("evr", coin.random_coin_system(4, 6, seed=64)),
+        ("eigvals", coin.grover_coin_system(4)),
     ])
-    def test_same_clusters_on_every_route(self, monkeypatch, route, cs, limit):
-        if limit is not None:
-            monkeypatch.setattr(spectra, "_UNITARITY_PRECHECK_LIMIT", limit)
+    def test_same_clusters_on_every_route(self, monkeypatch, route, cs):
         drivers = spy_drivers(monkeypatch)
         shapes = spy_eigvals(monkeypatch)
         mat, dense = walk_forms(cs, 65)
@@ -710,7 +675,7 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert drivers == [] and shapes == []
-        # the pre-check's row blocks and the probe's basis, no side x side array
+        # the pre-check's row blocks, no side x side array
         assert peak < side * side * 16
         monkeypatch.setattr(spectra, "_available_memory", lambda: need)
         report = spectra.unitary_eigenvalues(mat)
