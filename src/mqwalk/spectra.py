@@ -14,14 +14,20 @@ vector, and makes eigenvector witnesses available at no extra cost.
 
 A spectrum with few distinct values is found, and its distinct values
 listed, by a short Krylov probe (the Ritz values of a space that closes).
-It then needs no eigenvectors: the real parts of e^{-i alpha} A, for an
-angle alpha that keeps every value off the line through +-e^{i alpha} and
-no two values mirror images across it, are the eigenvalues of the Hermitian
-matrix Re(e^{-i alpha} A), found by one eigenvalues-only solve (a
-tridiagonal reduction, about half the cost of nonsymmetric QR).  The Ritz
-values say on which side of the line each value lies, and the trace
-moments tr A and tr A^2 certify the sides and multiplicities; a miss falls
-back to the splitting.
+It then needs no eigenvectors.  For a sparse matrix it needs no dense
+array either: the multiplicities of the Ritz values are the integer
+solution of the trace moments sum_i m_i lambda_i^p = tr A^p, whose traces
+come from sparse products with blocks of unit vectors, and the Ritz
+residuals, the moment residual and the distance of each m_i to an integer
+certify the result.  Otherwise, and for an ndarray, the real parts of
+e^{-i alpha} A, for an angle alpha that keeps every value off the line
+through +-e^{i alpha} and no two values mirror images across it, are the
+eigenvalues of the Hermitian matrix Re(e^{-i alpha} A), found by one
+eigenvalues-only solve (a tridiagonal reduction, about half the cost of
+nonsymmetric QR).  The Ritz values say on which side of the line each
+value lies, and the trace moments tr A and tr A^2 certify the sides and
+multiplicities.  A miss on either route falls back to the next one, and
+finally to the splitting.
 
 Raw eigenvalues are grouped into multiplicity classes by single-linkage
 clustering on the unit circle, and finite spectra are compared as point
@@ -82,10 +88,10 @@ DEFAULT_SPECTRUM_TOL = 1e-8
 # Krylov probe that picks the eigenvalue route above _SATURATION_STEPS: a
 # spectrum with at most ~_SATURATION_STEPS distinct values closes the Krylov
 # space of a random start vector, whose Ritz values are then those distinct
-# values, and goes to the eigenvalues-only Hermitian route (see the module
-# docstring), which skips the eigenvectors and the clusters' rotations of
-# the split path.  At or below that side every Krylov space closes, so the
-# probe is not run.
+# values, and goes to the trace-moment route (a sparse matrix) or to the
+# eigenvalues-only Hermitian route (see the module docstring), which skip
+# the eigenvectors and the clusters' rotations of the split path.  At or
+# below that side every Krylov space closes, so the probe is not run.
 _SATURATION_STEPS = 64
 _SATURATION_TOL = 1e-8
 
@@ -93,7 +99,8 @@ _SATURATION_TOL = 1e-8
 # route: the split path holds H, then the eigenvectors and their images.
 # The eigenvalues-only route holds one, Re(e^{-i alpha} A), which eigh
 # overwrites in place, and frees it before a certificate miss falls back to
-# the split path.
+# the split path.  The trace-moment route holds none, so the check runs
+# only once the chain reaches a dense route.
 _DENSE_ARRAYS = 2
 
 # Consecutive real-part gap below which eigh output is treated as one
@@ -238,11 +245,13 @@ def _eig_unitary(
     return lam, vecs, residual
 
 
-def _krylov_saturation(a, max_steps: int) -> np.ndarray | None:
-    """Ritz values of a random-start Krylov space of ``a`` that closes
-    within ``max_steps``, or None when it does not close.
+def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ritz values and unit Ritz vectors (columns) of a random-start Krylov
+    space of ``a`` that closes within ``max_steps``, or None when it does
+    not close.
 
-    The Ritz values are the eigenvalues of the Arnoldi Hessenberg block.
+    The Ritz pairs are those of the Arnoldi Hessenberg block: its Schur
+    form's diagonal, and its Schur vectors taken into the Krylov basis.
     Closing at step k means the minimal polynomial relative to the start
     vector has degree k, and as the start vector meets every eigenspace
     with probability one, the k Ritz values are the spectrum's distinct
@@ -253,7 +262,7 @@ def _krylov_saturation(a, max_steps: int) -> np.ndarray | None:
     """
     size = a.shape[0]
     if size == 0:  # the empty space is closed, and has no start vector
-        return np.zeros(0, dtype=complex)
+        return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
     rng = np.random.default_rng(0x5EED)
     q = rng.normal(size=size) + 1j * rng.normal(size=size)
     q /= np.linalg.norm(q)
@@ -274,12 +283,87 @@ def _krylov_saturation(a, max_steps: int) -> np.ndarray | None:
             coeffs += proj
         beta = float(np.linalg.norm(y))
         if beta <= _SATURATION_TOL:
-            triangle, _ = sla.schur(hess[:step, :step], output="complex")
-            return triangle.diagonal().copy()
+            triangle, schur_vecs = sla.schur(hess[:step, :step], output="complex")
+            return triangle.diagonal().copy(), sla.blas.zgemm(1.0, held, schur_vecs)
         hess[step, step - 1] = beta
         q = y / beta
         basis[:, step] = q
     return None
+
+
+def _trace_powers(a: sp.csr_matrix, count: int) -> np.ndarray:
+    """tr A^p for p = 1..``count`` of a sparse ``a``, by sparse products only.
+
+    The unit vectors are taken ``_RESIDUAL_BLOCK`` columns E at a time, so
+    the working set is one side x block array: the block's share of tr A^p
+    is the sum of the entries of A^p E on E's own rows.  A E is the block's
+    columns of ``a``, read from its CSC form, and each higher power is one
+    more sparse product, ``count`` nnz(A) side multiply-adds in all.
+    """
+    side = a.shape[0]
+    traces = np.zeros(count, dtype=complex)
+    columns = a.tocsc()
+    for lo in range(0, side, _RESIDUAL_BLOCK):
+        hi = min(lo + _RESIDUAL_BLOCK, side)
+        own = (np.arange(lo, hi), np.arange(hi - lo))
+        block = columns[:, lo:hi].toarray()
+        for power in range(count):
+            if power:
+                block = a @ block
+            traces[power] += block[own].sum()
+    return traces
+
+
+def _eigvals_from_moments(
+    a: sp.csr_matrix, ritz: np.ndarray, ritz_vecs: np.ndarray, tol: float
+) -> np.ndarray | None:
+    """Eigenvalues of a sparse unitary ``a`` whose distinct values are the
+    Ritz values ``ritz`` (unit Ritz vectors ``ritz_vecs``), each repeated by
+    its multiplicity, or None when the result is not certified.
+
+    The multiplicities m_i of the k Ritz values solve the trace moments
+    sum_i m_i theta_i^p = tr A^p, p = -K..K, with K = ceil(k / 2).  As the
+    m_i are real and tr A^-p is the conjugate of tr A^p for a unitary A,
+    these are 2K + 1 >= k + 1 real equations: sum_i m_i = side (p = 0), and
+    the real and imaginary parts for p = 1..K (``_trace_powers``).  They are
+    solved by least squares, and every gate follows from ``tol`` (tau):
+
+    - Each Ritz residual ||A y_i - theta_i y_i|| is at most tau.  A is
+      normal, so by Bauer-Fike each theta_i lies within tau of an
+      eigenvalue, which is the split path's eigen-residual gate.
+    - Then |theta_i^p - lambda^p| <= p tau on the unit circle, and the true
+      multiplicities leave a residual of at most
+      r = side tau sqrt(sum_{p<=K} p^2); the least-squares residual, no
+      larger, must be within r.  An eigenvalue missing from the Ritz values
+      leaves its share of the moments unexplained, a residual of the order
+      of its multiplicity.
+    - The least-squares m lies within r / s of the true multiplicities,
+      where s is the Vandermonde matrix's least singular value.  So r / s
+      must be below 1/2, every m_i within r / s of a positive integer, and
+      the rounded m_i must sum to side; then rounding gives the true
+      multiplicities.
+    """
+    side, count = a.shape[0], ritz.size
+    defects = a @ ritz_vecs - ritz_vecs * ritz
+    # written so that a NaN residual fails
+    if not np.linalg.norm(defects, axis=0).max() <= tol:
+        return None
+    top = -(-count // 2)
+    powers = ritz ** np.arange(1, top + 1)[:, None]
+    traces = _trace_powers(a, top)
+    vander = np.vstack((np.ones(count), powers.real, powers.imag))
+    moments = np.concatenate(([side], traces.real, traces.imag))
+    mults, _, _, sing = np.linalg.lstsq(vander, moments, rcond=None)
+    bound = side * tol * np.sqrt((np.arange(1, top + 1) ** 2).sum())
+    spread = bound / sing[-1] if sing[-1] > 0 else np.inf
+    counts = np.rint(mults)
+    if not (np.linalg.norm(vander @ mults - moments) <= bound
+            and spread < 0.5
+            and np.abs(mults - counts).max() <= spread
+            and counts.min() >= 1
+            and counts.sum() == side):
+        return None
+    return np.repeat(ritz, counts.astype(int))
 
 
 def _mirror_free_angle(ritz: np.ndarray) -> float:
@@ -359,6 +443,18 @@ def _available_memory() -> float:
         return int(fields["MemAvailable"].split()[0]) * 1024
     except (OSError, KeyError):
         return float("inf")
+
+
+def _require_capacity(side: int) -> None:
+    """Raise ``CapacityError`` unless the dense step's working set of
+    ``_DENSE_ARRAYS`` side x side complex arrays fits in available memory."""
+    need = _DENSE_ARRAYS * side * side * np.dtype(complex).itemsize
+    available = _available_memory()
+    if need > available:
+        raise CapacityError(
+            f"dense eigensolve of side {side} needs about {need / 2**30:.1f} GiB, "
+            f"{available / 2**30:.1f} GiB is available"
+        )
 
 
 def _cluster_unit_circle(
@@ -455,39 +551,47 @@ def unitary_eigenvalues(
     """Clustered spectrum of a unitary matrix, given as an ndarray or as a
     scipy sparse matrix.
 
-    Above side ``_SATURATION_STEPS`` a fixed-seed Krylov probe sends a
-    spectrum with few distinct values to the eigenvalues-only Hermitian
-    route (``_eigvals_from_ritz``); every other spectrum, and one whose
-    certificate on that route fails, takes the Hermitian-splitting path.
-    Both are direct eigensolves of the matrix as given.  A sparse matrix
-    stays sparse except for the one Hermitian matrix each route makes
-    dense.
+    Three routes, tried in this order (see the module docstring):
+
+    - trace moments (``_eigvals_from_moments``): a sparse matrix above side
+      ``_SATURATION_STEPS`` whose fixed-seed Krylov probe closes.  Only
+      sparse products run, and no side x side array is made.
+    - eigenvalues only (``_eigvals_from_ritz``): an ndarray whose probe
+      closes, or a sparse matrix whose moment certificate misses.  One
+      Hermitian matrix is made dense for one eigenvalues-only solve.
+    - Hermitian splitting (``_eig_unitary``): every other spectrum, every
+      matrix at or below side ``_SATURATION_STEPS``, and a certificate
+      miss on the eigenvalues-only route.
+
+    Each is a solve of the matrix as given, blind to any structure it has.
+    An ndarray keeps the dense routes because each of its products costs
+    O(side^2).
 
     The explicit pre-check rejects non-square, non-finite or non-unitary
     input with ``ValueError``, and is the only source of that error.  Every
     failure after it, a LAPACK non-convergence or a miss of the
     eigen-residual or unit-circle gate, raises ``EigensolverError``.
-    ``CapacityError`` is raised before the probe and the dense step when
-    the dense step's working set exceeds the available memory.
+    ``CapacityError`` is raised before a dense route when its working set
+    exceeds the available memory, so the trace-moment route is not limited
+    by it.
     """
     # the product residual also rejects a non-square shape
     a = require_unitary(a, unitary_tol, what="input")
     side = a.shape[0]
-    need = _DENSE_ARRAYS * side * side * np.dtype(complex).itemsize
-    available = _available_memory()
-    if need > available:
-        raise CapacityError(
-            f"dense eigensolve of side {side} needs about {need / 2**30:.1f} GiB, "
-            f"{available / 2**30:.1f} GiB is available"
-        )
     failure = "eigensolver failed on a unitary input"
     try:
-        ritz = None
+        probe = None
         if side > _SATURATION_STEPS:
-            ritz = _krylov_saturation(a, _SATURATION_STEPS)
-        # both routes skip LAPACK's finiteness check: the pre-check has
-        # already rejected non-finite input
-        lam = None if ritz is None else _eigvals_from_ritz(a, ritz, unitary_tol)
+            probe = _krylov_saturation(a, _SATURATION_STEPS)
+        lam = None
+        if probe is not None and sp.issparse(a):
+            lam = _eigvals_from_moments(a, *probe, unitary_tol)
+        if lam is None:
+            _require_capacity(side)
+            # both dense routes skip LAPACK's finiteness check: the
+            # pre-check has already rejected non-finite input
+            if probe is not None:
+                lam = _eigvals_from_ritz(a, probe[0], unitary_tol)
         if lam is None:
             lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
             if not residual <= unitary_tol:
@@ -509,12 +613,13 @@ def walk_point_spectrum(
     cs: CoinSystem,
     cluster_tol: float = DEFAULT_SPECTRUM_TOL,
 ) -> SpectrumReport:
-    """Spectrum of the assembled walk operator (dense eigensolve; n-limited).
+    """Spectrum of the assembled walk operator (n-limited).
 
-    The operator is assembled as the literal Kronecker sum and eigensolved
-    directly, without using the per-vertex block structure, so the result
-    is an independent side of the spectral comparisons.  The size guard is
-    the one in ``WalkOperator.sparse`` (``CapacityError``).
+    The operator is assembled as the literal Kronecker sum and its CSR
+    matrix is eigensolved by ``unitary_eigenvalues`` without using the
+    per-vertex block structure, so the result is an independent side of
+    the spectral comparisons.  The size guard is the one in
+    ``WalkOperator.sparse`` (``CapacityError``).
     """
     return _walk_spectrum(evolution_operator(nu, cs).sparse(), nu, cs, cluster_tol)
 
@@ -539,9 +644,17 @@ def coin_sum_eigensystem(
 
     Columns whose eigen-residual exceeds min(1e-9, ``tol`` / 10) are
     re-resolved (see ``_eig_unitary``), so the pairs can serve as witnesses
-    for a check gated at ``tol``.
+    for a check gated at ``tol``.  A LAPACK failure raises
+    ``EigensolverError``, as the coin system is validated before any check
+    reaches its sums.
     """
-    lam, vecs, _ = _eig_unitary(algebraic_sum(cs, sigma), _pure_column_tol(tol))
+    mat = algebraic_sum(cs, sigma)
+    try:
+        lam, vecs, _ = _eig_unitary(mat, _pure_column_tol(tol))
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not invalid input
+        raise EigensolverError(
+            f"eigensolver failed on the coin sum at vertex {sigma}: {exc}"
+        ) from exc
     return lam, vecs
 
 

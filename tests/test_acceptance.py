@@ -314,6 +314,7 @@ def test_criterion_11_scale_check():
     nu8 = magnetic.random_potential(8, np.random.default_rng(88))
     dense_times = {}
     totals_ok = True
+    multiset_ok = True
     for label, cs8 in (
         ("grover", coin.grover_coin_system(8)),
         ("random", coin.random_coin_system(8, 9, seed=888)),
@@ -322,9 +323,16 @@ def test_criterion_11_scale_check():
         report = spectra.walk_point_spectrum(nu8, cs8)
         dense_times[label] = time.perf_counter() - t0
         totals_ok = totals_ok and report.total_multiplicity == 4608
+        if label == "grover":
+            # the trace-moment multiplicities against the coin-sum union
+            _, union = spectra.coin_union_spectrum(cs8)
+            multiset_ok = (
+                report.multiplicities == union.multiplicities
+                and np.abs(report.values - union.values).max() <= 1e-8
+            )
     dense_ok = all(t < 120.0 for t in dense_times.values())
 
-    ok = step_ok and norm_ok and dense_ok and totals_ok
+    ok = step_ok and norm_ok and dense_ok and totals_ok and multiset_ok
     detail = ", ".join(f"{k} spectrum {v:.0f}s" for k, v in dense_times.items())
     report_line(11, "scale: half-million-dim step and 4608-dim dense spectra", ok,
                 f"step {step_time * 1e3:.0f}ms, {detail}")
@@ -332,3 +340,4 @@ def test_criterion_11_scale_check():
     assert norm_ok
     assert dense_ok, f"dense spectra took {dense_times}"
     assert totals_ok
+    assert multiset_ok

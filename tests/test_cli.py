@@ -370,6 +370,37 @@ class TestSpectrumTask:
 
 
 class TestVerifyTasks:
+    def test_coin_sum_lapack_failure_is_not_input_error(self, monkeypatch, capsys):
+        # the walk's own solve (side 24) runs; the 3 x 3 coin sums fail
+        eigh = spectra.sla.eigh
+
+        def no_convergence_at_3(a, *args, **kwargs):
+            if a.shape == (3, 3):
+                raise np.linalg.LinAlgError("the algorithm failed to converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectra.sla, "eigh", no_convergence_at_3)
+        assert run_cli("--task", "verify-point", "--n", "2", "--coin", "grover") == 3
+        err = capsys.readouterr().err
+        assert "internal numerical failure" in err and "converge" in err
+
+    def test_no_walk_side_eigh_on_a_degenerate_walk(self, monkeypatch, tmp_path):
+        # Grover at n=6, side 896: every walk spectrum takes the
+        # trace-moment route, and only the 7 x 7 coin sums meet eigh
+        shapes = []
+        eigh = spectra.sla.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectra.sla, "eigh", spy)
+        out = tmp_path / "all.json"
+        assert run_cli("--task", "verify-all", "--n", "6", "--coin", "grover",
+                       "--samples", "2", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["passed"] is True
+        assert shapes and set(shapes) == {(7, 7)}
+
     def test_verify_point_passes(self, tmp_path):
         out = tmp_path / "point.json"
         code = run_cli("--task", "verify-point", "--n", "2", "--coin", "grover",

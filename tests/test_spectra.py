@@ -284,6 +284,33 @@ def spy_probe(monkeypatch):
     return shapes
 
 
+def spy_moments(monkeypatch):
+    """Record the shape of every matrix the trace-moment route runs on, and
+    whether its certificate answered."""
+    calls = []
+    route = spectra._eigvals_from_moments
+
+    def spy(a, ritz, ritz_vecs, tol):
+        lam = route(a, ritz, ritz_vecs, tol)
+        calls.append((a.shape, lam is not None))
+        return lam
+
+    monkeypatch.setattr(spectra, "_eigvals_from_moments", spy)
+    return calls
+
+
+def miss_moments(monkeypatch):
+    """Move tr A by 1, a moment error that the moment certificate refuses."""
+    traces = spectra._trace_powers
+
+    def perturbed(a, count):
+        out = traces(a, count)
+        out[0] += 1.0
+        return out
+
+    monkeypatch.setattr(spectra, "_trace_powers", perturbed)
+
+
 class TestKrylovRouting:
     """The probe's choice of route and the probe itself."""
 
@@ -335,14 +362,18 @@ class TestKrylovRouting:
         # a certificate miss ends on the split path with the right answer;
         # a miss of its gate then is a solver failure, as the pre-check has
         # proven either form unitary
+        # on the CSR form the moment certificate misses first
         mat, dense = walk_forms(coin.grover_coin_system(4), 45)
         reference = spectra.unitary_eigenvalues(mat)
         if form == "ndarray":
             mat = dense
+        moments = spy_moments(monkeypatch)
+        miss_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         shapes = spy_eigvals(monkeypatch, miss=True)
         report = spectra.unitary_eigenvalues(mat)
         assert shapes == [(160, 160)] and drivers == ["evr"]
+        assert moments == ([((160, 160), False)] if form == "csr" else [])
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_split_gate(monkeypatch)
@@ -376,13 +407,12 @@ class TestKrylovRouting:
         coin.grover_coin_system(6),
     ], ids=["side160", "side384", "side896"])
     def test_eigvals_route_against_the_split_path(self, monkeypatch, cs):
-        mat, _ = walk_forms(cs, 49)
+        # the ndarray form: the CSR form takes the trace-moment route
+        _, mat = walk_forms(cs, 49)
         shapes = spy_eigvals(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
         assert shapes == [mat.shape]
-        lam, _, residual = spectra._eig_unitary(mat, spectra._pure_column_tol(1e-8))
-        assert residual <= 1e-8
-        split_vals, split_mults = spectra._cluster_unit_circle(lam, 1e-8)
+        split_vals, split_mults = split_clusters(mat)
         assert report.multiplicities == tuple(split_mults)
         assert np.abs(report.values - split_vals).max() <= 1e-12
 
@@ -398,7 +428,7 @@ class TestKrylovRouting:
         assert shapes == [(96, 96)] and drivers == []
         assert report.multiplicities == (24, 24, 24, 24)
         assert spectra.hausdorff_distance(report.values, np.exp(1j * phases)) <= 1e-9
-        ritz = spectra._krylov_saturation(mat, 64)
+        ritz, _ = spectra._krylov_saturation(mat, 64)
         cos = np.sort(np.cos(phases - spectra._mirror_free_angle(ritz)))
         assert np.diff(cos).min() > 0.1
 
@@ -414,12 +444,11 @@ class TestKrylovRouting:
     def test_certificate_refuses_a_missing_ritz_value(self, monkeypatch):
         phases = [0.3, -1.1, 2.7]
         mat = clustered_unitary(120, phases, 54)
-        ritz = spectra._krylov_saturation(mat, 64)
+        ritz, _ = spectra._krylov_saturation(mat, 64)
         assert ritz.shape == (3,)
         assert spectra._eigvals_from_ritz(mat, ritz[1:], 1e-8) is None
         # the probe loses a value: the split path answers
-        probe = spectra._krylov_saturation
-        monkeypatch.setattr(spectra, "_krylov_saturation", lambda a, steps: probe(a, steps)[1:])
+        drop_a_ritz_pair(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         shapes = spy_eigvals(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
@@ -443,8 +472,8 @@ class TestKrylovRouting:
     def test_empty_and_scalar_inputs(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ritz = spectra._krylov_saturation(np.zeros((0, 0), dtype=complex), 64)
-            assert ritz.shape == (0,)
+            ritz, ritz_vecs = spectra._krylov_saturation(np.zeros((0, 0), dtype=complex), 64)
+            assert ritz.shape == (0,) and ritz_vecs.shape == (0, 0)
             empty = spectra.unitary_eigenvalues(np.zeros((0, 0), dtype=complex))
             scalar = spectra.unitary_eigenvalues(np.array([[1j]]))
         assert empty.eigenvalues == () and empty.multiplicities == ()
@@ -453,10 +482,13 @@ class TestKrylovRouting:
     def test_saturation_detects_few_distinct_values(self):
         phases = [0.1, 0.9, -2.0, 2.4]
         mat = clustered_unitary(96, phases, 30)
-        ritz = spectra._krylov_saturation(mat, 64)
-        # the Ritz values are the four distinct values
-        assert ritz.shape == (4,)
+        ritz, ritz_vecs = spectra._krylov_saturation(mat, 64)
+        # the Ritz values are the four distinct values, and the Ritz vectors
+        # unit eigenvectors of them
+        assert ritz.shape == (4,) and ritz_vecs.shape == (96, 4)
         assert spectra.hausdorff_distance(ritz, np.exp(1j * np.array(phases))) <= 1e-9
+        assert np.abs(np.linalg.norm(ritz_vecs, axis=0) - 1).max() <= 1e-14
+        assert np.linalg.norm(mat @ ritz_vecs - ritz_vecs * ritz, axis=0).max() <= 1e-9
 
     def test_generic_spectrum_does_not_saturate(self):
         rng = np.random.default_rng(31)
@@ -465,11 +497,109 @@ class TestKrylovRouting:
         assert ritz is None
 
 
+def drop_a_ritz_pair(monkeypatch):
+    """Make the probe lose its first Ritz value and vector."""
+    probe = spectra._krylov_saturation
+
+    def dropped(a, max_steps):
+        ritz, ritz_vecs = probe(a, max_steps)
+        return ritz[1:], ritz_vecs[:, 1:]
+
+    monkeypatch.setattr(spectra, "_krylov_saturation", dropped)
+
+
+def grover_block_coin_system(n, d, seed):
+    """The d x d Grover matrix split by a random partition into n+1 blocks,
+    the coin a coin file of the benchmark's spectrum workload holds."""
+    s = 2.0 / d * np.ones((d, d)) - np.eye(d)
+    rng = np.random.default_rng(seed)
+    blocks = [list(map(int, b)) for b in np.array_split(rng.permutation(d), n + 1)]
+    return coin.coin_from_unitary_partition(s, blocks)
+
+
 def walk_forms(cs, seed):
     """CSR and ndarray forms of one walk at a random potential."""
     nu = magnetic.random_potential(cs.n, np.random.default_rng(seed))
     op = walk.evolution_operator(nu, cs)
     return op.sparse(), op.dense()
+
+
+def split_clusters(mat):
+    """Clusters of the split path, the structure-blind oracle."""
+    lam, _, residual = spectra._eig_unitary(mat, spectra._pure_column_tol(1e-8))
+    assert residual <= 1e-8
+    return spectra._cluster_unit_circle(lam, 1e-8)
+
+
+MOMENT_CASES = {
+    "grover4": lambda: walk_forms(coin.grover_coin_system(4), 80)[0],
+    "grover5": lambda: walk_forms(coin.grover_coin_system(5), 81)[0],
+    "grover6": lambda: walk_forms(coin.grover_coin_system(6), 82)[0],
+    "grover7": lambda: walk_forms(coin.grover_coin_system(7), 83)[0],
+    "grover-blocks": lambda: walk_forms(grover_block_coin_system(4, 15, 84), 84)[0],
+    "clustered": lambda: sp.csr_matrix(clustered_unitary(96, [0.1, 0.9, -2.0, 2.4], 85)),
+    "conjugate-pairs": lambda: sp.csr_matrix(
+        clustered_unitary(120, [0.4, -0.4, 2.2, -2.2, np.pi], 86)
+    ),
+}
+
+
+class TestMomentsRoute:
+    """A CSR matrix whose probe closes: multiplicities from trace moments."""
+
+    @pytest.mark.parametrize("case", sorted(MOMENT_CASES))
+    def test_against_the_split_path(self, monkeypatch, case):
+        mat = MOMENT_CASES[case]()
+        moments = spy_moments(monkeypatch)
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
+        report = spectra.unitary_eigenvalues(mat)
+        assert moments == [(mat.shape, True)] and shapes == [] and drivers == []
+        split_vals, split_mults = split_clusters(mat)
+        assert report.multiplicities == tuple(split_mults)
+        assert np.abs(report.values - split_vals).max() <= 1e-12
+
+    def test_trace_powers(self):
+        mat = MOMENT_CASES["grover-blocks"]()
+        dense = mat.toarray()
+        powers = [np.trace(np.linalg.matrix_power(dense, p)) for p in range(1, 6)]
+        assert np.abs(spectra._trace_powers(mat, 5) - powers).max() <= 1e-10
+
+    @pytest.mark.parametrize("fault", ["dropped", "perturbed", "moved"])
+    def test_fault_falls_back(self, monkeypatch, fault):
+        # each fault is refused by the certificate; the eigenvalues-only
+        # route answers, with the unperturbed multiset
+        mat = MOMENT_CASES["grover5"]()
+        reference = spectra.unitary_eigenvalues(mat)
+        if fault == "dropped":
+            drop_a_ritz_pair(monkeypatch)
+        elif fault == "perturbed":
+            miss_moments(monkeypatch)
+        else:
+            probe = spectra._krylov_saturation
+
+            def moved(a, max_steps):
+                ritz, ritz_vecs = probe(a, max_steps)
+                ritz[0] *= np.exp(1e-6j)
+                return ritz, ritz_vecs
+
+            monkeypatch.setattr(spectra, "_krylov_saturation", moved)
+        moments = spy_moments(monkeypatch)
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
+        report = spectra.unitary_eigenvalues(mat)
+        assert moments == [(mat.shape, False)] and shapes == [mat.shape]
+        # a lost Ritz value also fails the eigenvalues-only certificate
+        assert drivers == (["evr"] if fault == "dropped" else [])
+        assert report.multiplicities == reference.multiplicities
+        assert np.abs(report.values - reference.values).max() <= 1e-12
+
+    def test_gates_follow_tol(self):
+        # Ritz residuals of round-off pass a gate of 1e-8, not one of zero
+        mat = MOMENT_CASES["grover4"]()
+        ritz, ritz_vecs = spectra._krylov_saturation(mat, 64)
+        assert spectra._eigvals_from_moments(mat, ritz, ritz_vecs, 1e-8).size == 160
+        assert spectra._eigvals_from_moments(mat, ritz, ritz_vecs, 0.0) is None
 
 
 class TestSparseInput:
@@ -515,6 +645,9 @@ class TestSparseInput:
         ("eigvals", coin.grover_coin_system(4)),
     ])
     def test_same_clusters_on_every_route(self, monkeypatch, route, cs):
+        # a degenerate walk: the CSR form takes the trace-moment route and
+        # the ndarray form the eigenvalues-only route
+        moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         shapes = spy_eigvals(monkeypatch)
         mat, dense = walk_forms(cs, 65)
@@ -523,7 +656,8 @@ class TestSparseInput:
         sparse_shapes, shapes[:] = shapes[:], []
         from_dense = spectra.unitary_eigenvalues(dense)
         assert sparse_drivers == drivers == ([] if route == "eigvals" else [route])
-        assert sparse_shapes == shapes == ([mat.shape] if route == "eigvals" else [])
+        assert sparse_shapes == [] and shapes == ([mat.shape] if route == "eigvals" else [])
+        assert moments == ([(mat.shape, True)] if route == "eigvals" else [])
         assert from_sparse.multiplicities == from_dense.multiplicities
         assert np.abs(from_sparse.values - from_dense.values).max() <= 1e-12
         assert from_sparse.total_multiplicity == mat.shape[0]
@@ -606,7 +740,7 @@ class TestBlockedResiduals:
                 spectra.unitary_eigenvalues(bad)
 
     @pytest.mark.parametrize("cs, route, arrays", [
-        (coin.grover_coin_system(6), "eigvals", 1.15),
+        (coin.grover_coin_system(6), "moments", 0.27),
         (coin.random_coin_system(6, 7, seed=75), "evr", 3.25),
     ], ids=["grover", "random"])
     def test_peak_memory_of_a_side_896_walk(self, monkeypatch, cs, route, arrays):
@@ -614,6 +748,7 @@ class TestBlockedResiduals:
         mat = walk.evolution_operator(nu, cs).sparse()
         side = mat.shape[0]
         assert side == 896
+        moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         shapes = spy_eigvals(monkeypatch)
         tracemalloc.start()
@@ -622,10 +757,11 @@ class TestBlockedResiduals:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (drivers, shapes) == (([], [(side, side)]) if route == "eigvals" else ([route], []))
+        assert (drivers, shapes) == (([], []) if route == "moments" else ([route], []))
+        assert moments == ([(mat.shape, True)] if route == "moments" else [])
         # evr holds H, then the eigenvectors and their images; the
-        # eigenvalues-only route the rotated Hermitian matrix, which LAPACK
-        # overwrites in place (traced, as a numpy array)
+        # trace-moment route the probe's side x 65 basis and two side x 64
+        # blocks of A^p E (measured: 0.257 side^2 complex numbers)
         assert peak <= arrays * side * side * 16
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -656,7 +792,8 @@ class TestBlockedResiduals:
 
 
 class TestMemoryGuard:
-    """The dense step is refused when its two side x side arrays do not fit."""
+    """A dense step is refused when its two side x side arrays do not fit;
+    the trace-moment route, which holds none, is not."""
 
     @pytest.mark.parametrize("route", ["eigvals", "evr"])
     def test_refused_before_the_dense_step(self, monkeypatch, route):
@@ -681,6 +818,28 @@ class TestMemoryGuard:
         report = spectra.unitary_eigenvalues(mat)
         assert report.total_multiplicity == side
         assert (drivers, shapes) == (([], [(side, side)]) if route == "eigvals" else (["evr"], []))
+
+    def test_moment_route_needs_no_dense_capacity(self, monkeypatch):
+        mat = walk_forms(coin.grover_coin_system(6), 87)[0]
+        side = mat.shape[0]
+        moments = spy_moments(monkeypatch)
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
+        monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * side * side * 16 - 1)
+        report = spectra.unitary_eigenvalues(mat)
+        assert report.total_multiplicity == side == 896
+        assert moments == [(mat.shape, True)] and drivers == [] and shapes == []
+
+    def test_generic_csr_refused_before_the_dense_step(self, monkeypatch):
+        mat = walk_forms(coin.random_coin_system(4, 6, seed=88), 88)[0]
+        side = mat.shape[0]
+        moments = spy_moments(monkeypatch)
+        drivers = spy_drivers(monkeypatch)
+        shapes = spy_eigvals(monkeypatch)
+        monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * side * side * 16 - 1)
+        with pytest.raises(walk.CapacityError, match=f"side {side}"):
+            spectra.unitary_eigenvalues(mat)
+        assert moments == [] and drivers == [] and shapes == []
 
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="no /proc/meminfo")
     def test_reads_meminfo(self):
@@ -778,6 +937,18 @@ class TestCoinSumEigensystem:
     def test_sigma_out_of_range(self):
         with pytest.raises(ValueError, match="sigma"):
             spectra.coin_sum_eigensystem(coin.grover_coin_system(1), 4)
+
+    def test_lapack_failure_is_not_input_error(self, monkeypatch):
+        # LinAlgError subclasses ValueError; the coin system is valid, so it
+        # is a solver failure
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+        monkeypatch.setattr(spectra.sla, "eigh", no_convergence)
+        with pytest.raises(spectra.EigensolverError, match="converge") as info:
+            spectra.coin_sum_eigensystem(coin.grover_coin_system(2), 3)
+        assert not isinstance(info.value, ValueError)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestCoinUnionSpectrum:
