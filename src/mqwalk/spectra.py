@@ -17,17 +17,18 @@ listed, by a short Krylov probe (the Ritz values of a space that closes).
 It then needs no eigenvectors.  For a sparse matrix it needs no dense
 array either: the multiplicities of the Ritz values are the integer
 solution of the trace moments sum_i m_i lambda_i^p = tr A^p, whose traces
-come from sparse products with blocks of unit vectors, and the Ritz
-residuals, the moment residual and the distance of each m_i to an integer
-certify the result.  Otherwise, and for an ndarray, the real parts of
-e^{-i alpha} A, for an angle alpha that keeps every value off the line
-through +-e^{i alpha} and no two values mirror images across it, are the
-eigenvalues of the Hermitian matrix Re(e^{-i alpha} A), found by one
-eigenvalues-only solve (a tridiagonal reduction, about half the cost of
-nonsymmetric QR).  The Ritz values say on which side of the line each
-value lies, and the trace moments tr A and tr A^2 certify the sides and
-multiplicities.  A miss on either route falls back to the next one, and
-finally to the splitting.
+come from sparse products with blocks of unit vectors, run on one thread
+per CPU, and the Ritz residuals, the moment residual and the distance of
+each m_i to an integer certify the result.  The probe sums on the calling
+thread, so no BLAS thread pool spins beside those threads.  Otherwise, and
+for an ndarray, the real parts of e^{-i alpha} A, for an angle alpha that
+keeps every value off the line through +-e^{i alpha} and no two values
+mirror images across it, are the eigenvalues of the Hermitian matrix
+Re(e^{-i alpha} A), found by one eigenvalues-only solve (a tridiagonal
+reduction, about half the cost of nonsymmetric QR).  The Ritz values say
+on which side of the line each value lies, and the trace moments tr A and
+tr A^2 certify the sides and multiplicities.  A miss on either route falls
+back to the next one, and finally to the splitting.
 
 Raw eigenvalues are grouped into multiplicity classes by single-linkage
 clustering on the unit circle, and finite spectra are compared as point
@@ -44,6 +45,8 @@ potential does.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,6 +248,13 @@ def _eig_unitary(
     return lam, vecs, residual
 
 
+def _norm(vec: np.ndarray) -> float:
+    """2-norm of a contiguous complex vector, summed by einsum on the
+    calling thread (numpy's norm calls a threaded BLAS dot)."""
+    flat = vec.view(float)
+    return float(np.sqrt(np.einsum("i,i", flat, flat)))
+
+
 def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Ritz values and unit Ritz vectors (columns) of a random-start Krylov
     space of ``a`` that closes within ``max_steps``, or None when it does
@@ -265,7 +275,7 @@ def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray, np.ndarray] | Non
         return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
     rng = np.random.default_rng(0x5EED)
     q = rng.normal(size=size) + 1j * rng.normal(size=size)
-    q /= np.linalg.norm(q)
+    q /= _norm(q)
     basis = np.empty((size, max_steps + 1), dtype=complex, order="F")
     basis[:, 0] = q
     hess = np.zeros((max_steps + 1, max_steps), dtype=complex)
@@ -274,43 +284,73 @@ def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray, np.ndarray] | Non
         held = basis[:, :step]
         coeffs = hess[:step, step - 1]
         for _ in range(2):  # double reorthogonalization
-            # held (held* y) (trans=2: conjugate transpose) on scipy's BLAS,
-            # which the eigensolve after the probe runs on: numpy's own BLAS
-            # threads keep spinning for a while after a product and would
-            # take cores from that eigensolve
-            proj = sla.blas.zgemv(1.0, held, y, trans=2)
-            y -= sla.blas.zgemv(1.0, held, proj)
+            # held (held* y) by einsum, on the calling thread: a BLAS
+            # product this size goes to its thread pool, whose threads keep
+            # spinning after it and take cores from the trace-moment
+            # workers or the eigensolve that follow the probe
+            proj = np.einsum("ij,i->j", held, y.conj()).conj()
+            y -= np.einsum("ij,j->i", held, proj)
             coeffs += proj
-        beta = float(np.linalg.norm(y))
+        beta = _norm(y)
         if beta <= _SATURATION_TOL:
             triangle, schur_vecs = sla.schur(hess[:step, :step], output="complex")
-            return triangle.diagonal().copy(), sla.blas.zgemm(1.0, held, schur_vecs)
+            return triangle.diagonal().copy(), np.einsum("ij,jk->ik", held, schur_vecs)
         hess[step, step - 1] = beta
         q = y / beta
         basis[:, step] = q
     return None
 
 
+def _moment_workers() -> int:
+    """Threads for the trace-moment products: one per CPU this process may
+    run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def _trace_powers(a: sp.csr_matrix, count: int) -> np.ndarray:
     """tr A^p for p = 1..``count`` of a sparse ``a``, by sparse products only.
 
-    The unit vectors are taken ``_RESIDUAL_BLOCK`` columns E at a time, so
-    the working set is one side x block array: the block's share of tr A^p
-    is the sum of the entries of A^p E on E's own rows.  A E is the block's
+    The unit vectors are taken ``_RESIDUAL_BLOCK`` columns E at a time, and
+    E's share of tr A^p is the trace of A^p E on E's own rows.  A E is E's
     columns of ``a``, read from its CSC form, and each higher power is one
     more sparse product, ``count`` nnz(A) side multiply-adds in all.
+
+    The sparse products release the interpreter lock, so the ranges E are
+    shared out to ``_moment_workers`` threads.  Each worker takes its range
+    in pieces of ``_RESIDUAL_BLOCK`` // workers columns (at least one), so
+    that up to ``_RESIDUAL_BLOCK`` workers keep ``_RESIDUAL_BLOCK`` columns
+    in flight and the working set stays two side x ``_RESIDUAL_BLOCK``
+    arrays.  The shares are added in range order, so the traces do not
+    depend on thread timing.  The workers call only numpy and
+    ``scipy.sparse``.
     """
     side = a.shape[0]
-    traces = np.zeros(count, dtype=complex)
+    workers = _moment_workers()
+    width = max(1, _RESIDUAL_BLOCK // workers)
     columns = a.tocsc()
-    for lo in range(0, side, _RESIDUAL_BLOCK):
-        hi = min(lo + _RESIDUAL_BLOCK, side)
-        own = (np.arange(lo, hi), np.arange(hi - lo))
-        block = columns[:, lo:hi].toarray()
-        for power in range(count):
-            if power:
-                block = a @ block
-            traces[power] += block[own].sum()
+
+    def share(lo: int) -> np.ndarray:
+        part = np.zeros(count, dtype=complex)
+        stop = min(lo + _RESIDUAL_BLOCK, side)
+        for start in range(lo, stop, width):
+            own = slice(start, min(start + width, stop))
+            block = columns[:, own].toarray()
+            for power in range(count):
+                if power:
+                    block = a @ block
+                part[power] += np.trace(block[own])
+            # freed before the next piece is read, so that a worker holds
+            # at most two arrays
+            del block
+        return part
+
+    traces = np.zeros(count, dtype=complex)
+    with ThreadPoolExecutor(workers) as pool:
+        for part in pool.map(share, range(0, side, _RESIDUAL_BLOCK)):
+            traces += part
     return traces
 
 

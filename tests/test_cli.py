@@ -1,6 +1,7 @@
 """Tests for the command-line front end: tasks, exit codes, determinism."""
 
 import csv
+import filecmp
 import json
 import os
 import subprocess
@@ -503,6 +504,16 @@ class TestDeterminismAndFiles:
         assert run_cli(*args, "--out", str(out_a)) == 0
         assert run_cli(*args, "--out", str(out_b)) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_spectrum_reports_byte_identical(self, tmp_path):
+        # side 896: the Krylov probe and the trace-moment thread pool run
+        args = ("--task", "spectrum", "--n", "6", "--coin", "grover",
+                "--nu", "random", "--seed", "3")
+        out_a = tmp_path / "a.json"
+        out_b = tmp_path / "b.json"
+        assert run_cli(*args, "--out", str(out_a)) == 0
+        assert run_cli(*args, "--out", str(out_b)) == 0
+        assert filecmp.cmp(out_a, out_b, shallow=False)
 
     def test_different_seeds_differ(self, tmp_path):
         out_a = tmp_path / "a.json"

@@ -559,11 +559,14 @@ class TestMomentsRoute:
         assert report.multiplicities == tuple(split_mults)
         assert np.abs(report.values - split_vals).max() <= 1e-12
 
-    def test_trace_powers(self):
+    def test_trace_powers(self, monkeypatch):
         mat = MOMENT_CASES["grover-blocks"]()
         dense = mat.toarray()
         powers = [np.trace(np.linalg.matrix_power(dense, p)) for p in range(1, 6)]
-        assert np.abs(spectra._trace_powers(mat, 5) - powers).max() <= 1e-10
+        # 3 workers cut each 64 columns into ragged pieces
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(spectra, "_moment_workers", lambda: workers)
+            assert np.abs(spectra._trace_powers(mat, 5) - powers).max() <= 1e-10
 
     @pytest.mark.parametrize("fault", ["dropped", "perturbed", "moved"])
     def test_fault_falls_back(self, monkeypatch, fault):
@@ -760,9 +763,31 @@ class TestBlockedResiduals:
         assert (drivers, shapes) == (([], []) if route == "moments" else ([route], []))
         assert moments == ([(mat.shape, True)] if route == "moments" else [])
         # evr holds H, then the eigenvectors and their images; the
-        # trace-moment route the probe's side x 65 basis and two side x 64
-        # blocks of A^p E (measured: 0.257 side^2 complex numbers)
+        # trace-moment route the probe's side x 65 basis and, over all its
+        # workers, two blocks of A^p E for 64 columns in flight (measured:
+        # 0.259 side^2 complex numbers on two workers)
         assert peak <= arrays * side * side * 16
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_side_896_walk_on_any_worker_count(self, monkeypatch, workers):
+        # the moment products' worker count moves neither the report nor
+        # the working set of test_peak_memory_of_a_side_896_walk
+        cs = coin.grover_coin_system(6)
+        nu = magnetic.random_potential(cs.n, np.random.default_rng(76))
+        mat = walk.evolution_operator(nu, cs).sparse()
+        side = mat.shape[0]
+        reference = spectra.unitary_eigenvalues(mat).to_json_dict()
+        moments = spy_moments(monkeypatch)
+        monkeypatch.setattr(spectra, "_moment_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            report = spectra.unitary_eigenvalues(mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert moments == [(mat.shape, True)]
+        assert report.to_json_dict() == reference
+        assert peak <= 0.27 * side * side * 16
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("cs, route", [
