@@ -14,21 +14,14 @@ vector, and makes eigenvector witnesses available at no extra cost.
 
 A spectrum with few distinct values is found, and its distinct values
 listed, by a short Krylov probe (the Ritz values of a space that closes).
-It then needs no eigenvectors.  For a sparse matrix it needs no dense
-array either: the multiplicities of the Ritz values are the integer
-solution of the trace moments sum_i m_i lambda_i^p = tr A^p, whose traces
-come from sparse products with blocks of unit vectors, run on one thread
-per CPU, and the Ritz residuals, the moment residual and the distance of
-each m_i to an integer certify the result.  The probe sums on the calling
-thread, so no BLAS thread pool spins beside those threads.  Otherwise, and
-for an ndarray, the real parts of e^{-i alpha} A, for an angle alpha that
-keeps every value off the line through +-e^{i alpha} and no two values
-mirror images across it, are the eigenvalues of the Hermitian matrix
-Re(e^{-i alpha} A), found by one eigenvalues-only solve (a tridiagonal
-reduction, about half the cost of nonsymmetric QR).  The Ritz values say
-on which side of the line each value lies, and the trace moments tr A and
-tr A^2 certify the sides and multiplicities.  A miss on either route falls
-back to the next one, and finally to the splitting.
+It then needs no eigenvectors and no dense array: the multiplicities of the
+Ritz values are the integer solution of the trace moments sum_i m_i
+lambda_i^p = tr A^p, whose traces come from sparse products with blocks of
+unit vectors, run on one thread per CPU, and the Ritz residuals, the moment
+residual and the distance of each m_i to an integer certify the result.
+An ndarray goes to this route as its CSR copy, which keeps only its
+nonzeros.  The probe sums on the calling thread, so no BLAS thread pool
+spins beside those threads.  A miss falls back to the splitting.
 
 Raw eigenvalues are grouped into multiplicity classes by single-linkage
 clustering on the unit circle, and finite spectra are compared as point
@@ -91,26 +84,23 @@ DEFAULT_SPECTRUM_TOL = 1e-8
 # Krylov probe that picks the eigenvalue route above _SATURATION_STEPS: a
 # spectrum with at most ~_SATURATION_STEPS distinct values closes the Krylov
 # space of a random start vector, whose Ritz values are then those distinct
-# values, and goes to the trace-moment route (a sparse matrix) or to the
-# eigenvalues-only Hermitian route (see the module docstring), which skip
-# the eigenvectors and the clusters' rotations of the split path.  At or
-# below that side every Krylov space closes, so the probe is not run.
+# values, and goes to the trace-moment route (see the module docstring),
+# which skips the eigenvectors and the clusters' rotations of the split
+# path.  At or below that side every Krylov space closes, so the probe is
+# not run.
 _SATURATION_STEPS = 64
 _SATURATION_TOL = 1e-8
 
-# Side x side complex arrays held by the dense step, sized for the larger
-# route: the split path holds H, then the eigenvectors and their images.
-# The eigenvalues-only route holds one, Re(e^{-i alpha} A), which eigh
-# overwrites in place, and frees it before a certificate miss falls back to
-# the split path.  The trace-moment route holds none, so the check runs
-# only once the chain reaches a dense route.
+# Side x side complex arrays held by the dense step: the split path holds H,
+# then the eigenvectors and their images.  The trace-moment route holds
+# none, so a CSR input is checked only once it reaches the split path; an
+# ndarray is checked before its CSR copy is made, which for a full-density
+# array peaks at 2.75 such arrays and holds 1.25.
 _DENSE_ARRAYS = 2
 
 # Consecutive real-part gap below which eigh output is treated as one
-# cluster.  Generous merging is safe: on the split path the skew
-# restriction re-separates the members, and on the eigenvalues-only route
-# each member keeps its own real part and shares only its side of the line.
-# Splitting too finely risks mixing nearly degenerate vectors.
+# cluster.  Generous merging is safe: the skew restriction re-separates the
+# members.  Splitting too finely risks mixing nearly degenerate vectors.
 _COS_CLUSTER_GAP = 1e-6
 
 # Columns whose eigen-residual is already below this are accepted without
@@ -145,23 +135,22 @@ def _pure_column_tol(gate: float) -> float:
     return min(_PURE_COLUMN_TOL, gate / 10)
 
 
-def _hermitian_part(a, alpha: float = 0.0) -> np.ndarray:
-    """Re(e^{-i alpha} A) as a new Fortran-order ndarray, which eigh
-    overwrites in place instead of copying it.
+def _hermitian_part(a) -> np.ndarray:
+    """(A + A*)/2 as a new Fortran-order ndarray, which eigh overwrites in
+    place instead of copying it.
 
-    A is scaled by e^{-i alpha} / 2 before the sum with its adjoint.  The
-    sparse form is made dense once; an ndarray is read in blocks of
-    ``_RESIDUAL_BLOCK`` columns, leaving the caller's array as it is.
+    A is halved before the sum with its adjoint.  The sparse form is made
+    dense once; an ndarray is read in blocks of ``_RESIDUAL_BLOCK``
+    columns, leaving the caller's array as it is.
     """
-    half = np.exp(-1j * alpha) / 2
     if sp.issparse(a):
-        rotated = a * half
-        return (rotated + rotated.conj().T).toarray(order="F")
+        half = a * 0.5
+        return (half + half.conj().T).toarray(order="F")
     herm = np.conjugate(a.T, order="F")
-    herm *= half.conjugate()
+    herm *= 0.5
     for lo in range(0, a.shape[0], _RESIDUAL_BLOCK):
         cols = slice(lo, lo + _RESIDUAL_BLOCK)
-        herm[:, cols] += half * a[:, cols]
+        herm[:, cols] += 0.5 * a[:, cols]
     return herm
 
 
@@ -406,75 +395,6 @@ def _eigvals_from_moments(
     return np.repeat(ritz, counts.astype(int))
 
 
-def _mirror_free_angle(ritz: np.ndarray) -> float:
-    """Angle alpha in the middle of the widest gap, mod pi, among the Ritz
-    angles and the bisectors of every pair of them.
-
-    A value e^{i theta} lies on the line through +-e^{i alpha} when theta
-    = alpha mod pi, and two values are mirror images across it when their
-    bisector is; with at most k(k+1)/2 such marks on a half circle, each
-    stays at least pi / (k(k+1)) away from alpha.
-    """
-    phi = np.angle(ritz)
-    rows, cols = np.triu_indices(phi.size)
-    marks = np.sort((phi[rows] + phi[cols]) / 2 % np.pi)
-    gaps = np.diff(marks, append=marks[0] + np.pi)
-    widest = int(np.argmax(gaps))
-    return float(marks[widest] + gaps[widest] / 2)
-
-
-def _eigvals_from_ritz(a, ritz: np.ndarray, tol: float) -> np.ndarray | None:
-    """Eigenvalues of a unitary ``a`` whose distinct values are the Ritz
-    values ``ritz``, or None when the result is not certified.
-
-    With alpha from ``_mirror_free_angle``, the eigenvalues c of the
-    Hermitian matrix Re(e^{-i alpha} A) are the real parts of e^{-i alpha}
-    lambda, with their multiplicities, and distinct values of A give
-    distinct c.  One eigenvalues-only solve (LAPACK's MRRR driver, evr)
-    finds them; each c gives lambda = e^{i(alpha +- arccos c)}, and the
-    sign is the one whose candidate lies nearer a Ritz value, chosen once
-    per cluster of c.  The result is accepted when the clusters match the
-    Ritz values one to one and the power sums of lambda equal tr A and
-    tr A^2 within side * ``tol``; a value put on the wrong side of the line
-    moves the first sum by at least twice its distance from the line.
-    """
-    side = a.shape[0]
-    alpha = _mirror_free_angle(ritz)
-    # tr A^2 is the sum of A * A^T, so A^2 is never formed
-    if sp.issparse(a):
-        trace, trace_sq = a.diagonal().sum(), a.multiply(a.T).sum()
-    else:
-        trace, trace_sq = np.trace(a), np.einsum("ij,ji->", a, a)
-    cos = sla.eigh(
-        _hermitian_part(a, alpha),
-        eigvals_only=True,
-        driver="evr",
-        overwrite_a=True,
-        check_finite=False,
-    )
-    splits = np.nonzero(np.diff(cos) > _COS_CLUSTER_GAP)[0] + 1
-    bounds = np.concatenate(([0], splits, [side]))
-    if bounds.size - 1 != ritz.size:
-        return None
-    arcs = np.arccos(cos)
-    owners = set()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        arc = np.arccos(cos[lo:hi].mean())
-        dist = np.abs(np.exp(1j * (alpha + np.array([[arc], [-arc]]))) - ritz)
-        below, owner = np.unravel_index(np.argmin(dist), dist.shape)
-        if below:
-            arcs[lo:hi] *= -1
-        owners.add(int(owner))
-    if len(owners) != ritz.size:
-        return None
-    lam = np.exp(1j * (alpha + arcs))
-    # written so that a NaN sum fails
-    if not (abs(lam.sum() - trace) <= side * tol
-            and abs((lam * lam).sum() - trace_sq) <= side * tol):
-        return None
-    return lam
-
-
 def _available_memory() -> float:
     """MemAvailable of /proc/meminfo in bytes; infinite where it is not read."""
     try:
@@ -591,48 +511,43 @@ def unitary_eigenvalues(
     """Clustered spectrum of a unitary matrix, given as an ndarray or as a
     scipy sparse matrix.
 
-    Three routes, tried in this order (see the module docstring):
+    Two routes, tried in this order (see the module docstring):
 
-    - trace moments (``_eigvals_from_moments``): a sparse matrix above side
+    - trace moments (``_eigvals_from_moments``): any matrix above side
       ``_SATURATION_STEPS`` whose fixed-seed Krylov probe closes.  Only
-      sparse products run, and no side x side array is made.
-    - eigenvalues only (``_eigvals_from_ritz``): an ndarray whose probe
-      closes, or a sparse matrix whose moment certificate misses.  One
-      Hermitian matrix is made dense for one eigenvalues-only solve.
+      sparse products run, on the CSR copy of an ndarray, and no side x
+      side array is made.
     - Hermitian splitting (``_eig_unitary``): every other spectrum, every
       matrix at or below side ``_SATURATION_STEPS``, and a certificate
-      miss on the eigenvalues-only route.
+      miss on the trace-moment route.
 
     Each is a solve of the matrix as given, blind to any structure it has.
-    An ndarray keeps the dense routes because each of its products costs
-    O(side^2).
 
     The explicit pre-check rejects non-square, non-finite or non-unitary
     input with ``ValueError``, and is the only source of that error.  Every
     failure after it, a LAPACK non-convergence or a miss of the
     eigen-residual or unit-circle gate, raises ``EigensolverError``.
-    ``CapacityError`` is raised before a dense route when its working set
-    exceeds the available memory, so the trace-moment route is not limited
-    by it.
+    ``CapacityError`` is raised when two side x side arrays exceed the
+    available memory: before the split path, and before an ndarray's CSR
+    copy.  So the trace-moment route on a sparse matrix is not limited by
+    it.
     """
     # the product residual also rejects a non-square shape
     a = require_unitary(a, unitary_tol, what="input")
     side = a.shape[0]
     failure = "eigensolver failed on a unitary input"
     try:
-        probe = None
+        lam = None
         if side > _SATURATION_STEPS:
             probe = _krylov_saturation(a, _SATURATION_STEPS)
-        lam = None
-        if probe is not None and sp.issparse(a):
-            lam = _eigvals_from_moments(a, *probe, unitary_tol)
+            if probe is not None:
+                if not sp.issparse(a):  # before its CSR copy (_DENSE_ARRAYS)
+                    _require_capacity(side)
+                lam = _eigvals_from_moments(sp.csr_matrix(a), *probe, unitary_tol)
         if lam is None:
             _require_capacity(side)
-            # both dense routes skip LAPACK's finiteness check: the
-            # pre-check has already rejected non-finite input
-            if probe is not None:
-                lam = _eigvals_from_ritz(a, probe[0], unitary_tol)
-        if lam is None:
+            # the split path skips LAPACK's finiteness check: the pre-check
+            # has already rejected non-finite input
             lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
             if not residual <= unitary_tol:
                 raise EigensolverError(

@@ -23,7 +23,7 @@ CONFIGS = {
     "verify-stability.json": "--task verify-stability --n 2 --coin grover --samples 3 --seed 3",
     "spectrum.json": "--task spectrum --n 1 --coin hadamard-partition --nu 0.3,0.9",
     "spectrum.csv": "--task spectrum --n 2 --coin random --nu random --seed 3 --format csv",
-    # side 160, above the probe's side of 64: the eigenvalues-only route
+    # side 160, above the probe's side of 64: the trace-moment route
     "spectrum-n4-grover.json": "--task spectrum --n 4 --coin grover --nu random --seed 3",
     # side 160, the probe does not close: the split path
     "spectrum-n4-random.csv": (

@@ -211,7 +211,7 @@ class TestEigenResidualFloor:
 
     @pytest.mark.parametrize("solver, side", [
         ("eigh", 3),  # the split path
-        ("eigh", 96),  # the eigenvalues-only route
+        ("lstsq", 96),  # the trace-moment route's multiplicities
         ("schur", 96),  # the probe's Hessenberg block
     ])
     def test_lapack_failure_is_not_input_error(self, monkeypatch, solver, side):
@@ -220,7 +220,8 @@ class TestEigenResidualFloor:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("the algorithm failed to converge")
 
-        monkeypatch.setattr(spectra.sla, solver, no_convergence)
+        module = spectra.np.linalg if solver == "lstsq" else spectra.sla
+        monkeypatch.setattr(module, solver, no_convergence)
         with pytest.raises(spectra.EigensolverError, match="converge") as info:
             spectra.unitary_eigenvalues(clustered_unitary(side, [0.5, -0.5, 2.0], 42))
         assert not isinstance(info.value, ValueError)
@@ -235,40 +236,18 @@ def clustered_unitary(side, phases, seed):
 
 
 def spy_drivers(monkeypatch):
-    """Record the LAPACK driver of every ``scipy.linalg.eigh`` call that
-    computes eigenvectors (the split path and the coin sums)."""
+    """Record the LAPACK driver of every ``scipy.linalg.eigh`` call (the
+    split path and the coin sums), eigenvalues-only calls included, so an
+    empty record rules out any Hermitian solve."""
     drivers = []
     eigh = spectra.sla.eigh
 
     def spy(*args, **kwargs):
-        if not kwargs.get("eigvals_only"):
-            drivers.append(kwargs.get("driver"))
+        drivers.append(kwargs.get("driver"))
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(spectra.sla, "eigh", spy)
     return drivers
-
-
-def spy_eigvals(monkeypatch, miss=False):
-    """Record the shape of every eigenvalues-only ``scipy.linalg.eigh`` call
-    (the route of a spectrum with few distinct values); with ``miss``, move
-    its lowest value into the highest cluster, a multiplicity error that
-    the trace certificate refuses."""
-    shapes = []
-    eigh = spectra.sla.eigh
-
-    def spy(a, **kwargs):
-        if not kwargs.get("eigvals_only"):
-            return eigh(a, **kwargs)
-        shapes.append(a.shape)
-        w = eigh(a, **kwargs)
-        if miss:
-            w[0] = w[-1]
-            w.sort()
-        return w
-
-    monkeypatch.setattr(spectra.sla, "eigh", spy)
-    return shapes
 
 
 def spy_probe(monkeypatch):
@@ -314,24 +293,23 @@ def miss_moments(monkeypatch):
 class TestKrylovRouting:
     """The probe's choice of route and the probe itself."""
 
-    def test_small_degenerate_uses_eigvals_only(self, monkeypatch):
+    def test_small_degenerate_uses_the_moments(self, monkeypatch):
+        moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
         phases = [0.1, 0.9, -2.0, 2.4]
         report = spectra.unitary_eigenvalues(clustered_unitary(96, phases, 40))
-        assert shapes == [(96, 96)] and drivers == []
+        assert moments == [((96, 96), True)] and drivers == []
         assert report.multiplicities == (24, 24, 24, 24)
         assert spectra.hausdorff_distance(report.values, np.exp(1j * np.array(phases))) <= 1e-9
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_eigvals_route_keeps_the_callers_ndarray(self, monkeypatch, order):
-        # LAPACK overwrites the rotated Hermitian matrix it is given; that
-        # must be built beside the caller's array, not in it
-        shapes = spy_eigvals(monkeypatch)
+    def test_moment_route_keeps_the_callers_ndarray(self, monkeypatch, order):
+        # the route runs on a CSR copy, made beside the caller's array
+        moments = spy_moments(monkeypatch)
         mat = np.array(clustered_unitary(96, [0.1, 0.9, -2.0, 2.4], 40), order=order)
         before = mat.tobytes(order="A")
         report = spectra.unitary_eigenvalues(mat)
-        assert shapes == [(96, 96)]
+        assert moments == [((96, 96), True)]
         assert report.multiplicities == (24, 24, 24, 24)
         assert mat.tobytes(order="A") == before
 
@@ -345,11 +323,12 @@ class TestKrylovRouting:
     def test_small_degenerate_solver_miss_is_not_input_error(self, monkeypatch):
         # a certificate miss falls back to the split path, which answers;
         # a miss there too is a solver failure, not invalid input
+        moments = spy_moments(monkeypatch)
+        miss_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch, miss=True)
         mat = clustered_unitary(96, [0.5, -0.5], 43)
         report = spectra.unitary_eigenvalues(mat)
-        assert shapes == [(96, 96)] and drivers == ["evr"]
+        assert moments == [((96, 96), False)] and drivers == ["evr"]
         assert report.multiplicities == (48, 48)
         assert spectra.hausdorff_distance(report.values, np.exp([-0.5j, 0.5j])) <= 1e-9
         miss_split_gate(monkeypatch)
@@ -358,11 +337,10 @@ class TestKrylovRouting:
         assert not isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("form", ["csr", "ndarray"])
-    def test_eigvals_certificate_miss(self, monkeypatch, form):
+    def test_moment_certificate_miss(self, monkeypatch, form):
         # a certificate miss ends on the split path with the right answer;
         # a miss of its gate then is a solver failure, as the pre-check has
         # proven either form unitary
-        # on the CSR form the moment certificate misses first
         mat, dense = walk_forms(coin.grover_coin_system(4), 45)
         reference = spectra.unitary_eigenvalues(mat)
         if form == "ndarray":
@@ -370,10 +348,8 @@ class TestKrylovRouting:
         moments = spy_moments(monkeypatch)
         miss_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch, miss=True)
         report = spectra.unitary_eigenvalues(mat)
-        assert shapes == [(160, 160)] and drivers == ["evr"]
-        assert moments == ([((160, 160), False)] if form == "csr" else [])
+        assert moments == [((160, 160), False)] and drivers == ["evr"]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_split_gate(monkeypatch)
@@ -384,8 +360,8 @@ class TestKrylovRouting:
     @pytest.mark.parametrize("form", ["ndarray", "csr"])
     def test_split_path_at_or_below_64_whatever_the_spectrum(self, monkeypatch, form):
         probes = spy_probe(monkeypatch)
+        moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
         grover, _ = walk_forms(coin.grover_coin_system(3), 46)  # side 64, degenerate
         phases = [0.2, -1.4]
         clustered = clustered_unitary(64, phases, 47)
@@ -394,67 +370,21 @@ class TestKrylovRouting:
         if form == "csr":
             mats = [sp.csr_matrix(mat) for mat in mats]
         reports = [spectra.unitary_eigenvalues(mat) for mat in mats]
-        assert drivers == ["evr"] * 3 and shapes == [] and probes == []
+        assert drivers == ["evr"] * 3 and moments == [] and probes == []
         assert reports[0].total_multiplicity == 64
         assert reports[1].multiplicities == (32, 32)
         assert spectra.hausdorff_distance(reports[1].values, np.exp(1j * np.array(phases))) <= 1e-9
         reference = np.linalg.eigvals(generic)
         assert spectra.hausdorff_distance(reports[2].values, reference) <= 1e-10
 
-    @pytest.mark.parametrize("cs", [
-        coin.grover_coin_system(4),
-        coin.grover_coin_system(5),
-        coin.grover_coin_system(6),
-    ], ids=["side160", "side384", "side896"])
-    def test_eigvals_route_against_the_split_path(self, monkeypatch, cs):
-        # the ndarray form: the CSR form takes the trace-moment route
-        _, mat = walk_forms(cs, 49)
-        shapes = spy_eigvals(monkeypatch)
-        report = spectra.unitary_eigenvalues(mat)
-        assert shapes == [mat.shape]
-        split_vals, split_mults = split_clusters(mat)
-        assert report.multiplicities == tuple(split_mults)
-        assert np.abs(report.values - split_vals).max() <= 1e-12
-
-    def test_conjugate_pairs(self, monkeypatch):
-        # e^{i theta} and e^{-i theta} share their real part, so the line
-        # through +-1 would merge each pair; the chosen line keeps every
-        # real part of e^{-i alpha} lambda apart
-        drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
-        phases = np.array([0.4, -0.4, 2.2, -2.2])
-        mat = clustered_unitary(96, phases, 52)
-        report = spectra.unitary_eigenvalues(mat)
-        assert shapes == [(96, 96)] and drivers == []
-        assert report.multiplicities == (24, 24, 24, 24)
-        assert spectra.hausdorff_distance(report.values, np.exp(1j * phases)) <= 1e-9
-        ritz, _ = spectra._krylov_saturation(mat, 64)
-        cos = np.sort(np.cos(phases - spectra._mirror_free_angle(ritz)))
-        assert np.diff(cos).min() > 0.1
-
     def test_sixty_distinct_phases(self, monkeypatch):
+        moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
         phases = np.angle(np.exp(1j * (2 * np.pi * np.arange(60) / 60 + 0.1)))
         report = spectra.unitary_eigenvalues(clustered_unitary(240, phases, 53))
-        assert shapes == [(240, 240)] and drivers == []
+        assert moments == [((240, 240), True)] and drivers == []
         assert report.multiplicities == (4,) * 60
         assert spectra.hausdorff_distance(report.values, np.exp(1j * phases)) <= 1e-9
-
-    def test_certificate_refuses_a_missing_ritz_value(self, monkeypatch):
-        phases = [0.3, -1.1, 2.7]
-        mat = clustered_unitary(120, phases, 54)
-        ritz, _ = spectra._krylov_saturation(mat, 64)
-        assert ritz.shape == (3,)
-        assert spectra._eigvals_from_ritz(mat, ritz[1:], 1e-8) is None
-        # the probe loses a value: the split path answers
-        drop_a_ritz_pair(monkeypatch)
-        drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
-        report = spectra.unitary_eigenvalues(mat)
-        assert shapes == [(120, 120)] and drivers == ["evr"]
-        assert report.multiplicities == (40, 40, 40)
-        assert spectra.hausdorff_distance(report.values, np.exp(1j * np.array(phases))) <= 1e-9
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_small_route_rejects_nan_and_non_unitary(self, monkeypatch):
@@ -536,6 +466,10 @@ MOMENT_CASES = {
     "grover5": lambda: walk_forms(coin.grover_coin_system(5), 81)[0],
     "grover6": lambda: walk_forms(coin.grover_coin_system(6), 82)[0],
     "grover7": lambda: walk_forms(coin.grover_coin_system(7), 83)[0],
+    # the ndarray forms go through their CSR copies
+    "grover4-ndarray": lambda: walk_forms(coin.grover_coin_system(4), 49)[1],
+    "grover5-ndarray": lambda: walk_forms(coin.grover_coin_system(5), 49)[1],
+    "grover6-ndarray": lambda: walk_forms(coin.grover_coin_system(6), 49)[1],
     "grover-blocks": lambda: walk_forms(grover_block_coin_system(4, 15, 84), 84)[0],
     "clustered": lambda: sp.csr_matrix(clustered_unitary(96, [0.1, 0.9, -2.0, 2.4], 85)),
     "conjugate-pairs": lambda: sp.csr_matrix(
@@ -545,16 +479,15 @@ MOMENT_CASES = {
 
 
 class TestMomentsRoute:
-    """A CSR matrix whose probe closes: multiplicities from trace moments."""
+    """A matrix whose probe closes: multiplicities from trace moments."""
 
     @pytest.mark.parametrize("case", sorted(MOMENT_CASES))
     def test_against_the_split_path(self, monkeypatch, case):
         mat = MOMENT_CASES[case]()
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [(mat.shape, True)] and shapes == [] and drivers == []
+        assert moments == [(mat.shape, True)] and drivers == []
         split_vals, split_mults = split_clusters(mat)
         assert report.multiplicities == tuple(split_mults)
         assert np.abs(report.values - split_vals).max() <= 1e-12
@@ -570,8 +503,8 @@ class TestMomentsRoute:
 
     @pytest.mark.parametrize("fault", ["dropped", "perturbed", "moved"])
     def test_fault_falls_back(self, monkeypatch, fault):
-        # each fault is refused by the certificate; the eigenvalues-only
-        # route answers, with the unperturbed multiset
+        # each fault is refused by the certificate; the split path answers,
+        # with the unperturbed multiset
         mat = MOMENT_CASES["grover5"]()
         reference = spectra.unitary_eigenvalues(mat)
         if fault == "dropped":
@@ -589,11 +522,8 @@ class TestMomentsRoute:
             monkeypatch.setattr(spectra, "_krylov_saturation", moved)
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [(mat.shape, False)] and shapes == [mat.shape]
-        # a lost Ritz value also fails the eigenvalues-only certificate
-        assert drivers == (["evr"] if fault == "dropped" else [])
+        assert moments == [(mat.shape, False)] and drivers == ["evr"]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
 
@@ -643,24 +573,21 @@ class TestSparseInput:
             spectra.unitary_eigenvalues(mat[:, :-1])
         assert drivers == [] and probes == []
 
+    # "eigvals": a degenerate walk, whose eigenvalues the trace-moment
+    # route gives without eigenvectors, in either form
     @pytest.mark.parametrize("route, cs", [
         ("evr", coin.random_coin_system(4, 6, seed=64)),
         ("eigvals", coin.grover_coin_system(4)),
     ])
     def test_same_clusters_on_every_route(self, monkeypatch, route, cs):
-        # a degenerate walk: the CSR form takes the trace-moment route and
-        # the ndarray form the eigenvalues-only route
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
         mat, dense = walk_forms(cs, 65)
         from_sparse = spectra.unitary_eigenvalues(mat)
         sparse_drivers, drivers[:] = drivers[:], []
-        sparse_shapes, shapes[:] = shapes[:], []
         from_dense = spectra.unitary_eigenvalues(dense)
         assert sparse_drivers == drivers == ([] if route == "eigvals" else [route])
-        assert sparse_shapes == [] and shapes == ([mat.shape] if route == "eigvals" else [])
-        assert moments == ([(mat.shape, True)] if route == "eigvals" else [])
+        assert moments == ([(mat.shape, True)] * 2 if route == "eigvals" else [])
         assert from_sparse.multiplicities == from_dense.multiplicities
         assert np.abs(from_sparse.values - from_dense.values).max() <= 1e-12
         assert from_sparse.total_multiplicity == mat.shape[0]
@@ -753,14 +680,13 @@ class TestBlockedResiduals:
         assert side == 896
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
         tracemalloc.start()
         try:
             spectra.unitary_eigenvalues(mat)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (drivers, shapes) == (([], []) if route == "moments" else ([route], []))
+        assert drivers == ([] if route == "moments" else [route])
         assert moments == ([(mat.shape, True)] if route == "moments" else [])
         # evr holds H, then the eigenvectors and their images; the
         # trace-moment route the probe's side x 65 basis and, over all its
@@ -790,25 +716,29 @@ class TestBlockedResiduals:
         assert peak <= 0.27 * side * side * 16
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("cs, route", [
-        (coin.grover_coin_system(6), "eigvals"),
-        (coin.random_coin_system(6, 7, seed=75), "evr"),
+    @pytest.mark.parametrize("cs, route, arrays", [
+        (coin.grover_coin_system(6), "moments", 0.3),
+        (coin.random_coin_system(6, 7, seed=75), "evr", 2.25),
     ], ids=["grover", "random"])
-    def test_peak_memory_of_a_side_896_ndarray(self, monkeypatch, cs, route):
+    def test_peak_memory_of_a_side_896_ndarray(self, monkeypatch, cs, route, arrays):
         _, dense = walk_forms(cs, 77)
         side = dense.shape[0]
+        moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
         tracemalloc.start()
         try:
             spectra.unitary_eigenvalues(dense)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (drivers, shapes) == (([], [(side, side)]) if route == "eigvals" else ([route], []))
+        assert drivers == ([] if route == "moments" else [route])
+        assert moments == ([(dense.shape, True)] if route == "moments" else [])
         # the pre-check's products are formed in blocks of rows, so only
-        # the split path's two arrays are side x side
-        assert peak <= 2.25 * side * side * 16
+        # the split path's two arrays are side x side; the trace-moment
+        # route holds the CSR copy beside the working set of
+        # test_peak_memory_of_a_side_896_walk (measured: 0.286 side^2
+        # complex numbers on two workers)
+        assert peak <= arrays * side * side * 16
         with_nan = dense.copy()
         with_nan[side - 3, 5] = np.nan
         for bad in (with_nan, 1.01 * dense):
@@ -820,14 +750,16 @@ class TestMemoryGuard:
     """A dense step is refused when its two side x side arrays do not fit;
     the trace-moment route, which holds none, is not."""
 
+    # "eigvals": a degenerate ndarray, whose eigenvalues the trace-moment
+    # route gives from its CSR copy, which the guard comes before
     @pytest.mark.parametrize("route", ["eigvals", "evr"])
     def test_refused_before_the_dense_step(self, monkeypatch, route):
         side = 512
         mat = (clustered_unitary(side, [0.5, -0.5], 50) if route == "eigvals"
                else haar_unitary(side, np.random.default_rng(51)))
         need = 2 * side * side * 16
+        moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
         monkeypatch.setattr(spectra, "_available_memory", lambda: need - 1)
         tracemalloc.start()
         try:
@@ -836,35 +768,36 @@ class TestMemoryGuard:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert drivers == [] and shapes == []
-        # the pre-check's row blocks, no side x side array
+        assert moments == [] and drivers == []
+        # the pre-check's row blocks and the probe's basis, no side x side
+        # array
         assert peak < side * side * 16
         monkeypatch.setattr(spectra, "_available_memory", lambda: need)
         report = spectra.unitary_eigenvalues(mat)
         assert report.total_multiplicity == side
-        assert (drivers, shapes) == (([], [(side, side)]) if route == "eigvals" else (["evr"], []))
+        assert (moments, drivers) == (
+            ([(mat.shape, True)], []) if route == "eigvals" else ([], ["evr"])
+        )
 
     def test_moment_route_needs_no_dense_capacity(self, monkeypatch):
         mat = walk_forms(coin.grover_coin_system(6), 87)[0]
         side = mat.shape[0]
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
         monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * side * side * 16 - 1)
         report = spectra.unitary_eigenvalues(mat)
         assert report.total_multiplicity == side == 896
-        assert moments == [(mat.shape, True)] and drivers == [] and shapes == []
+        assert moments == [(mat.shape, True)] and drivers == []
 
     def test_generic_csr_refused_before_the_dense_step(self, monkeypatch):
         mat = walk_forms(coin.random_coin_system(4, 6, seed=88), 88)[0]
         side = mat.shape[0]
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        shapes = spy_eigvals(monkeypatch)
         monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * side * side * 16 - 1)
         with pytest.raises(walk.CapacityError, match=f"side {side}"):
             spectra.unitary_eigenvalues(mat)
-        assert moments == [] and drivers == [] and shapes == []
+        assert moments == [] and drivers == []
 
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="no /proc/meminfo")
     def test_reads_meminfo(self):
