@@ -26,13 +26,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coin import (
+    DEFAULT_COIN_TOL,
     CoinSystem,
     grover_coin_system,
     hadamard_partition_coin_system,
     random_coin_system,
     validate_coin_system,
 )
-from .fock import dimension, verify_car
+from .fock import EXACT_TOL, dimension, verify_car
 from .magnetic import (
     MagneticPotential,
     magnetic_basis_change,
@@ -43,6 +44,7 @@ from .magnetic import (
     xi_hat_vacuum_columns,
 )
 from .spectra import (
+    DEFAULT_SPECTRUM_TOL,
     EigensolverError,
     coin_sum_eigensystem,
     verify_approximate_spectrum_theorem,
@@ -82,14 +84,9 @@ DEFAULTS = {
     "initial": "vertex:0",
     "out": None,
     "format": "json",
-    "tol_spectrum": 1e-8,
-    "tol_construct": 1e-10,
+    "tol_spectrum": DEFAULT_SPECTRUM_TOL,
+    "tol_construct": DEFAULT_COIN_TOL,
 }
-
-# Construction-exact identities (ladder algebra, involutions, the two
-# eigenbasis constructions) are held to a tighter tolerance than the
-# composite ones gated by --tol-construct.
-EXACT_TOL = 1e-12
 
 
 class InputError(ValueError):
@@ -447,10 +444,10 @@ def _run_verify_all(cfg, rng) -> tuple[int, dict]:
     car = verify_car(n)
     checks["car"] = {
         "max_residual": car.max_residual,
-        "passed": car.passed(EXACT_TOL),
+        "passed": car.passed(),
     }
 
-    coin_report = validate_coin_system(cs, tol=tol_c)
+    coin_report = validate_coin_system(cs)
     checks["coin"] = {
         "mutual_annihilation": coin_report.mutual_annihilation,
         "sum_unitarity": coin_report.sum_unitarity,

@@ -102,7 +102,7 @@ class CoinSystem:
             mat = np.array([complex(re, im) for re, im in flat]).reshape(d, d)
             ops.append(mat)
         cs = cls(tuple(ops))
-        report = validate_coin_system(cs, tol=tol)
+        report = validate_coin_system(cs)
         if not report.passed(tol):
             raise ValueError(
                 f"loaded coin system is invalid: max residual {report.max_residual:.3e}"
@@ -133,7 +133,7 @@ class CoinValidationReport:
         return self.max_residual <= tol
 
 
-def validate_coin_system(cs: CoinSystem, tol: float = DEFAULT_COIN_TOL) -> CoinValidationReport:
+def validate_coin_system(cs: CoinSystem) -> CoinValidationReport:
     """Residuals of mutual annihilation (j != k) and unitarity of the sum."""
     mutual = 0.0
     for j in range(cs.n + 1):
@@ -219,18 +219,14 @@ def random_coin_system(n: int, d: int, seed: int) -> CoinSystem:
 
 
 def coin_sum(cs: CoinSystem) -> np.ndarray:
-    """The unitary sum S of all coin operators."""
-    total = np.zeros((cs.d, cs.d), dtype=complex)
-    for op in cs.ops:
-        total = total + op
-    return total
+    """The unitary sum S of all coin operators: the signed sum at the full
+    subset."""
+    return algebraic_sum(cs, dimension(cs.n) - 1)
 
 
 def algebraic_sum(cs: CoinSystem, sigma: int) -> np.ndarray:
     """Signed sum of the coins: +C_j for j in sigma, -C_j otherwise."""
-    if not 0 <= sigma < dimension(cs.n):
-        raise ValueError(f"sigma={sigma} is not a subset mask of {{0,...,{cs.n}}}")
-    signs = membership_signs(cs.n, sigma)
+    signs = membership_signs(cs.n, sigma)  # rejects a sigma outside the masks
     total = np.zeros((cs.d, cs.d), dtype=complex)
     for sign, op in zip(signs, cs.ops):
         total = total + sign * op

@@ -28,7 +28,13 @@ __all__ = [
     "annihilation_operator",
     "creation_operator",
     "verify_car",
+    "EXACT_TOL",
 ]
+
+# Construction-exact identities (the ladder algebra, the involutions, the
+# two eigenbasis constructions) are held to this tolerance, tighter than the
+# composite ones.
+EXACT_TOL = 1e-12
 
 
 def dimension(n: int) -> int:
@@ -112,8 +118,7 @@ class FockSpace:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
+        dimension(self.n)  # rejects a negative n
 
     @property
     def dim(self) -> int:
@@ -158,7 +163,7 @@ class CarReport:
         ]
         return float(np.max(residuals))
 
-    def passed(self, tol: float = 1e-12) -> bool:
+    def passed(self, tol: float = EXACT_TOL) -> bool:
         return self.max_residual <= tol
 
 
@@ -170,8 +175,6 @@ def verify_car(n: int) -> CarReport:
     squares of each annihilator/creator; and the per-mode identity
     a*_j a_j + a_j a*_j - I.  All six are exactly zero in exact arithmetic.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     dim = dimension(n)
     ann = [annihilation_operator(n, k) for k in range(n + 1)]
     cre = [creation_operator(n, k) for k in range(n + 1)]

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import basis_state, dimension, membership_signs
+from .fock import _check_subset, basis_state, dimension, membership_signs
 
 __all__ = [
     "MagneticPotential",
@@ -236,6 +236,17 @@ def _phase_sums(nu: MagneticPotential) -> np.ndarray:
     return sums
 
 
+def _basis_columns(nu: MagneticPotential, sigmas) -> np.ndarray:
+    """``magnetic_basis_vector`` of each mask in ``sigmas`` (an int or a 1-d
+    integer array) as a column, without its range check."""
+    dim = dimension(nu.n)
+    gammas = np.arange(dim)[:, None]
+    flips = np.bitwise_count(gammas & ~sigmas & (dim - 1))
+    signs = np.where(flips % 2 == 1, -1.0, 1.0)
+    column = np.exp(-1j * _phase_sums(nu)) / math.sqrt(dim)
+    return signs * column[:, None]
+
+
 def magnetic_basis_vector(sigma: int, nu: MagneticPotential) -> np.ndarray:
     """Closed-form eigenbasis vector for the sign pattern of sigma.
 
@@ -244,14 +255,8 @@ def magnetic_basis_vector(sigma: int, nu: MagneticPotential) -> np.ndarray:
     which matches the normalized product construction
     xi_hat(sigma, nu) @ vacuum / sqrt(2^(n+1)).
     """
-    n = nu.n
-    dim = dimension(n)
-    if not 0 <= sigma < dim:
-        raise ValueError(f"sigma={sigma} is not a subset mask of {{0,...,{n}}}")
-    gammas = np.arange(dim)
-    flips = np.bitwise_count(gammas & ~sigma & (dim - 1))
-    signs = np.where(flips % 2 == 1, -1.0, 1.0)
-    return signs * np.exp(-1j * _phase_sums(nu)) / math.sqrt(dim)
+    _check_subset(nu.n, sigma)
+    return _basis_columns(nu, sigma)[:, 0]
 
 
 def magnetic_basis_change(nu: MagneticPotential) -> np.ndarray:
@@ -260,9 +265,4 @@ def magnetic_basis_change(nu: MagneticPotential) -> np.ndarray:
     Conjugating any shift Xi_j by this matrix diagonalizes it with entries
     +-1 according to membership of j in the column index.
     """
-    dim = dimension(nu.n)
-    indices = np.arange(dim)
-    flips = np.bitwise_count(indices[:, None] & ~indices[None, :] & (dim - 1))
-    signs = np.where(flips % 2 == 1, -1.0, 1.0)
-    column = np.exp(-1j * _phase_sums(nu)) / math.sqrt(dim)
-    return signs * column[:, None]
+    return _basis_columns(nu, np.arange(dimension(nu.n)))

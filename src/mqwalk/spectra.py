@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -113,6 +113,10 @@ _PURE_COLUMN_TOL = 1e-9
 # after the Hermitian eigensolve: the temporaries are side x block, not
 # side x side.
 _RESIDUAL_BLOCK = 64
+
+# The sampled walk operators must differ by more than this (largest entry)
+# for the stability check to show that the potential moved the operator.
+_OPERATOR_DIFFERENCE_FLOOR = 1e-6
 
 # A cluster representative with negative real part and an imaginary part at
 # most this large is put exactly on the negative real axis (imaginary part
@@ -302,19 +306,18 @@ def _moment_workers() -> int:
 def _trace_powers(a: sp.csr_matrix, count: int) -> np.ndarray:
     """tr A^p for p = 1..``count`` of a sparse ``a``, by sparse products only.
 
-    The unit vectors are taken ``_RESIDUAL_BLOCK`` columns E at a time, and
-    E's share of tr A^p is the trace of A^p E on E's own rows.  A E is E's
-    columns of ``a``, read from its CSC form, and each higher power is one
-    more sparse product, ``count`` nnz(A) side multiply-adds in all.
+    The unit vectors are taken in ranges E of columns, and E's share of
+    tr A^p is the trace of A^p E on E's own rows.  A E is E's columns of
+    ``a``, read from its CSC form, and each higher power is one more sparse
+    product, ``count`` nnz(A) side multiply-adds in all.
 
     The sparse products release the interpreter lock, so the ranges E are
-    shared out to ``_moment_workers`` threads.  Each worker takes its range
-    in pieces of ``_RESIDUAL_BLOCK`` // workers columns (at least one), so
-    that up to ``_RESIDUAL_BLOCK`` workers keep ``_RESIDUAL_BLOCK`` columns
-    in flight and the working set stays two side x ``_RESIDUAL_BLOCK``
-    arrays.  The shares are added in range order, so the traces do not
-    depend on thread timing.  The workers call only numpy and
-    ``scipy.sparse``.
+    shared out to ``_moment_workers`` threads, each range ``_RESIDUAL_BLOCK``
+    // workers columns wide (at least one).  So up to ``_RESIDUAL_BLOCK``
+    workers keep ``_RESIDUAL_BLOCK`` columns in flight, and the working set
+    stays two side x ``_RESIDUAL_BLOCK`` arrays.  The shares are added in
+    range order, so the traces do not depend on thread timing.  The workers
+    call only numpy and ``scipy.sparse``.
     """
     side = a.shape[0]
     workers = _moment_workers()
@@ -322,24 +325,22 @@ def _trace_powers(a: sp.csr_matrix, count: int) -> np.ndarray:
     columns = a.tocsc()
 
     def share(lo: int) -> np.ndarray:
-        part = np.zeros(count, dtype=complex)
-        stop = min(lo + _RESIDUAL_BLOCK, side)
-        for start in range(lo, stop, width):
-            own = slice(start, min(start + width, stop))
-            block = columns[:, own].toarray()
-            for power in range(count):
-                if power:
-                    block = a @ block
-                part[power] += np.trace(block[own])
-            # freed before the next piece is read, so that a worker holds
-            # at most two arrays
-            del block
+        own = slice(lo, min(lo + width, side))
+        block = columns[:, own].toarray()
+        part = np.empty(count, dtype=complex)
+        for power in range(count):
+            if power:
+                block = a @ block
+            part[power] = np.trace(block[own])
         return part
 
-    traces = np.zeros(count, dtype=complex)
     with ThreadPoolExecutor(workers) as pool:
-        for part in pool.map(share, range(0, side, _RESIDUAL_BLOCK)):
-            traces += part
+        parts = pool.map(share, range(0, side, width))
+    # read once the workers are joined, so the calling thread does not wake
+    # for each share and take the interpreter lock from them
+    traces = np.zeros(count, dtype=complex)
+    for part in parts:
+        traces += part
     return traces
 
 
@@ -626,20 +627,13 @@ def coin_union_spectrum(
     raw = np.concatenate(
         [coin_sum_eigensystem(cs, sigma, cluster_tol)[0] for sigma in range(dimension(cs.n))]
     )
-    vals, mults = _cluster_unit_circle(raw, cluster_tol)
-    multiset = SpectrumReport(
-        eigenvalues=tuple(vals),
-        multiplicities=tuple(int(m) for m in mults),
-        source=f"coin-sum union (multiset), n={cs.n}, d={cs.d}",
-        nu=None,
-        tolerance=cluster_tol,
+    multiset = _make_report(
+        raw, f"coin-sum union (multiset), n={cs.n}, d={cs.d}", None, cluster_tol
     )
-    as_set = SpectrumReport(
-        eigenvalues=tuple(vals),
-        multiplicities=tuple(1 for _ in vals),
+    as_set = replace(
+        multiset,
+        multiplicities=(1,) * len(multiset.eigenvalues),
         source=f"coin-sum union (set), n={cs.n}, d={cs.d}",
-        nu=None,
-        tolerance=cluster_tol,
     )
     return as_set, multiset
 
@@ -668,12 +662,12 @@ def _multisets_match(r1: SpectrumReport, r2: SpectrumReport, tol: float) -> bool
     return True
 
 
-def _validated(cs: CoinSystem, tol: float = DEFAULT_COIN_TOL) -> None:
-    report = validate_coin_system(cs, tol=tol)
-    if not report.passed(tol):
+def _validated(cs: CoinSystem) -> None:
+    report = validate_coin_system(cs)
+    if not report.passed(DEFAULT_COIN_TOL):
         raise ValueError(
             f"coin system fails validation: max residual {report.max_residual:.3e} "
-            f"exceeds {tol:.1e}"
+            f"exceeds {DEFAULT_COIN_TOL:.1e}"
         )
 
 
@@ -814,35 +808,34 @@ class SpectralStabilityReport:
     tolerance: float
     max_pairwise_hausdorff: float
     max_operator_difference: float
-    operator_difference_floor: float
     spectra: tuple[SpectrumReport, ...]
 
     @property
     def passed(self) -> bool:
         return (
             self.max_pairwise_hausdorff <= self.tolerance
-            and self.max_operator_difference > self.operator_difference_floor
+            and self.max_operator_difference > _OPERATOR_DIFFERENCE_FLOOR
         )
 
 
 def verify_spectral_stability(
     cs: CoinSystem,
     samples: int = 5,
-    seed: int = 0,
     tol: float = DEFAULT_SPECTRUM_TOL,
     rng: np.random.Generator | None = None,
-    operator_difference_floor: float = 1e-6,
 ) -> SpectralStabilityReport:
     """Check that the walk spectrum ignores the magnetic potential.
 
-    Draws ``samples`` random potentials plus the null one, compares all
-    walk spectra pairwise, and confirms the operators themselves moved.
+    Draws ``samples`` random potentials from ``rng`` (by default a
+    generator seeded with 0) plus the null one, compares all walk spectra
+    pairwise, and confirms the operators themselves moved by more than
+    ``_OPERATOR_DIFFERENCE_FLOOR``.
     """
     if samples < 2:
         raise ValueError(f"stability check needs samples >= 2, got {samples}")
     _validated(cs)
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
     potentials = [null_potential(cs.n)] + [
         random_potential(cs.n, rng) for _ in range(samples)
     ]
@@ -868,6 +861,5 @@ def verify_spectral_stability(
         tolerance=tol,
         max_pairwise_hausdorff=max_h,
         max_operator_difference=max_diff,
-        operator_difference_floor=operator_difference_floor,
         spectra=tuple(reports),
     )

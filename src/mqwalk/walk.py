@@ -29,8 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import max_abs
-from .coin import CoinSystem, algebraic_sum
-from .fock import dimension
+from .coin import DEFAULT_COIN_TOL, CoinSystem, algebraic_sum
+from .fock import _check_subset, dimension
 from .magnetic import (
     MagneticPotential,
     magnetic_basis_change,
@@ -288,8 +288,7 @@ def position_distribution(state: WalkState) -> np.ndarray:
 
 def vertex_state(n: int, d: int, sigma: int, coin_index: int = 0) -> WalkState:
     """Walker localized at vertex sigma with a single coin axis excited."""
-    if not 0 <= sigma < dimension(n):
-        raise ValueError(f"sigma={sigma} is not a subset mask of {{0,...,{n}}}")
+    _check_subset(n, sigma)
     if not 0 <= coin_index < d:
         raise ValueError(f"coin index {coin_index} out of range 0..{d - 1}")
     vec = np.zeros(dimension(n) * d, dtype=complex)
@@ -299,8 +298,7 @@ def vertex_state(n: int, d: int, sigma: int, coin_index: int = 0) -> WalkState:
 
 def uniform_coin_vertex_state(n: int, d: int, sigma: int) -> WalkState:
     """Walker localized at vertex sigma with the flat coin superposition."""
-    if not 0 <= sigma < dimension(n):
-        raise ValueError(f"sigma={sigma} is not a subset mask of {{0,...,{n}}}")
+    _check_subset(n, sigma)
     psi = np.zeros((dimension(n), d), dtype=complex)
     psi[sigma, :] = 1.0 / np.sqrt(d)
     return WalkState(psi.reshape(-1), 0, d)
@@ -343,7 +341,7 @@ class IntertwiningReport:
         residuals = [self.max_vector_residual, self.off_block_mass, self.max_block_mismatch]
         return float(np.max(residuals))
 
-    def passed(self, tol: float = 1e-10) -> bool:
+    def passed(self, tol: float = DEFAULT_COIN_TOL) -> bool:
         return self.max_residual <= tol
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,14 @@ REMOVED = [
     "approximation_residual",
     "null_potential_operator",
     "distribution_csv",
+]
+
+# (module, function, parameter) for parameters that were removed: each one
+# was ignored or had a single value in use
+REMOVED_PARAMETERS = [
+    ("mqwalk.coin", "validate_coin_system", "tol"),
+    ("mqwalk.spectra", "verify_spectral_stability", "seed"),
+    ("mqwalk.spectra", "verify_spectral_stability", "operator_difference_floor"),
 ]
 
 
@@ -51,3 +60,9 @@ def test_every_exported_name_resolves(name):
 def test_removed_names_are_gone(attr):
     for name in MODULES:
         assert not hasattr(importlib.import_module(name), attr), name
+
+
+@pytest.mark.parametrize("module, func, param", REMOVED_PARAMETERS)
+def test_removed_parameters_are_gone(module, func, param):
+    signature = inspect.signature(getattr(importlib.import_module(module), func))
+    assert param not in signature.parameters

@@ -1062,14 +1062,14 @@ class TestNanResidualFolds:
 class TestSpectralStability:
     def test_hadamard_partition(self):
         cs = coin.hadamard_partition_coin_system()
-        report = spectra.verify_spectral_stability(cs, samples=5, seed=3)
+        report = spectra.verify_spectral_stability(cs, samples=5, rng=np.random.default_rng(3))
         assert report.passed
         assert report.max_pairwise_hausdorff <= 1e-8
         assert report.max_operator_difference > 0.1
 
     def test_n0_spectra_constant(self):
         cs = coin.CoinSystem((np.array([[1.0]]),))
-        report = spectra.verify_spectral_stability(cs, samples=3, seed=1)
+        report = spectra.verify_spectral_stability(cs, samples=3, rng=np.random.default_rng(1))
         assert report.passed
         for rep in report.spectra:
             assert spectrum_dict(rep) == {(-1.0, 0.0): 1, (1.0, 0.0): 1}
@@ -1095,7 +1095,7 @@ class TestSpectralStability:
 
         monkeypatch.setattr(walk.WalkOperator, "sparse", counted)
         cs = coin.grover_coin_system(2)
-        report = spectra.verify_spectral_stability(cs, samples=3, seed=2)
+        report = spectra.verify_spectral_stability(cs, samples=3, rng=np.random.default_rng(2))
         assert len(calls) == len(set(map(id, calls))) == 4
         monkeypatch.undo()
         # the reports match the stand-alone spectra, source strings included,
@@ -1116,8 +1116,8 @@ class TestSpectralStability:
 
     def test_deterministic_for_seed(self):
         cs = coin.grover_coin_system(1)
-        a = spectra.verify_spectral_stability(cs, samples=3, seed=9)
-        b = spectra.verify_spectral_stability(cs, samples=3, seed=9)
+        a = spectra.verify_spectral_stability(cs, samples=3, rng=np.random.default_rng(9))
+        b = spectra.verify_spectral_stability(cs, samples=3, rng=np.random.default_rng(9))
         assert a.max_pairwise_hausdorff == b.max_pairwise_hausdorff
         assert a.max_operator_difference == b.max_operator_difference
 
