@@ -205,8 +205,7 @@ def grover_coin_system(n: int) -> CoinSystem:
 
 def random_coin_system(n: int, d: int, seed: int) -> CoinSystem:
     """Seeded random coin: Haar-like unitary with a random balanced partition."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    dimension(n)  # rejects a negative n
     if d < n + 1:
         raise ValueError(f"coin dimension d={d} below the required n+1={n + 1}")
     rng = np.random.default_rng(seed)

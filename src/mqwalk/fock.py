@@ -60,8 +60,7 @@ def _check_subset(n: int, sigma: int, name: str = "sigma") -> None:
 
 
 def _check_mode(n: int, k: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    dimension(n)  # rejects a negative n before the range of k
     if not 0 <= k <= n:
         raise ValueError(f"mode index k={k} out of range 0..{n}")
 

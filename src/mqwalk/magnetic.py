@@ -72,15 +72,13 @@ class MagneticPotential:
 
 def null_potential(n: int) -> MagneticPotential:
     """The all-zero phase vector on {0, ..., n}."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    dimension(n)  # rejects a negative n
     return MagneticPotential(np.zeros(n + 1))
 
 
 def random_potential(n: int, rng: np.random.Generator) -> MagneticPotential:
     """Phases drawn i.i.d. uniform on [-pi, pi]."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    dimension(n)  # rejects a negative n
     return MagneticPotential(rng.uniform(-np.pi, np.pi, n + 1))
 
 
@@ -98,9 +96,7 @@ class FullPotentialTable:
     values: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-        dim = dimension(self.n)
+        dim = dimension(self.n)  # rejects a negative n
         table = dict(self.values)
         for (sigma, tau), value in table.items():
             if not (0 <= sigma < dim and 0 <= tau < dim):

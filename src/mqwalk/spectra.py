@@ -5,23 +5,35 @@ Hermitian eigensolves; no nonsymmetric solve runs at the matrix's own side.
 The only Schur forms (``zgees``) are of small blocks: the Krylov probe's
 Hessenberg block and the compression in the split path's second pass.
 
-In general, the splitting A = H + iS with H = (A + A*)/2 and S = (A -
-A*)/2i is used: a Hermitian eigensolve of H fixes the real parts and an
-eigenbasis; within each cluster of (nearly) equal real parts, the
-restriction of S is diagonalized to separate the imaginary parts.  This
-keeps every reported eigenvalue a Rayleigh quotient of an orthonormal
-vector, and makes eigenvector witnesses available at no extra cost.
+Three routes solve the eigenproblem, each blind to any structure of the
+matrix.
 
 A spectrum with few distinct values is found, and its distinct values
 listed, by a short Krylov probe (the Ritz values of a space that closes).
 It then needs no eigenvectors and no dense array: the multiplicities of the
 Ritz values are the integer solution of the trace moments sum_i m_i
 lambda_i^p = tr A^p, whose traces come from sparse products with blocks of
-unit vectors, run on one thread per CPU, and the Ritz residuals, the moment
-residual and the distance of each m_i to an integer certify the result.
-An ndarray goes to this route as its CSR copy, which keeps only its
-nonzeros.  The probe sums on the calling thread, so no BLAS thread pool
-spins beside those threads.  A miss falls back to the splitting.
+unit vectors, run on one thread per CPU when there is enough work, and the
+Ritz residuals, the moment residual and the distance of each m_i to an
+integer certify the result.  An ndarray goes to this route as its CSR copy,
+which keeps only its nonzeros.  The probe sums on the calling thread, so no
+BLAS thread pool spins beside those threads.  A miss falls back to the
+pencil.
+
+Every other spectrum above the probe's side comes from the Cayley pencil:
+for B = e^{-i alpha} A, the Hermitian-definite pencil (i(B* - B), 2I + B +
+B*) has the eigenvalues tan(phi_j / 2) for the eigenvalues e^{i phi_j} of
+B, so one eigenvalues-only solve fixes every value and its side of the real
+line, with no eigenvectors.  Its conditioning and the exact tr A and tr A^2
+certify the result, and a miss falls back to the splitting.
+
+The splitting A = H + iS with H = (A + A*)/2 and S = (A - A*)/2i answers
+at or below the probe's side, for the coin sums and after a pencil miss: a
+Hermitian eigensolve of H fixes the real parts and an eigenbasis; within
+each cluster of (nearly) equal real parts, the restriction of S is
+diagonalized to separate the imaginary parts.  This keeps every reported
+eigenvalue a Rayleigh quotient of an orthonormal vector, and makes
+eigenvector witnesses available at no extra cost.
 
 Raw eigenvalues are grouped into multiplicity classes by single-linkage
 clustering on the unit circle, and finite spectra are compared as point
@@ -91,11 +103,28 @@ DEFAULT_SPECTRUM_TOL = 1e-8
 _SATURATION_STEPS = 64
 _SATURATION_TOL = 1e-8
 
-# Side x side complex arrays held by the dense step: the split path holds H,
-# then the eigenvectors and their images.  The trace-moment route holds
-# none, so a CSR input is checked only once it reaches the split path; an
-# ndarray is checked before its CSR copy is made, which for a full-density
-# array peaks at 2.75 such arrays and holds 1.25.
+# Multiply-adds (count nnz side) from which ``_trace_powers`` shares its
+# products out to a thread pool.  Below it, starting and joining the
+# threads costs more than they save (measured on 2 cores: at side 160, 0.7
+# to 1.6 ms on the calling thread against 2.4 to 3.7 ms on two workers; the
+# two cross near 3e6 to 4e6).  The side-896 walks of ``verify-all`` (1e7 and
+# more) keep the pool.
+_MOMENT_POOL_WORK = 4_000_000
+
+# The Cayley pencil (``_eigvals_from_pencil``) of e^{-i _PENCIL_ALPHA} A is
+# singular where A has the eigenvalue -e^{i _PENCIL_ALPHA}, its seam.  An
+# angle of 1 radian keeps the seam off every root of unity, such as +-1
+# and +-i, where structured spectra tend to put their values.
+_PENCIL_ALPHA = 1.0
+# The pencil's gates bound each value's error by _PENCIL_CONDITION eps
+# (1 + |t|), about 100 times the angle errors measured near the seam.
+_PENCIL_CONDITION = 64
+
+# Side x side complex arrays held by a dense step: the pencil holds S and
+# H', the split path H, then the eigenvectors and their images.  The
+# trace-moment route holds none, so a CSR input is checked only once it
+# reaches a dense step; an ndarray is checked before its CSR copy is made,
+# which for a full-density array peaks at 2.75 such arrays and holds 1.25.
 _DENSE_ARRAYS = 2
 
 # Consecutive real-part gap below which eigh output is treated as one
@@ -139,22 +168,22 @@ def _pure_column_tol(gate: float) -> float:
     return min(_PURE_COLUMN_TOL, gate / 10)
 
 
-def _hermitian_part(a) -> np.ndarray:
-    """(A + A*)/2 as a new Fortran-order ndarray, which eigh overwrites in
-    place instead of copying it.
+def _hermitian_sum(a, scale) -> np.ndarray:
+    """c A + (c A)* for the scalar c = ``scale``, as a new Fortran-order
+    ndarray, which eigh overwrites in place instead of copying it.
 
-    A is halved before the sum with its adjoint.  The sparse form is made
+    A is scaled before the sum with its adjoint.  The sparse form is made
     dense once; an ndarray is read in blocks of ``_RESIDUAL_BLOCK``
     columns, leaving the caller's array as it is.
     """
     if sp.issparse(a):
-        half = a * 0.5
-        return (half + half.conj().T).toarray(order="F")
+        scaled = a * scale
+        return (scaled + scaled.conj().T).toarray(order="F")
     herm = np.conjugate(a.T, order="F")
-    herm *= 0.5
+    herm *= np.conjugate(scale)
     for lo in range(0, a.shape[0], _RESIDUAL_BLOCK):
         cols = slice(lo, lo + _RESIDUAL_BLOCK)
-        herm[:, cols] += 0.5 * a[:, cols]
+        herm[:, cols] += scale * a[:, cols]
     return herm
 
 
@@ -167,11 +196,11 @@ def _eig_unitary(
     part is made dense for the eigensolve (LAPACK's MRRR driver, evr), and
     the images ``a @ vecs`` are sparse products when ``a`` is sparse.
 
-    The Hermitian part comes from ``_hermitian_part`` and is overwritten by
-    the eigensolve.  The Rayleigh quotients and defects, and the sparse
-    images, are then formed in blocks of ``_RESIDUAL_BLOCK`` columns, so
-    the working set is two side x side arrays: H, then the eigenvectors and
-    their images.
+    The Hermitian part H = (A + A*)/2 comes from ``_hermitian_sum`` and is
+    overwritten by the eigensolve.  The Rayleigh quotients and defects, and
+    the sparse images, are then formed in blocks of ``_RESIDUAL_BLOCK``
+    columns, so the working set is two side x side arrays: H, then the
+    eigenvectors and their images.
 
     After the Hermitian eigensolve, each column's Rayleigh quotient and
     defect norm cost O(N^2) in total; columns whose defect is at most
@@ -195,7 +224,7 @@ def _eig_unitary(
     size = a.shape[0]
     sparse = sp.issparse(a)
     w, vecs = sla.eigh(
-        _hermitian_part(a), driver="evr", check_finite=False, overwrite_a=True
+        _hermitian_sum(a, 0.5), driver="evr", check_finite=False, overwrite_a=True
     )
     images = np.empty((size, size), dtype=complex)
     if not sparse:
@@ -311,16 +340,18 @@ def _trace_powers(a: sp.csr_matrix, count: int) -> np.ndarray:
     ``a``, read from its CSC form, and each higher power is one more sparse
     product, ``count`` nnz(A) side multiply-adds in all.
 
-    The sparse products release the interpreter lock, so the ranges E are
-    shared out to ``_moment_workers`` threads, each range ``_RESIDUAL_BLOCK``
-    // workers columns wide (at least one).  So up to ``_RESIDUAL_BLOCK``
-    workers keep ``_RESIDUAL_BLOCK`` columns in flight, and the working set
-    stays two side x ``_RESIDUAL_BLOCK`` arrays.  The shares are added in
-    range order, so the traces do not depend on thread timing.  The workers
-    call only numpy and ``scipy.sparse``.
+    The sparse products release the interpreter lock, so from
+    ``_MOMENT_POOL_WORK`` multiply-adds up the ranges E are shared out to
+    ``_moment_workers`` threads, each range ``_RESIDUAL_BLOCK`` // workers
+    columns wide (at least one).  So up to ``_RESIDUAL_BLOCK`` workers keep
+    ``_RESIDUAL_BLOCK`` columns in flight, and the working set stays two
+    side x ``_RESIDUAL_BLOCK`` arrays.  Less work runs on the calling
+    thread, in ranges of ``_RESIDUAL_BLOCK`` columns.  The shares are added
+    in range order, so the traces do not depend on thread timing.  The
+    workers call only numpy and ``scipy.sparse``.
     """
     side = a.shape[0]
-    workers = _moment_workers()
+    workers = _moment_workers() if count * a.nnz * side >= _MOMENT_POOL_WORK else 1
     width = max(1, _RESIDUAL_BLOCK // workers)
     columns = a.tocsc()
 
@@ -334,8 +365,11 @@ def _trace_powers(a: sp.csr_matrix, count: int) -> np.ndarray:
             part[power] = np.trace(block[own])
         return part
 
-    with ThreadPoolExecutor(workers) as pool:
-        parts = pool.map(share, range(0, side, width))
+    if workers == 1:
+        parts = map(share, range(0, side, width))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            parts = pool.map(share, range(0, side, width))
     # read once the workers are joined, so the calling thread does not wake
     # for each share and take the interpreter lock from them
     traces = np.zeros(count, dtype=complex)
@@ -394,6 +428,104 @@ def _eigvals_from_moments(
             and counts.sum() == side):
         return None
     return np.repeat(ritz, counts.astype(int))
+
+
+def _traces(a) -> tuple[complex, complex]:
+    """tr A and tr A^2 = sum_ij A_ij A_ji, read from the entries: O(nnz) for
+    a sparse ``a``, and no temporary array for an ndarray."""
+    if sp.issparse(a):
+        return complex(a.diagonal().sum()), complex(a.multiply(a.T).sum())
+    return complex(np.trace(a)), complex(np.einsum("ij,ji->", a, a))
+
+
+def _eigvals_from_pencil(a, unitary_tol: float) -> np.ndarray | None:
+    """Eigenvalues of a unitary ``a`` from one eigenvalues-only solve of its
+    Cayley pencil, or None when the result is not certified.
+
+    For a unitary B = e^{-i alpha} A, take S = i(B* - B) and H' = 2I + B +
+    B*, both Hermitian.  B is normal, so an eigenvector v of B with B v =
+    e^{i phi} v, phi in (-pi, pi], has B* v = e^{-i phi} v, and
+
+        S v = 2 sin(phi) v,  H' v = (2 + 2 cos(phi)) v,  S v = t H' v
+
+    with t = sin(phi) / (1 + cos(phi)) = tan(phi / 2).  H' is positive
+    definite unless phi = pi, that is unless A has the eigenvalue -e^{i
+    alpha} (the seam), so (S, H') is a Hermitian-definite pencil whose
+    eigenvalues are the real t_j.  As (1 + i t) / (1 - i t) = e^{i phi},
+
+        lambda_j = e^{i alpha} (1 + i t_j) / (1 - i t_j),
+
+    each value with its side of the real line.  So one eigenvalues-only
+    solve (LAPACK's gv driver: a Cholesky factor of H', then a Hermitian
+    eigensolve of the reduced matrix) gives the spectrum, and no
+    eigenvectors are formed.  S = (-iB) + (-iB)* and H' - 2I = B + B* are
+    both ``_hermitian_sum`` of ``a``, so the working set is two side x side
+    arrays (``_DENSE_ARRAYS``).
+
+    With no eigenvectors, two gates certify the values.  A value at angle
+    delta from the seam has |t| about 2 / delta, and the angles come out
+    with errors of about eps max|t| (measured on Haar-rotated unitaries of
+    side 512 and 1024 with one phase 1e-1 to 1e-7 from the seam).  With C
+    = ``_PENCIL_CONDITION`` and tau = ``unitary_tol``:
+
+    - Conditioning: C eps (1 + max|t|) must be at most tau.
+    - Traces: with e = C eps sum_j (1 + |t_j|), sum lambda_j and sum
+      lambda_j^2 must lie within e and 2e of the exact tr A and tr A^2
+      (``_traces``).  Under the first gate e is at most side tau, so each
+      value's share of the sums may be off by up to tau.  The measured
+      misses were below e / 30.
+
+    The first gate alone does not suffice: a value within about sqrt(eps)
+    of the seam sits in a numerically singular H', and its t comes out far
+    too small, so it passes the first gate with an error of up to 2 / |t|
+    (at side 1024, a phase 1e-11 from the seam gave |t| = 4e5 and an error
+    of 5e-6).  Such a value moves the sums by its whole error, far above e,
+    and a value missing or counted twice moves them by the order of 1.
+
+    On a miss the solve is retried once, with the seam in the middle of the
+    widest gap between the first answer's angles; on a Cholesky failure
+    (a value on the seam), with alpha + pi, which puts that value at t = 0.
+    A second miss returns None.
+    """
+    trace, trace_sq = _traces(a)
+    alpha = _PENCIL_ALPHA
+    for retry in (False, True):
+        try:
+            tans = _pencil_tangents(a, alpha)
+        except np.linalg.LinAlgError:  # H' not positive definite, or no convergence
+            alpha += np.pi
+            continue
+        lam = np.exp(1j * alpha) * (1 + 1j * tans) / (1 - 1j * tans)
+        # each value's error bound; written so that a NaN fails
+        bounds = _PENCIL_CONDITION * np.finfo(float).eps * (1 + np.abs(tans))
+        if (bounds.max() <= unitary_tol
+                and abs(lam.sum() - trace) <= bounds.sum()
+                and abs((lam * lam).sum() - trace_sq) <= 2 * bounds.sum()):
+            return lam
+        if not retry:
+            angles = np.sort(np.angle(lam))
+            gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+            widest = int(np.argmax(gaps))
+            alpha = angles[widest] + gaps[widest] / 2 - np.pi
+    return None
+
+
+def _pencil_tangents(a, alpha: float) -> np.ndarray:
+    """Eigenvalues t_j = tan(phi_j / 2) of the Cayley pencil (S, H') of
+    e^{-i alpha} ``a`` (see ``_eigvals_from_pencil``), ascending.
+
+    A LAPACK failure, a Cholesky factor of H' among them, raises
+    ``LinAlgError``.
+    """
+    rot = np.exp(-1j * alpha)
+    shifted = _hermitian_sum(a, rot)
+    diag = np.arange(a.shape[0])
+    shifted[diag, diag] += 2.0
+    # the pre-check has already rejected non-finite input
+    return sla.eigh(
+        _hermitian_sum(a, -1j * rot), shifted, eigvals_only=True, driver="gv",
+        overwrite_a=True, overwrite_b=True, check_finite=False,
+    )
 
 
 def _available_memory() -> float:
@@ -512,15 +644,18 @@ def unitary_eigenvalues(
     """Clustered spectrum of a unitary matrix, given as an ndarray or as a
     scipy sparse matrix.
 
-    Two routes, tried in this order (see the module docstring):
+    Three routes, tried in this order (see the module docstring):
 
     - trace moments (``_eigvals_from_moments``): any matrix above side
       ``_SATURATION_STEPS`` whose fixed-seed Krylov probe closes.  Only
       sparse products run, on the CSR copy of an ndarray, and no side x
       side array is made.
-    - Hermitian splitting (``_eig_unitary``): every other spectrum, every
-      matrix at or below side ``_SATURATION_STEPS``, and a certificate
-      miss on the trace-moment route.
+    - the Cayley pencil (``_eigvals_from_pencil``): every other matrix
+      above side ``_SATURATION_STEPS``, whose probe does not close or whose
+      trace-moment certificate misses.  One eigenvalues-only
+      Hermitian-definite solve.
+    - Hermitian splitting (``_eig_unitary``): every matrix at or below side
+      ``_SATURATION_STEPS``, and a miss of the pencil's gates.
 
     Each is a solve of the matrix as given, blind to any structure it has.
 
@@ -529,9 +664,9 @@ def unitary_eigenvalues(
     failure after it, a LAPACK non-convergence or a miss of the
     eigen-residual or unit-circle gate, raises ``EigensolverError``.
     ``CapacityError`` is raised when two side x side arrays exceed the
-    available memory: before the split path, and before an ndarray's CSR
-    copy.  So the trace-moment route on a sparse matrix is not limited by
-    it.
+    available memory: before the pencil or the split path, and before an
+    ndarray's CSR copy.  So the trace-moment route on a sparse matrix is
+    not limited by it.
     """
     # the product residual also rejects a non-square shape
     a = require_unitary(a, unitary_tol, what="input")
@@ -547,6 +682,9 @@ def unitary_eigenvalues(
                 lam = _eigvals_from_moments(sp.csr_matrix(a), *probe, unitary_tol)
         if lam is None:
             _require_capacity(side)
+            if side > _SATURATION_STEPS:
+                lam = _eigvals_from_pencil(a, unitary_tol)
+        if lam is None:
             # the split path skips LAPACK's finiteness check: the pre-check
             # has already rejected non-finite input
             lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))

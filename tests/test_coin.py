@@ -161,6 +161,10 @@ class TestRandomCoin:
         with pytest.raises(ValueError):
             coin.random_coin_system(3, 3, seed=0)
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            coin.random_coin_system(-1, 3, seed=0)
+
 
 class TestAlgebraicSum:
     def test_full_set_gives_sum(self):

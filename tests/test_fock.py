@@ -177,3 +177,10 @@ def test_mode_out_of_range():
         fock.verify_car(-1)
     with pytest.raises(ValueError):
         fock.FockSpace(-2)
+
+
+def test_negative_n_named_before_the_mode():
+    # with n = -1 every k is out of range; the message names n
+    for make in (fock.annihilation_operator, fock.creation_operator):
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            make(-1, 0)

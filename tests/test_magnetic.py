@@ -56,6 +56,16 @@ class TestPotentials:
         with pytest.raises(ValueError):
             nu.phases[0] = 1.0
 
+    def test_negative_n_rejected(self):
+        makers = [
+            magnetic.null_potential,
+            lambda n: magnetic.random_potential(n, np.random.default_rng(0)),
+            magnetic.FullPotentialTable,
+        ]
+        for make in makers:
+            with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+                make(-1)
+
 
 class TestFullPotentialTable:
     def test_zero_table_reduces_to_null(self):

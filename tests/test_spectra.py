@@ -237,8 +237,8 @@ def clustered_unitary(side, phases, seed):
 
 def spy_drivers(monkeypatch):
     """Record the LAPACK driver of every ``scipy.linalg.eigh`` call (the
-    split path and the coin sums), eigenvalues-only calls included, so an
-    empty record rules out any Hermitian solve."""
+    pencil, the split path and the coin sums), eigenvalues-only calls
+    included, so an empty record rules out any Hermitian solve."""
     drivers = []
     eigh = spectra.sla.eigh
 
@@ -290,6 +290,18 @@ def miss_moments(monkeypatch):
     monkeypatch.setattr(spectra, "_trace_powers", perturbed)
 
 
+def miss_pencil(monkeypatch):
+    """Move tr A by 1, a trace error that the pencil's gate refuses on both
+    of its tries."""
+    traces = spectra._traces
+
+    def perturbed(a):
+        trace, trace_sq = traces(a)
+        return trace + 1.0, trace_sq
+
+    monkeypatch.setattr(spectra, "_traces", perturbed)
+
+
 class TestKrylovRouting:
     """The probe's choice of route and the probe itself."""
 
@@ -313,24 +325,30 @@ class TestKrylovRouting:
         assert report.multiplicities == (24, 24, 24, 24)
         assert mat.tobytes(order="A") == before
 
-    def test_small_generic_uses_evr(self, monkeypatch):
+    def test_small_generic_uses_the_pencil(self, monkeypatch):
         drivers = spy_drivers(monkeypatch)
         mat = haar_unitary(96, np.random.default_rng(41))
         report = spectra.unitary_eigenvalues(mat)
-        assert drivers == ["evr"]
+        assert drivers == ["gv"]
         assert spectra.hausdorff_distance(report.values, np.linalg.eigvals(mat)) <= 1e-10
 
     def test_small_degenerate_solver_miss_is_not_input_error(self, monkeypatch):
-        # a certificate miss falls back to the split path, which answers;
-        # a miss there too is a solver failure, not invalid input
+        # a certificate miss falls back to the pencil, which answers; a
+        # miss of the pencil's gates falls back to the split path, and a
+        # miss there too is a solver failure, not invalid input
         moments = spy_moments(monkeypatch)
         miss_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         mat = clustered_unitary(96, [0.5, -0.5], 43)
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [((96, 96), False)] and drivers == ["evr"]
+        assert moments == [((96, 96), False)] and drivers == ["gv"]
         assert report.multiplicities == (48, 48)
         assert spectra.hausdorff_distance(report.values, np.exp([-0.5j, 0.5j])) <= 1e-9
+        miss_pencil(monkeypatch)
+        drivers.clear()
+        report = spectra.unitary_eigenvalues(mat)
+        assert drivers == ["gv", "gv", "evr"]
+        assert report.multiplicities == (48, 48)
         miss_split_gate(monkeypatch)
         with pytest.raises(spectra.EigensolverError, match="eigen-residual") as info:
             spectra.unitary_eigenvalues(mat)
@@ -338,9 +356,10 @@ class TestKrylovRouting:
 
     @pytest.mark.parametrize("form", ["csr", "ndarray"])
     def test_moment_certificate_miss(self, monkeypatch, form):
-        # a certificate miss ends on the split path with the right answer;
-        # a miss of its gate then is a solver failure, as the pre-check has
-        # proven either form unitary
+        # a certificate miss ends on the pencil with the right answer, and
+        # a miss of its gates on the split path; a miss of the split path's
+        # gate then is a solver failure, as the pre-check has proven either
+        # form unitary
         mat, dense = walk_forms(coin.grover_coin_system(4), 45)
         reference = spectra.unitary_eigenvalues(mat)
         if form == "ndarray":
@@ -349,7 +368,13 @@ class TestKrylovRouting:
         miss_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [((160, 160), False)] and drivers == ["evr"]
+        assert moments == [((160, 160), False)] and drivers == ["gv"]
+        assert report.multiplicities == reference.multiplicities
+        assert np.abs(report.values - reference.values).max() <= 1e-12
+        miss_pencil(monkeypatch)
+        drivers.clear()
+        report = spectra.unitary_eigenvalues(mat)
+        assert drivers == ["gv", "gv", "evr"]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_split_gate(monkeypatch)
@@ -501,9 +526,28 @@ class TestMomentsRoute:
             monkeypatch.setattr(spectra, "_moment_workers", lambda: workers)
             assert np.abs(spectra._trace_powers(mat, 5) - powers).max() <= 1e-10
 
+    def test_small_products_run_on_the_calling_thread(self, monkeypatch):
+        # below _MOMENT_POOL_WORK multiply-adds no thread pool starts; the
+        # side-896 walk keeps its pool
+        pools = []
+        pool = spectra.ThreadPoolExecutor
+
+        def counted(workers):
+            pools.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(spectra, "ThreadPoolExecutor", counted)
+        monkeypatch.setattr(spectra, "_moment_workers", lambda: 2)
+        moments = spy_moments(monkeypatch)
+        small, large = MOMENT_CASES["grover4"](), MOMENT_CASES["grover6"]()
+        spectra.unitary_eigenvalues(small)
+        assert moments == [((160, 160), True)] and pools == []
+        spectra.unitary_eigenvalues(large)
+        assert moments[1] == ((896, 896), True) and pools == [2]
+
     @pytest.mark.parametrize("fault", ["dropped", "perturbed", "moved"])
     def test_fault_falls_back(self, monkeypatch, fault):
-        # each fault is refused by the certificate; the split path answers,
+        # each fault is refused by the certificate; the pencil answers,
         # with the unperturbed multiset
         mat = MOMENT_CASES["grover5"]()
         reference = spectra.unitary_eigenvalues(mat)
@@ -523,7 +567,7 @@ class TestMomentsRoute:
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [(mat.shape, False)] and drivers == ["evr"]
+        assert moments == [(mat.shape, False)] and drivers == ["gv"]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
 
@@ -533,6 +577,92 @@ class TestMomentsRoute:
         ritz, ritz_vecs = spectra._krylov_saturation(mat, 64)
         assert spectra._eigvals_from_moments(mat, ritz, ritz_vecs, 1e-8).size == 160
         assert spectra._eigvals_from_moments(mat, ritz, ritz_vecs, 0.0) is None
+
+
+def spy_pencil(monkeypatch):
+    """Record the angle alpha of every Cayley pencil solve, and whether it
+    raised ``LinAlgError``."""
+    solves = []
+    solve = spectra._pencil_tangents
+
+    def spy(a, alpha):
+        try:
+            tans = solve(a, alpha)
+        except np.linalg.LinAlgError:
+            solves.append((alpha, False))
+            raise
+        solves.append((alpha, True))
+        return tans
+
+    monkeypatch.setattr(spectra, "_pencil_tangents", spy)
+    return solves
+
+
+def seam_unitary(side, delta, seed):
+    """Haar-rotated unitary with random phases, one of them ``delta`` from
+    the pencil's seam -e^{i alpha}; and its eigenvalues."""
+    rng = np.random.default_rng(seed)
+    q = haar_unitary(side, rng)
+    phases = rng.uniform(-np.pi, np.pi, side)
+    phases[0] = np.pi + spectra._PENCIL_ALPHA + delta
+    values = np.exp(1j * phases)
+    return (q * values) @ q.conj().T, values
+
+
+class TestPencil:
+    """A spectrum whose probe does not close: the Cayley pencil."""
+
+    # the phase 3e-10 from the seam came out with |t| = 5e5, which passes
+    # the conditioning gate, and an error of 4e-6, below side tau; the
+    # trace gate, scaled by the same error bound, refuses it
+    @pytest.mark.parametrize("delta", [1e-2, 1e-5, 1e-6, 1e-8, 3e-10, 1e-11, 0.0])
+    def test_values_near_the_seam(self, monkeypatch, delta):
+        mat, values = seam_unitary(512, delta, 56)
+        solves = spy_pencil(monkeypatch)
+        lam = spectra._eigvals_from_pencil(mat, 1e-8)
+        # a first answer far from the seam, a retry with the seam in the
+        # widest gap otherwise; each answer within tau of the truth
+        assert len(solves) == (1 if delta >= 1e-5 else 2)
+        assert lam.size == 512 and spectra.hausdorff_distance(lam, values) <= 1e-8
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, "ndarray"])
+    def test_against_the_split_path(self, monkeypatch, n):
+        cs = coin.random_coin_system(5 if n == "ndarray" else n, 8, seed=57)
+        mat, dense = walk_forms(cs, 58)
+        if n == "ndarray":
+            mat = dense
+        solves = spy_pencil(monkeypatch)
+        lam = spectra._eigvals_from_pencil(mat, 1e-8)
+        assert solves == [(spectra._PENCIL_ALPHA, True)]
+        # columns above 1e-12 are rotated, which keeps the oracle's
+        # residual, and so its error, well below the agreement asserted
+        split, _, residual = spectra._eig_unitary(mat, 1e-12)
+        assert residual <= 1e-10
+        assert lam.size == mat.shape[0]
+        assert spectra.hausdorff_distance(lam, split) <= 1e-10
+
+    def test_cholesky_failure_is_not_input_error(self, monkeypatch):
+        # at alpha = 0 the value -1 makes H' exactly singular, and at the
+        # retry's alpha = pi the value 1 does: both Cholesky factors fail,
+        # and the split path answers
+        monkeypatch.setattr(spectra, "_PENCIL_ALPHA", 0.0)
+        phases = np.random.default_rng(59).uniform(-3.0, 3.0, 96)
+        phases[:2] = np.pi, 0.0
+        values = np.exp(1j * phases)
+        values[:2] = -1.0, 1.0
+        solves = spy_pencil(monkeypatch)
+        drivers = spy_drivers(monkeypatch)
+        report = spectra.unitary_eigenvalues(np.diag(values))
+        assert solves == [(0.0, False), (np.pi, False)]
+        assert drivers == ["gv", "gv", "evr"]
+        assert report.total_multiplicity == 96
+        assert spectra.hausdorff_distance(report.values, values) <= 1e-12
+        # with only -1 on the seam, the retry answers
+        solves.clear()
+        values[1] = np.exp(0.5j)
+        report = spectra.unitary_eigenvalues(np.diag(values))
+        assert solves == [(0.0, False), (np.pi, True)]
+        assert spectra.hausdorff_distance(report.values, values) <= 1e-12
 
 
 class TestSparseInput:
@@ -576,7 +706,7 @@ class TestSparseInput:
     # "eigvals": a degenerate walk, whose eigenvalues the trace-moment
     # route gives without eigenvectors, in either form
     @pytest.mark.parametrize("route, cs", [
-        ("evr", coin.random_coin_system(4, 6, seed=64)),
+        ("gv", coin.random_coin_system(4, 6, seed=64)),
         ("eigvals", coin.grover_coin_system(4)),
     ])
     def test_same_clusters_on_every_route(self, monkeypatch, route, cs):
@@ -671,7 +801,7 @@ class TestBlockedResiduals:
 
     @pytest.mark.parametrize("cs, route, arrays", [
         (coin.grover_coin_system(6), "moments", 0.27),
-        (coin.random_coin_system(6, 7, seed=75), "evr", 3.25),
+        (coin.random_coin_system(6, 7, seed=75), "gv", 3.25),
     ], ids=["grover", "random"])
     def test_peak_memory_of_a_side_896_walk(self, monkeypatch, cs, route, arrays):
         nu = magnetic.random_potential(cs.n, np.random.default_rng(76))
@@ -688,8 +818,7 @@ class TestBlockedResiduals:
             tracemalloc.stop()
         assert drivers == ([] if route == "moments" else [route])
         assert moments == ([(mat.shape, True)] if route == "moments" else [])
-        # evr holds H, then the eigenvectors and their images; the
-        # trace-moment route the probe's side x 65 basis and, over all its
+        # the pencil holds S and H'; the trace-moment route the probe's side x 65 basis and, over all its
         # workers, two blocks of A^p E for 64 columns in flight (measured:
         # 0.259 side^2 complex numbers on two workers)
         assert peak <= arrays * side * side * 16
@@ -718,7 +847,7 @@ class TestBlockedResiduals:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("cs, route, arrays", [
         (coin.grover_coin_system(6), "moments", 0.3),
-        (coin.random_coin_system(6, 7, seed=75), "evr", 2.25),
+        (coin.random_coin_system(6, 7, seed=75), "gv", 2.25),
     ], ids=["grover", "random"])
     def test_peak_memory_of_a_side_896_ndarray(self, monkeypatch, cs, route, arrays):
         _, dense = walk_forms(cs, 77)
@@ -734,7 +863,7 @@ class TestBlockedResiduals:
         assert drivers == ([] if route == "moments" else [route])
         assert moments == ([(dense.shape, True)] if route == "moments" else [])
         # the pre-check's products are formed in blocks of rows, so only
-        # the split path's two arrays are side x side; the trace-moment
+        # the pencil's two arrays are side x side; the trace-moment
         # route holds the CSR copy beside the working set of
         # test_peak_memory_of_a_side_896_walk (measured: 0.286 side^2
         # complex numbers on two workers)
@@ -752,7 +881,7 @@ class TestMemoryGuard:
 
     # "eigvals": a degenerate ndarray, whose eigenvalues the trace-moment
     # route gives from its CSR copy, which the guard comes before
-    @pytest.mark.parametrize("route", ["eigvals", "evr"])
+    @pytest.mark.parametrize("route", ["eigvals", "gv"])
     def test_refused_before_the_dense_step(self, monkeypatch, route):
         side = 512
         mat = (clustered_unitary(side, [0.5, -0.5], 50) if route == "eigvals"
@@ -776,7 +905,7 @@ class TestMemoryGuard:
         report = spectra.unitary_eigenvalues(mat)
         assert report.total_multiplicity == side
         assert (moments, drivers) == (
-            ([(mat.shape, True)], []) if route == "eigvals" else ([], ["evr"])
+            ([(mat.shape, True)], []) if route == "eigvals" else ([], ["gv"])
         )
 
     def test_moment_route_needs_no_dense_capacity(self, monkeypatch):
