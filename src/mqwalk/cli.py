@@ -23,7 +23,6 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coin import (
     DEFAULT_COIN_TOL,
@@ -33,16 +32,8 @@ from .coin import (
     random_coin_system,
     validate_coin_system,
 )
-from .fock import EXACT_TOL, dimension, verify_car
-from .magnetic import (
-    MagneticPotential,
-    magnetic_basis_change,
-    magnetic_basis_vector,
-    magnetic_shift,
-    null_potential,
-    random_potential,
-    xi_hat_vacuum_columns,
-)
+from .fock import dimension, verify_car
+from .magnetic import MagneticPotential, eigenbasis_check, null_potential, random_potential
 from .spectra import (
     DEFAULT_SPECTRUM_TOL,
     EigensolverError,
@@ -87,6 +78,12 @@ DEFAULTS = {
     "tol_spectrum": DEFAULT_SPECTRUM_TOL,
     "tol_construct": DEFAULT_COIN_TOL,
 }
+
+
+# The scalar fields of each spectral check, in its task's report and in verify-all
+_POINT_FIELDS = ("passed", "hausdorff_distance", "multiset_passed")
+_AEV_FIELDS = ("passed", "hausdorff_distance", "max_witness_residual", "matches_point_check")
+_STABILITY_FIELDS = ("passed", "max_pairwise_hausdorff", "max_operator_difference")
 
 
 class InputError(ValueError):
@@ -333,6 +330,10 @@ def _run_spectrum(cfg, rng) -> tuple[int, dict | Iterable[str]]:
     return 0, report
 
 
+def _fields(check, names: tuple[str, ...]) -> dict:
+    return {name: getattr(check, name) for name in names}
+
+
 def _run_verify_point(cfg, rng) -> tuple[int, dict]:
     cs = _build_coin(cfg, rng)
     nu = _build_nu(cfg, rng)
@@ -340,9 +341,7 @@ def _run_verify_point(cfg, rng) -> tuple[int, dict]:
     report = {
         "task": "verify-point",
         "config": _config_echo(cfg, cs),
-        "passed": check.passed,
-        "hausdorff_distance": check.hausdorff_distance,
-        "multiset_passed": check.multiset_passed,
+        **_fields(check, _POINT_FIELDS),
         "walk_spectrum": check.walk_spectrum.to_json_dict(),
         "union_set": check.union_set.to_json_dict(),
         "union_multiset": check.union_multiset.to_json_dict(),
@@ -357,10 +356,7 @@ def _run_verify_aev(cfg, rng) -> tuple[int, dict]:
     report = {
         "task": "verify-aev",
         "config": _config_echo(cfg, cs),
-        "passed": check.passed,
-        "hausdorff_distance": check.hausdorff_distance,
-        "max_witness_residual": check.max_witness_residual,
-        "matches_point_check": check.matches_point_check,
+        **_fields(check, _AEV_FIELDS),
         "walk_spectrum": check.walk_spectrum.to_json_dict(),
         "union_set": check.union_set.to_json_dict(),
         "union_multiset": check.union_multiset.to_json_dict(),
@@ -376,118 +372,56 @@ def _run_verify_stability(cfg, rng) -> tuple[int, dict]:
     report = {
         "task": "verify-stability",
         "config": _config_echo(cfg, cs),
-        "passed": report_obj.passed,
+        **_fields(report_obj, _STABILITY_FIELDS),
         "samples": report_obj.samples,
-        "max_pairwise_hausdorff": report_obj.max_pairwise_hausdorff,
-        "max_operator_difference": report_obj.max_operator_difference,
         "spectra": [rep.to_json_dict() for rep in report_obj.spectra],
     }
     return (0 if report_obj.passed else 1), report
 
 
-def _involution_residuals(n: int, nu: MagneticPotential) -> dict:
-    eye = sp.identity(dimension(n), dtype=complex, format="csr")
-    square = adjoint = 0.0
-    for j in range(n + 1):
-        xi = magnetic_shift(n, j, nu)
-        # np.maximum, unlike max, keeps a NaN residual
-        square = float(np.maximum(square, abs(xi @ xi - eye).max()))
-        adjoint = float(np.maximum(adjoint, abs(xi - xi.conj().T).max()))
-    return {
-        "square_residual": square,
-        "self_adjoint_residual": adjoint,
-        "passed": square <= EXACT_TOL and adjoint <= EXACT_TOL,
-    }
-
-
-def _eigenbasis_residuals(n: int, nu: MagneticPotential, tol: float) -> dict:
-    dim = dimension(n)
-    basis = magnetic_basis_change(nu)
-    gram = float(np.abs(basis.conj().T @ basis - np.eye(dim)).max())
-
-    eigen_rel = 0.0
-    indices = np.arange(dim)
-    for j in range(n + 1):
-        signs = np.where((indices >> j) & 1 == 1, 1.0, -1.0)
-        xi = magnetic_shift(n, j, nu)
-        # np.maximum, unlike max, keeps a NaN residual
-        eigen_rel = float(
-            np.maximum(eigen_rel, np.abs(xi @ basis - basis * signs[None, :]).max())
-        )
-
-    construction_gap = 0.0
-    via_products = xi_hat_vacuum_columns(nu) / np.sqrt(dim)
-    for sigma in range(dim):
-        via_product = via_products[:, sigma]
-        via_formula = magnetic_basis_vector(sigma, nu)
-        construction_gap = float(
-            np.maximum(construction_gap, np.abs(via_product - via_formula).max())
-        )
-
-    return {
-        "gram_residual": float(gram),
-        "eigen_relation_residual": float(eigen_rel),
-        "construction_agreement": float(construction_gap),
-        "passed": gram <= tol and eigen_rel <= tol and construction_gap <= EXACT_TOL,
-    }
-
-
 def _run_verify_all(cfg, rng) -> tuple[int, dict]:
     cs = _build_coin(cfg, rng)
     nu = _build_nu(cfg, rng)
-    n = cs.n
     tol_c = cfg["tol_construct"]
     tol_s = cfg["tol_spectrum"]
 
-    checks: dict[str, dict] = {}
-
-    car = verify_car(n)
-    checks["car"] = {
-        "max_residual": car.max_residual,
-        "passed": car.passed(),
-    }
-
+    car = verify_car(cs.n)
     coin_report = validate_coin_system(cs)
-    checks["coin"] = {
-        "mutual_annihilation": coin_report.mutual_annihilation,
-        "sum_unitarity": coin_report.sum_unitarity,
-        "passed": coin_report.passed(tol_c),
+    shifts = eigenbasis_check(nu)
+    intertwining = intertwining_check(evolution_operator(nu, cs))
+    checks = {
+        "car": {"max_residual": car.max_residual, "passed": car.passed()},
+        "coin": {
+            "mutual_annihilation": coin_report.mutual_annihilation,
+            "sum_unitarity": coin_report.sum_unitarity,
+            "passed": coin_report.passed(tol_c),
+        },
+        "involution": {
+            "square_residual": shifts.square_residual,
+            "self_adjoint_residual": shifts.self_adjoint_residual,
+            "passed": shifts.involution_passed(),
+        },
+        "eigenbasis": {
+            "gram_residual": shifts.gram_residual,
+            "eigen_relation_residual": shifts.eigen_relation_residual,
+            "construction_agreement": shifts.construction_agreement,
+            "passed": shifts.eigenbasis_passed(tol_c),
+        },
+        "intertwining": {
+            "max_vector_residual": intertwining.max_vector_residual,
+            "off_block_mass": intertwining.off_block_mass,
+            "max_block_mismatch": intertwining.max_block_mismatch,
+            "passed": intertwining.passed(tol_c),
+        },
+        "point_spectrum": _fields(verify_point_spectrum_theorem(nu, cs, tol=tol_s), _POINT_FIELDS),
+        "approximate_spectrum": _fields(
+            verify_approximate_spectrum_theorem(nu, cs, tol=tol_s), _AEV_FIELDS
+        ),
+        "spectral_stability": _fields(
+            verify_spectral_stability(cs, samples=cfg["samples"], rng=rng, tol=tol_s),
+            _STABILITY_FIELDS,
+        ),
     }
-
-    checks["involution"] = _involution_residuals(n, nu)
-    checks["eigenbasis"] = _eigenbasis_residuals(n, nu, tol_c)
-
-    op = evolution_operator(nu, cs)
-    intertwining = intertwining_check(op)
-    checks["intertwining"] = {
-        "max_vector_residual": intertwining.max_vector_residual,
-        "off_block_mass": intertwining.off_block_mass,
-        "max_block_mismatch": intertwining.max_block_mismatch,
-        "passed": intertwining.passed(tol_c),
-    }
-
-    point = verify_point_spectrum_theorem(nu, cs, tol=tol_s)
-    checks["point_spectrum"] = {
-        "hausdorff_distance": point.hausdorff_distance,
-        "multiset_passed": point.multiset_passed,
-        "passed": point.passed,
-    }
-
-    aev = verify_approximate_spectrum_theorem(nu, cs, tol=tol_s)
-    checks["approximate_spectrum"] = {
-        "hausdorff_distance": aev.hausdorff_distance,
-        "max_witness_residual": aev.max_witness_residual,
-        "matches_point_check": aev.matches_point_check,
-        "passed": aev.passed,
-    }
-
-    stability = verify_spectral_stability(cs, samples=cfg["samples"], rng=rng, tol=tol_s)
-    checks["spectral_stability"] = {
-        "max_pairwise_hausdorff": stability.max_pairwise_hausdorff,
-        "max_operator_difference": stability.max_operator_difference,
-        "passed": stability.passed,
-    }
-
     all_passed = all(entry["passed"] for entry in checks.values())
     report = {
         "task": "verify-all",
@@ -626,10 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return run(cfg)
-    except (InputError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, CapacityError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EigensolverError as exc:

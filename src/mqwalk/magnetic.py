@@ -28,7 +28,8 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import _check_subset, basis_state, dimension, membership_signs
+from ._linalg import max_abs
+from .fock import EXACT_TOL, _check_subset, basis_state, dimension, membership_signs
 
 __all__ = [
     "MagneticPotential",
@@ -42,6 +43,8 @@ __all__ = [
     "xi_hat_vacuum_columns",
     "magnetic_basis_vector",
     "magnetic_basis_change",
+    "EigenbasisReport",
+    "eigenbasis_check",
 ]
 
 
@@ -211,14 +214,21 @@ def xi_hat_vacuum_columns(nu: MagneticPotential) -> np.ndarray:
     the vacuum in every column, each column with the signs of its sigma, so
     n + 1 sparse products stand in for 2^(n+1) dense operators.
     """
-    n = nu.n
+    return _vacuum_columns(nu.n, (magnetic_shift(nu.n, j, nu) for j in range(nu.n + 1)))
+
+
+def _direction_signs(n: int, j: int) -> np.ndarray:
+    """Entry j of ``membership_signs`` for every sigma: +1.0 where j is in sigma."""
+    return 2.0 * ((np.arange(dimension(n)) >> j) & 1) - 1.0
+
+
+def _vacuum_columns(n: int, shifts) -> np.ndarray:
+    """``xi_hat_vacuum_columns`` from the shifts Xi_0, ..., Xi_n in order."""
     dim = dimension(n)
-    sigmas = np.arange(dim)
     block = np.zeros((dim, dim), dtype=complex)
     block[0] = 1.0
-    for j in range(n + 1):
-        signs = 2.0 * ((sigmas >> j) & 1) - 1.0  # membership_signs of every sigma
-        block = block + (magnetic_shift(n, j, nu) @ block) * signs
+    for j, xi in enumerate(shifts):
+        block = block + (xi @ block) * _direction_signs(n, j)
     return block
 
 
@@ -262,3 +272,51 @@ def magnetic_basis_change(nu: MagneticPotential) -> np.ndarray:
     +-1 according to membership of j in the column index.
     """
     return _basis_columns(nu, np.arange(dimension(nu.n)))
+
+
+@dataclass(frozen=True)
+class EigenbasisReport:
+    """Max-norm residuals, over all directions j, of the shift involutions
+    Xi_j and of their closed-form joint eigenbasis B."""
+
+    square_residual: float  # |Xi_j Xi_j - I|
+    self_adjoint_residual: float  # |Xi_j - Xi_j*|
+    gram_residual: float  # |B* B - I|
+    eigen_relation_residual: float  # |Xi_j B - B S_j|, S_j = diag of the signs of j
+    construction_agreement: float  # |xi_hat_vacuum_columns / sqrt(N) - B|
+
+    def involution_passed(self) -> bool:
+        return self.square_residual <= EXACT_TOL and self.self_adjoint_residual <= EXACT_TOL
+
+    def eigenbasis_passed(self, tol: float) -> bool:
+        return (
+            self.gram_residual <= tol
+            and self.eigen_relation_residual <= tol
+            and self.construction_agreement <= EXACT_TOL
+        )
+
+
+def eigenbasis_check(nu: MagneticPotential) -> EigenbasisReport:
+    """Check that each Xi_j is a self-adjoint involution diagonalized by the
+    closed-form eigenbasis, and that the basis matches the product
+    construction.  Each shift is built once; a NaN residual stays NaN."""
+    n = nu.n
+    dim = dimension(n)
+    eye = sp.identity(dim, dtype=complex, format="csr")
+    basis = magnetic_basis_change(nu)
+    shifts = [magnetic_shift(n, j, nu) for j in range(n + 1)]
+
+    square = adjoint = eigen_rel = 0.0
+    # np.maximum, unlike max, keeps a NaN residual
+    for j, xi in enumerate(shifts):
+        square = np.maximum(square, max_abs(xi @ xi - eye))
+        adjoint = np.maximum(adjoint, max_abs(xi - xi.conj().T))
+        eigen_rel = np.maximum(eigen_rel, max_abs(xi @ basis - basis * _direction_signs(n, j)))
+
+    return EigenbasisReport(
+        square_residual=float(square),
+        self_adjoint_residual=float(adjoint),
+        gram_residual=max_abs(basis.conj().T @ basis - np.eye(dim)),
+        eigen_relation_residual=float(eigen_rel),
+        construction_agreement=max_abs(_vacuum_columns(n, shifts) / math.sqrt(dim) - basis),
+    )

@@ -35,6 +35,15 @@ REMOVED_PARAMETERS = [
 ]
 
 
+# library numerics that the CLI reaches only through a check
+NUMERICS_OUTSIDE_CLI = [
+    "magnetic_shift",
+    "magnetic_basis_change",
+    "magnetic_basis_vector",
+    "xi_hat_vacuum_columns",
+]
+
+
 def test_cli_imports_nothing_private():
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     private = []
@@ -48,6 +57,19 @@ def test_cli_imports_nothing_private():
             private.append(module)
         private += [alias.name for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_cli_is_glue():
+    # the shifts and their eigenbasis are checked by magnetic.eigenbasis_check
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+    assert [name for name in imported if name in NUMERICS_OUTSIDE_CLI] == []
 
 
 @pytest.mark.parametrize("name", MODULES)

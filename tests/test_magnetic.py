@@ -1,9 +1,13 @@
 """Tests for magnetic potentials, shift involutions, and the eigenbasis."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mqwalk import fock, magnetic
+from mqwalk import cli, fock, magnetic
 
 
 def random_antisymmetric_table(n, rng):
@@ -329,10 +333,93 @@ class TestMagneticBasis:
             expected = np.diag([fock.membership_signs(n, s)[j] for s in range(dim)])
             assert np.abs(diag - expected).max() <= 1e-10
 
-    def test_columns_are_basis_vectors(self):
-        nu = magnetic.random_potential(2, np.random.default_rng(65))
+    @pytest.mark.parametrize("n", range(5))
+    def test_columns_are_basis_vectors(self, n):
+        # one closed form builds both, so they agree bit for bit
+        nu = magnetic.random_potential(n, np.random.default_rng(65))
         basis = magnetic.magnetic_basis_change(nu)
-        for sigma in range(8):
-            np.testing.assert_allclose(
-                basis[:, sigma], magnetic.magnetic_basis_vector(sigma, nu), atol=1e-15
-            )
+        for sigma in range(2 ** (n + 1)):
+            np.testing.assert_array_equal(basis[:, sigma], magnetic.magnetic_basis_vector(sigma, nu))
+
+
+def verify_all_checks(tmp_path):
+    """The ``checks`` of a small verify-all report, and its exit code."""
+    out = tmp_path / "report.json"
+    code = cli.main(["--task", "verify-all", "--n", "1", "--coin", "hadamard-partition",
+                     "--nu", "random", "--samples", "2", "--seed", "8", "--out", str(out)])
+    return json.loads(out.read_text())["checks"], code
+
+
+class TestEigenbasisCheck:
+    @pytest.mark.parametrize("n", range(5))
+    def test_residuals_are_round_off(self, n):
+        report = magnetic.eigenbasis_check(magnetic.random_potential(n, np.random.default_rng(70 + n)))
+        assert report.involution_passed()
+        assert report.eigenbasis_passed(1e-10)
+        assert report.gram_residual <= 1e-12
+        assert report.eigen_relation_residual <= 1e-12
+
+    def test_builds_each_shift_once(self, monkeypatch):
+        n = 3
+        built = []
+
+        def counting_shift(n, j, nu, shift=magnetic.magnetic_shift):
+            built.append(j)
+            return shift(n, j, nu)
+
+        def no_basis_vector(sigma, nu):
+            raise AssertionError("the check rebuilt a basis column")
+
+        monkeypatch.setattr(magnetic, "magnetic_shift", counting_shift)
+        monkeypatch.setattr(magnetic, "magnetic_basis_vector", no_basis_vector)
+        magnetic.eigenbasis_check(magnetic.random_potential(n, np.random.default_rng(75)))
+        assert built == list(range(n + 1))
+
+    def test_gates(self):
+        report = magnetic.EigenbasisReport(0.0, 0.0, 1e-9, 1e-9, 2 * fock.EXACT_TOL)
+        assert report.involution_passed()
+        assert not report.eigenbasis_passed(1e-8)
+        assert replace(report, construction_agreement=0.0).eigenbasis_passed(1e-8)
+        assert not replace(report, construction_agreement=0.0).eigenbasis_passed(1e-10)
+        assert not replace(report, self_adjoint_residual=2 * fock.EXACT_TOL).involution_passed()
+
+
+class TestNanResidualFolds:
+    """A NaN residual stays in the report and fails the check."""
+
+    @staticmethod
+    def nan_shift(n, j, nu):
+        dim = 2 ** (n + 1)
+        return sp.csr_matrix(np.full((dim, dim), np.nan, dtype=complex))
+
+    def test_involution_residuals(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(magnetic, "magnetic_shift", self.nan_shift)
+        report = magnetic.eigenbasis_check(magnetic.random_potential(1, np.random.default_rng(80)))
+        assert np.isnan(report.square_residual)
+        assert np.isnan(report.self_adjoint_residual)
+        assert report.involution_passed() is False
+        checks, code = verify_all_checks(tmp_path)
+        assert checks["involution"]["passed"] is False
+        assert code == 1
+
+    def test_eigen_relation_residual(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(magnetic, "magnetic_shift", self.nan_shift)
+        report = magnetic.eigenbasis_check(magnetic.random_potential(1, np.random.default_rng(81)))
+        assert np.isnan(report.eigen_relation_residual)
+        assert report.eigenbasis_passed(1e-10) is False
+        checks, code = verify_all_checks(tmp_path)
+        assert checks["eigenbasis"]["passed"] is False
+        assert code == 1
+
+    def test_construction_agreement(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            magnetic, "_vacuum_columns", lambda n, shifts: np.full((4, 4), np.nan, dtype=complex)
+        )
+        report = magnetic.eigenbasis_check(magnetic.random_potential(1, np.random.default_rng(82)))
+        assert np.isnan(report.construction_agreement)
+        assert report.gram_residual <= 1e-12
+        assert report.eigenbasis_passed(1e-10) is False
+        checks, code = verify_all_checks(tmp_path)
+        assert checks["eigenbasis"]["passed"] is False
+        assert checks["involution"]["passed"] is True
+        assert code == 1
