@@ -9,7 +9,7 @@ so a report file appears whole or not at all, and nothing is written at all
 when the input is rejected.
 
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 invalid
-input or capacity guard, 3 internal numerical failure.
+input, capacity guard or allocation failure, 3 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -52,15 +52,6 @@ from .walk import (
     step,
     uniform_coin_vertex_state,
     vertex_state,
-)
-
-TASKS = (
-    "simulate",
-    "spectrum",
-    "verify-point",
-    "verify-aev",
-    "verify-stability",
-    "verify-all",
 )
 
 DEFAULTS = {
@@ -279,8 +270,7 @@ def _config_echo(cfg: dict, cs: CoinSystem) -> dict:
     return echo
 
 
-def _run_simulate(cfg, rng) -> tuple[int, dict | Iterable[str]]:
-    cs = _build_coin(cfg, rng)
+def _run_simulate(cfg, rng, cs) -> tuple[int, dict | Iterable[str]]:
     nu = _build_nu(cfg, rng)
     op = evolution_operator(nu, cs)
     state = _build_initial(cfg, nu, cs)
@@ -297,23 +287,16 @@ def _run_simulate(cfg, rng) -> tuple[int, dict | Iterable[str]]:
             for t, dist in enumerate(distributions)
         )
         return 0, itertools.chain([header], rows)
-
-    report = {
-        "task": "simulate",
-        "config": _config_echo(cfg, cs),
+    return 0, {
         "distributions": distributions,
         # rows [re, im]
         "final_state": state.vector.view(float).reshape(-1, 2),
         "final_t": state.t,
     }
-    return 0, report
 
 
-def _run_spectrum(cfg, rng) -> tuple[int, dict | Iterable[str]]:
-    cs = _build_coin(cfg, rng)
-    nu = _build_nu(cfg, rng)
-    spectrum = walk_point_spectrum(nu, cs, cluster_tol=cfg["tol_spectrum"])
-
+def _run_spectrum(cfg, rng, cs) -> tuple[int, dict | Iterable[str]]:
+    spectrum = walk_point_spectrum(_build_nu(cfg, rng), cs, cluster_tol=cfg["tol_spectrum"])
     if cfg["format"] == "csv":
         lines = ["re,im,arg,mult"]
         for entry in spectrum.to_json_dict()["eigenvalues"]:
@@ -321,98 +304,57 @@ def _run_spectrum(cfg, rng) -> tuple[int, dict | Iterable[str]]:
                 f"{entry['re']!r},{entry['im']!r},{entry['arg']!r},{entry['mult']}"
             )
         return 0, lines
-
-    report = {
-        "task": "spectrum",
-        "config": _config_echo(cfg, cs),
-        "spectrum": spectrum.to_json_dict(),
-    }
-    return 0, report
+    return 0, {"spectrum": spectrum.to_json_dict()}
 
 
 def _fields(check, names: tuple[str, ...]) -> dict:
     return {name: getattr(check, name) for name in names}
 
 
-def _run_verify_point(cfg, rng) -> tuple[int, dict]:
-    cs = _build_coin(cfg, rng)
-    nu = _build_nu(cfg, rng)
-    check = verify_point_spectrum_theorem(nu, cs, tol=cfg["tol_spectrum"])
-    report = {
-        "task": "verify-point",
-        "config": _config_echo(cfg, cs),
-        **_fields(check, _POINT_FIELDS),
+def _run_spectrum_check(check_fn, names: tuple[str, ...], cfg, rng, cs) -> tuple[int, dict]:
+    """The verify-point and verify-aev runner: ``check_fn`` and its fields."""
+    check = check_fn(_build_nu(cfg, rng), cs, tol=cfg["tol_spectrum"])
+    return (0 if check.passed else 1), {
+        **_fields(check, names),
         "walk_spectrum": check.walk_spectrum.to_json_dict(),
         "union_set": check.union_set.to_json_dict(),
         "union_multiset": check.union_multiset.to_json_dict(),
     }
-    return (0 if check.passed else 1), report
 
 
-def _run_verify_aev(cfg, rng) -> tuple[int, dict]:
-    cs = _build_coin(cfg, rng)
-    nu = _build_nu(cfg, rng)
-    check = verify_approximate_spectrum_theorem(nu, cs, tol=cfg["tol_spectrum"])
-    report = {
-        "task": "verify-aev",
-        "config": _config_echo(cfg, cs),
-        **_fields(check, _AEV_FIELDS),
-        "walk_spectrum": check.walk_spectrum.to_json_dict(),
-        "union_set": check.union_set.to_json_dict(),
-        "union_multiset": check.union_multiset.to_json_dict(),
+def _run_verify_stability(cfg, rng, cs) -> tuple[int, dict]:
+    # draws no potential: the samples are the first draws after the coin
+    check = verify_spectral_stability(cs, samples=cfg["samples"], rng=rng, tol=cfg["tol_spectrum"])
+    return (0 if check.passed else 1), {
+        **_fields(check, _STABILITY_FIELDS),
+        "samples": check.samples,
+        "spectra": [rep.to_json_dict() for rep in check.spectra],
     }
-    return (0 if check.passed else 1), report
 
 
-def _run_verify_stability(cfg, rng) -> tuple[int, dict]:
-    cs = _build_coin(cfg, rng)
-    report_obj = verify_spectral_stability(
-        cs, samples=cfg["samples"], rng=rng, tol=cfg["tol_spectrum"]
-    )
-    report = {
-        "task": "verify-stability",
-        "config": _config_echo(cfg, cs),
-        **_fields(report_obj, _STABILITY_FIELDS),
-        "samples": report_obj.samples,
-        "spectra": [rep.to_json_dict() for rep in report_obj.spectra],
-    }
-    return (0 if report_obj.passed else 1), report
-
-
-def _run_verify_all(cfg, rng) -> tuple[int, dict]:
-    cs = _build_coin(cfg, rng)
+def _run_verify_all(cfg, rng, cs) -> tuple[int, dict]:
     nu = _build_nu(cfg, rng)
     tol_c = cfg["tol_construct"]
     tol_s = cfg["tol_spectrum"]
 
+    # first, as it refuses n > DENSE_N_LIMIT (CapacityError) before any
+    # costly check; none of the construction checks draws from rng
+    intertwining = intertwining_check(evolution_operator(nu, cs))
     car = verify_car(cs.n)
     coin_report = validate_coin_system(cs)
     shifts = eigenbasis_check(nu)
-    intertwining = intertwining_check(evolution_operator(nu, cs))
     checks = {
-        "car": {"max_residual": car.max_residual, "passed": car.passed()},
-        "coin": {
-            "mutual_annihilation": coin_report.mutual_annihilation,
-            "sum_unitarity": coin_report.sum_unitarity,
-            "passed": coin_report.passed(tol_c),
-        },
-        "involution": {
-            "square_residual": shifts.square_residual,
-            "self_adjoint_residual": shifts.self_adjoint_residual,
-            "passed": shifts.involution_passed(),
-        },
-        "eigenbasis": {
-            "gram_residual": shifts.gram_residual,
-            "eigen_relation_residual": shifts.eigen_relation_residual,
-            "construction_agreement": shifts.construction_agreement,
-            "passed": shifts.eigenbasis_passed(tol_c),
-        },
-        "intertwining": {
-            "max_vector_residual": intertwining.max_vector_residual,
-            "off_block_mass": intertwining.off_block_mass,
-            "max_block_mismatch": intertwining.max_block_mismatch,
-            "passed": intertwining.passed(tol_c),
-        },
+        "car": {**_fields(car, ("max_residual",)), "passed": car.passed()},
+        "coin": {**_fields(coin_report, ("mutual_annihilation", "sum_unitarity")),
+                 "passed": coin_report.passed(tol_c)},
+        "involution": {**_fields(shifts, ("square_residual", "self_adjoint_residual")),
+                       "passed": shifts.involution_passed()},
+        "eigenbasis": {**_fields(shifts, ("gram_residual", "eigen_relation_residual",
+                                          "construction_agreement")),
+                       "passed": shifts.eigenbasis_passed(tol_c)},
+        "intertwining": {**_fields(intertwining, ("max_vector_residual", "off_block_mass",
+                                                  "max_block_mismatch")),
+                         "passed": intertwining.passed(tol_c)},
         "point_spectrum": _fields(verify_point_spectrum_theorem(nu, cs, tol=tol_s), _POINT_FIELDS),
         "approximate_spectrum": _fields(
             verify_approximate_spectrum_theorem(nu, cs, tol=tol_s), _AEV_FIELDS
@@ -423,23 +365,26 @@ def _run_verify_all(cfg, rng) -> tuple[int, dict]:
         ),
     }
     all_passed = all(entry["passed"] for entry in checks.values())
-    report = {
-        "task": "verify-all",
-        "config": _config_echo(cfg, cs),
-        "checks": checks,
-        "passed": all_passed,
-    }
-    return (0 if all_passed else 1), report
+    return (0 if all_passed else 1), {"checks": checks, "passed": all_passed}
 
 
+# Each runner takes (cfg, rng, cs) and returns the exit code and the report
+# body.  The check functions are read from the module when a task runs, so
+# a wrapper bound to their module names is the one called.
 _RUNNERS = {
     "simulate": _run_simulate,
     "spectrum": _run_spectrum,
-    "verify-point": _run_verify_point,
-    "verify-aev": _run_verify_aev,
+    "verify-point": lambda *args: _run_spectrum_check(
+        verify_point_spectrum_theorem, _POINT_FIELDS, *args
+    ),
+    "verify-aev": lambda *args: _run_spectrum_check(
+        verify_approximate_spectrum_theorem, _AEV_FIELDS, *args
+    ),
     "verify-stability": _run_verify_stability,
     "verify-all": _run_verify_all,
 }
+
+TASKS = tuple(_RUNNERS)
 
 
 # Floats rendered at a time by the report writer: an array is turned into
@@ -546,10 +491,23 @@ def _emit(payload: dict | Iterable[str], out: str | None) -> None:
         raise
 
 
+def _report(cfg: dict) -> tuple[int, dict | Iterable[str]]:
+    """Exit code and payload of a resolved config, before the writer sees it.
+
+    The coin is the first draw of every task.  A JSON body gets the task
+    and config header; CSV lines pass through as they are.
+    """
+    rng = np.random.default_rng(cfg["seed"])
+    cs = _build_coin(cfg, rng)
+    code, body = _RUNNERS[cfg["task"]](cfg, rng, cs)
+    if isinstance(body, dict):
+        body = {"task": cfg["task"], "config": _config_echo(cfg, cs), **body}
+    return code, body
+
+
 def run(cfg: dict) -> int:
     """Run a resolved experiment config; returns the process exit code."""
-    rng = np.random.default_rng(cfg["seed"])
-    code, payload = _RUNNERS[cfg["task"]](cfg, rng)
+    code, payload = _report(cfg)
     _emit(payload, cfg["out"])
     return code
 
@@ -560,7 +518,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return run(cfg)
-    except (ValueError, CapacityError) as exc:  # InputError is a ValueError
+    # InputError is a ValueError; a MemoryError is an allocation refused
+    except (ValueError, CapacityError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EigensolverError as exc:

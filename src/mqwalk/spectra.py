@@ -68,7 +68,7 @@ from .coin import (
 from .fock import dimension
 from .magnetic import (
     MagneticPotential,
-    magnetic_basis_vector,
+    magnetic_basis_change,
     null_potential,
     random_potential,
 )
@@ -904,11 +904,12 @@ def verify_approximate_spectrum_theorem(
     union_set, union_multiset = coin_union_spectrum(cs, cluster_tol=tol)
     distance = hausdorff_distance(walk_rep.values, union_set.values)
 
+    basis = magnetic_basis_change(nu)
     max_witness = 0.0
     for sigma in range(dimension(cs.n)):
         lam, vecs = coin_sum_eigensystem(cs, sigma, tol)
         # column i: the eigenbasis vector times coin eigenvector i
-        lifted = np.kron(magnetic_basis_vector(sigma, nu)[:, None], vecs)
+        lifted = np.kron(basis[:, sigma, None], vecs)
         defects = op.apply(lifted) - lifted * lam
         # np.maximum, unlike max, keeps a NaN residual
         max_witness = float(

@@ -169,6 +169,15 @@ class TestSimulate:
         assert run_cli("--task", "simulate", "--n", "1", "--coin", "grover",
                        "--initial", "eigen:1:7") == 2
 
+    def test_allocation_failure_is_exit_2(self, tmp_path, capsys):
+        # a side of 2^41 * 41 amplitudes: numpy refuses the 1.28 PiB state at
+        # once, and no memory is committed
+        out = tmp_path / "sim.json"
+        assert run_cli("--task", "simulate", "--n", "40", "--coin", "grover",
+                       "--steps", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_eigen_initial_is_stationary(self, tmp_path):
         # an eigenbasis fiber state keeps its position distribution
         out = tmp_path / "sim.json"
@@ -234,9 +243,8 @@ def edge_payload():
 
 
 def simulate_payload(*argv):
-    """Exit code and payload of a simulate runner, before the writer sees it."""
-    cfg = cli.resolve_config(cli.build_parser().parse_args(list(argv)))
-    return cli._RUNNERS["simulate"](cfg, np.random.default_rng(cfg["seed"]))
+    """Exit code and payload of a simulate task, before the writer sees it."""
+    return cli._report(cli.resolve_config(cli.build_parser().parse_args(list(argv))))
 
 
 class TestReportWriter:
@@ -255,7 +263,7 @@ class TestReportWriter:
     ], ids=lambda argv: argv[1])
     def test_task_reports(self, argv, tmp_path):
         cfg = cli.resolve_config(cli.build_parser().parse_args([*argv, "--seed", "4"]))
-        _, payload = cli._RUNNERS[cfg["task"]](cfg, np.random.default_rng(cfg["seed"]))
+        _, payload = cli._report(cfg)
         out = tmp_path / "report.json"
         cli._emit(payload, str(out))
         assert out.read_text(encoding="utf-8") == reference_text(payload)
@@ -400,6 +408,29 @@ class TestVerifyTasks:
                        "--samples", "2", "--out", str(out)) == 0
         assert json.loads(out.read_text())["passed"] is True
         assert shapes and set(shapes) == {(7, 7)}
+
+    def test_verify_all_refuses_large_n_before_costly_checks(self, monkeypatch, capsys):
+        calls = []
+        for name in ("verify_car", "eigenbasis_check"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+        assert run_cli("--task", "verify-all", "--n", "11", "--coin", "grover") == 2
+        assert "n <= 10" in capsys.readouterr().err
+        assert calls == []
+
+    def test_verify_stability_draws_no_potential(self, tmp_path):
+        # the sampled potentials are the first draws after the coin, so the
+        # --nu spec changes only the config echo
+        reports = []
+        for nu_spec in ("null", "random"):
+            out = tmp_path / f"stab-{nu_spec}.json"
+            assert run_cli("--task", "verify-stability", "--n", "2", "--coin", "random",
+                           "--nu", nu_spec, "--samples", "3", "--seed", "12",
+                           "--out", str(out)) == 0
+            report = json.loads(out.read_text())
+            assert report["config"].pop("nu") == nu_spec
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert len({json.dumps(spectrum["nu"]) for spectrum in reports[0]["spectra"]}) == 4
 
     def test_verify_point_passes(self, tmp_path):
         out = tmp_path / "point.json"

@@ -664,6 +664,24 @@ class TestPencil:
         assert solves == [(0.0, False), (np.pi, True)]
         assert spectra.hausdorff_distance(report.values, values) <= 1e-12
 
+    def test_nearly_unitary_input_reaches_the_split_path(self, monkeypatch):
+        # a walk moved by 1e-11 per stored entry keeps a unitarity residual
+        # of 5.9e-11, which passes the 1e-8 pre-check; the pencil's trace
+        # gates refuse it on both tries, and the split path answers
+        cs = coin.random_coin_system(4, 5, seed=3)
+        mat = walk.evolution_operator(
+            magnetic.random_potential(4, np.random.default_rng(3)), cs
+        ).sparse()
+        reference = spectra.unitary_eigenvalues(mat)
+        rng = np.random.default_rng(1)
+        moved = mat.copy()
+        moved.data += 1e-11 * (rng.normal(size=mat.nnz) + 1j * rng.normal(size=mat.nnz))
+        drivers = spy_drivers(monkeypatch)
+        report = spectra.unitary_eigenvalues(moved)
+        assert drivers == ["gv", "gv", "evr"]
+        assert report.total_multiplicity == 160
+        assert spectra.hausdorff_distance(report.values, reference.values) <= 1e-9
+
 
 class TestSparseInput:
     """The CSR walk matrix gives the ndarray's gates, routes and clusters."""
@@ -1150,10 +1168,11 @@ class TestNanResidualFolds:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_witness_residual(self, monkeypatch):
-        def nan_vector(sigma, nu):
-            return np.full(fock.dimension(nu.n), np.nan, dtype=complex)
+        def nan_basis(nu):
+            dim = fock.dimension(nu.n)
+            return np.full((dim, dim), np.nan, dtype=complex)
 
-        monkeypatch.setattr(spectra, "magnetic_basis_vector", nan_vector)
+        monkeypatch.setattr(spectra, "magnetic_basis_change", nan_basis)
         nu = magnetic.random_potential(1, np.random.default_rng(50))
         check = spectra.verify_approximate_spectrum_theorem(
             nu, coin.hadamard_partition_coin_system()
