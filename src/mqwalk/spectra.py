@@ -6,7 +6,7 @@ The only Schur forms (``zgees``) are of small blocks: the Krylov probe's
 Hessenberg block and the compression in the split path's second pass.
 
 Three routes solve the eigenproblem, each blind to any structure of the
-matrix.
+matrix but its zero pattern.
 
 A spectrum with few distinct values is found, and its distinct values
 listed, by a short Krylov probe (the Ritz values of a space that closes).
@@ -27,11 +27,21 @@ B, so one eigenvalues-only solve fixes every value and its side of the real
 line, with no eigenvectors.  Its conditioning and the exact tr A and tr A^2
 certify the result, and a miss falls back to the splitting.
 
+Where the nonzero pattern is 2-cyclic, as every walk's is (each shift flips
+one bit of the subset, so the walk maps even subsets to odd ones and odd to
+even), the pencil is solved at half the side.  If no entry joins two rows
+of one colour class and the two classes have the same size, A is [[0, X],
+[Y, 0]] in their order, det(lambda I - A) = det(lambda^2 I - XY), and the
+values of A are the square roots +-sqrt(mu) of the values mu of the
+unitary M = XY, whose own pencil, gated by its own traces, gives them.  The
+colouring reads only the zeros of the input.  A pattern that is not
+2-cyclic, or a miss of M's gates, takes the pencil at the full side.
+
 The splitting A = H + iS with H = (A + A*)/2 and S = (A - A*)/2i answers
-at or below the probe's side, for the coin sums and after a pencil miss: a
-Hermitian eigensolve of H fixes the real parts and an eigenbasis; within
-each cluster of (nearly) equal real parts, the restriction of S is
-diagonalized to separate the imaginary parts.  This keeps every reported
+at or below the probe's side, for the coin sums and after a miss of the
+full-side pencil: a Hermitian eigensolve of H fixes the real parts and an
+eigenbasis; within each cluster of (nearly) equal real parts, the
+restriction of S is diagonalized to separate the imaginary parts.  This keeps every reported
 eigenvalue a Rayleigh quotient of an orthonormal vector, and makes
 eigenvector witnesses available at no extra cost.
 
@@ -121,7 +131,8 @@ _PENCIL_ALPHA = 1.0
 _PENCIL_CONDITION = 64
 
 # Side x side complex arrays held by a dense step: the pencil holds S and
-# H', the split path H, then the eigenvectors and their images.  The
+# H' (of side / 2 for a 2-cyclic pattern, ``_eigvals_two_cyclic``), the
+# split path H, then the eigenvectors and their images.  The
 # trace-moment route holds none, so a CSR input is checked only once it
 # reaches a dense step; an ndarray is checked before its CSR copy is made,
 # which for a full-density array peaks at 2.75 such arrays and holds 1.25.
@@ -528,6 +539,110 @@ def _pencil_tangents(a, alpha: float) -> np.ndarray:
     )
 
 
+def _nonzero_entries(a) -> sp.csr_matrix | None:
+    """The nonzero entries of a square ``a`` as a CSR matrix that stores no
+    zeros, or None when they are more than side^2 / 2, the most that a
+    2-cyclic pattern with colour classes of equal size has.
+
+    An ndarray is read in blocks of ``_RESIDUAL_BLOCK`` rows, so no side x
+    side temporary is made.
+    """
+    side = a.shape[0]
+    if sp.issparse(a):
+        entries = a.copy()
+        entries.sum_duplicates()
+        entries.eliminate_zeros()
+        return entries if entries.nnz <= side * side // 2 else None
+    counts, cols, vals = [], [], []
+    total = 0
+    for lo in range(0, side, _RESIDUAL_BLOCK):
+        block = a[lo:lo + _RESIDUAL_BLOCK]
+        rows, at = np.nonzero(block)
+        total += rows.size
+        if total > side * side // 2:
+            return None
+        counts.append(np.bincount(rows, minlength=block.shape[0]))
+        cols.append(at.astype(np.int32))
+        vals.append(block[rows, at])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return sp.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols), indptr), shape=a.shape
+    )
+
+
+def _two_colouring(entries: sp.csr_matrix) -> np.ndarray | None:
+    """A colour (bool) for each row such that every stored entry of
+    ``entries`` joins rows of different colours, or None when there is
+    none.
+
+    Each connected component of the links A_ij != 0 or A_ji != 0 is
+    coloured by breadth-first search, one frontier at a time, with
+    alternating colours; then every entry is checked against the colours.
+    """
+    side = entries.shape[0]
+    pattern = entries.astype(bool)
+    links = (pattern + pattern.T).tocsr()
+    colour = np.full(side, -1, dtype=np.int8)
+    for start in range(side):
+        if colour[start] >= 0:
+            continue
+        colour[start] = shade = 0
+        frontier = np.array([start])
+        while frontier.size:
+            shade ^= 1
+            reached = links[frontier].indices
+            frontier = np.unique(reached[colour[reached] < 0])
+            colour[frontier] = shade
+    joined = entries.tocoo()
+    if (colour[joined.row] == colour[joined.col]).any():
+        return None
+    return colour.astype(bool)
+
+
+def _eigvals_two_cyclic(a, unitary_tol: float) -> np.ndarray | None:
+    """Eigenvalues of a unitary ``a`` whose nonzero pattern is 2-cyclic,
+    from the Cayley pencil of A^2 on one colour class; None when the
+    pattern is not 2-cyclic with colour classes of equal size, or when the
+    pencil's gates miss.
+
+    If no entry of A joins two rows of one colour class, and the classes P
+    and Q have the same size m, then A permuted to P, Q order is [[0, X],
+    [Y, 0]] with square blocks X = A_PQ and Y = A_QP.  For lambda != 0,
+
+        det(lambda I - A) = det(lambda I) det(lambda I - Y X / lambda)
+                          = det(lambda^2 I - Y X),
+
+    and by continuity for every lambda; YX and M = XY have one spectrum.
+    So each eigenvalue mu of M gives the two eigenvalues +-sqrt(mu) of A,
+    with the multiplicities of mu.  A*A = I makes X and Y unitary, so M is
+    unitary, of side m, and its pencil (``_eigvals_from_pencil``) is solved
+    with its own gates: the conditioning, and the exact tr M and tr M^2
+    read from M's entries.  Each mu within tau of the truth puts its square
+    roots within tau / 2.
+
+    A nonzero diagonal entry is a cycle of length one, so it is read first,
+    before any pass over the whole input; a side x side ndarray is then
+    read in row blocks (``_nonzero_entries``).  Beyond the entries
+    themselves, only their zero pattern and this determinant identity are
+    used, no structure of a walk.  ``CapacityError`` is raised when two m x
+    m complex arrays exceed the available memory.
+    """
+    side = a.shape[0]
+    if side % 2 or (a.diagonal() != 0).any():
+        return None
+    entries = _nonzero_entries(a)
+    colour = None if entries is None else _two_colouring(entries)
+    if colour is None or 2 * colour.sum() != side:
+        return None
+    _require_capacity(side // 2)
+    p, q = np.flatnonzero(~colour), np.flatnonzero(colour)
+    mu = _eigvals_from_pencil(entries[p][:, q] @ entries[q][:, p], unitary_tol)
+    if mu is None:
+        return None
+    root = np.sqrt(mu)
+    return np.concatenate((root, -root))
+
+
 def _available_memory() -> float:
     """MemAvailable of /proc/meminfo in bytes; infinite where it is not read."""
     try:
@@ -650,23 +765,29 @@ def unitary_eigenvalues(
       ``_SATURATION_STEPS`` whose fixed-seed Krylov probe closes.  Only
       sparse products run, on the CSR copy of an ndarray, and no side x
       side array is made.
-    - the Cayley pencil (``_eigvals_from_pencil``): every other matrix
-      above side ``_SATURATION_STEPS``, whose probe does not close or whose
+    - the Cayley pencil: every other matrix above side
+      ``_SATURATION_STEPS``, whose probe does not close or whose
       trace-moment certificate misses.  One eigenvalues-only
-      Hermitian-definite solve.
+      Hermitian-definite solve: of M = A_PQ A_QP at half the side when the
+      nonzero pattern is 2-cyclic with colour classes P and Q of equal
+      size (``_eigvals_two_cyclic``), as det(lambda I - A) = det(lambda^2
+      I - M) gives the values +-sqrt(mu); else, or on a miss of M's gates,
+      of A itself (``_eigvals_from_pencil``).
     - Hermitian splitting (``_eig_unitary``): every matrix at or below side
-      ``_SATURATION_STEPS``, and a miss of the pencil's gates.
+      ``_SATURATION_STEPS``, and a miss of the full-side pencil's gates.
 
-    Each is a solve of the matrix as given, blind to any structure it has.
+    Each is a solve of the matrix as given, blind to any structure it has
+    but the zeros that it stores or holds.
 
     The explicit pre-check rejects non-square, non-finite or non-unitary
     input with ``ValueError``, and is the only source of that error.  Every
     failure after it, a LAPACK non-convergence or a miss of the
     eigen-residual or unit-circle gate, raises ``EigensolverError``.
-    ``CapacityError`` is raised when two side x side arrays exceed the
-    available memory: before the pencil or the split path, and before an
-    ndarray's CSR copy.  So the trace-moment route on a sparse matrix is
-    not limited by it.
+    ``CapacityError`` is raised when a dense step's two arrays exceed the
+    available memory: before the pencil of M, of side / 2; before the
+    full-side pencil or the split path, of side; and before an ndarray's
+    CSR copy, of side.  So the trace-moment route on a sparse matrix is not
+    limited by it.
     """
     # the product residual also rejects a non-square shape
     a = require_unitary(a, unitary_tol, what="input")
@@ -680,6 +801,8 @@ def unitary_eigenvalues(
                 if not sp.issparse(a):  # before its CSR copy (_DENSE_ARRAYS)
                     _require_capacity(side)
                 lam = _eigvals_from_moments(sp.csr_matrix(a), *probe, unitary_tol)
+        if lam is None and side > _SATURATION_STEPS:
+            lam = _eigvals_two_cyclic(a, unitary_tol)
         if lam is None:
             _require_capacity(side)
             if side > _SATURATION_STEPS:

@@ -358,6 +358,22 @@ class TestSpectrumTask:
         assert run_cli("--task", "spectrum", "--n", "11", "--coin", "random") == 2
         assert "n <= 10" in capsys.readouterr().err
 
+    def test_random_walk_at_n10_refused_before_its_dense_step(self, monkeypatch, capsys):
+        # the side-22,528 walk's pencil is solved on one colour class, two
+        # 11,264^2 complex arrays (4 GB); memory short of them is an input
+        # error, raised before any dense array: one side x side array
+        # would be 8 GB, and the traced peak is the probe's side x 65 basis
+        # and the CSR walk (measured: 28 MB)
+        half = 11264
+        monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * half * half * 16 - 1)
+        tracemalloc.start()
+        try:
+            assert run_cli("--task", "spectrum", "--n", "10", "--coin", "random") == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"side {half} needs" in capsys.readouterr().err
+        assert peak < 64 * 2**20
 
     def test_solver_failure_is_not_input_error(self, monkeypatch, capsys):
         def missed_gate(*args, **kwargs):

@@ -25,7 +25,8 @@ CONFIGS = {
     "spectrum.csv": "--task spectrum --n 2 --coin random --nu random --seed 3 --format csv",
     # side 160, above the probe's side of 64: the trace-moment route
     "spectrum-n4-grover.json": "--task spectrum --n 4 --coin grover --nu random --seed 3",
-    # side 160, the probe does not close: the split path
+    # side 160, the probe does not close: the pencil of the walk's square,
+    # at side 80
     "spectrum-n4-random.csv": (
         "--task spectrum --n 4 --coin random --nu random --seed 3 --format csv"
     ),

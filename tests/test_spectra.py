@@ -250,6 +250,20 @@ def spy_drivers(monkeypatch):
     return drivers
 
 
+def spy_solves(monkeypatch):
+    """Record the LAPACK driver and the side of every ``scipy.linalg.eigh``
+    call, as ``spy_drivers`` records the drivers alone."""
+    solves = []
+    eigh = spectra.sla.eigh
+
+    def spy(a, *args, **kwargs):
+        solves.append((kwargs.get("driver"), a.shape[0]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectra.sla, "eigh", spy)
+    return solves
+
+
 def spy_probe(monkeypatch):
     """Record the shape of every matrix the Krylov probe runs on."""
     shapes = []
@@ -356,25 +370,26 @@ class TestKrylovRouting:
 
     @pytest.mark.parametrize("form", ["csr", "ndarray"])
     def test_moment_certificate_miss(self, monkeypatch, form):
-        # a certificate miss ends on the pencil with the right answer, and
-        # a miss of its gates on the split path; a miss of the split path's
-        # gate then is a solver failure, as the pre-check has proven either
-        # form unitary
+        # a certificate miss ends on the pencil of the walk's 2-cyclic
+        # square with the right answer, and a miss of its gates on the
+        # full-side pencil, then on the split path; a miss of the split
+        # path's gate then is a solver failure, as the pre-check has proven
+        # either form unitary
         mat, dense = walk_forms(coin.grover_coin_system(4), 45)
         reference = spectra.unitary_eigenvalues(mat)
         if form == "ndarray":
             mat = dense
         moments = spy_moments(monkeypatch)
         miss_moments(monkeypatch)
-        drivers = spy_drivers(monkeypatch)
+        solves = spy_solves(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [((160, 160), False)] and drivers == ["gv"]
+        assert moments == [((160, 160), False)] and solves == [("gv", 80)]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_pencil(monkeypatch)
-        drivers.clear()
+        solves.clear()
         report = spectra.unitary_eigenvalues(mat)
-        assert drivers == ["gv", "gv", "evr"]
+        assert solves == [("gv", 80)] * 2 + [("gv", 160)] * 2 + [("evr", 160)]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_split_gate(monkeypatch)
@@ -666,8 +681,9 @@ class TestPencil:
 
     def test_nearly_unitary_input_reaches_the_split_path(self, monkeypatch):
         # a walk moved by 1e-11 per stored entry keeps a unitarity residual
-        # of 5.9e-11, which passes the 1e-8 pre-check; the pencil's trace
-        # gates refuse it on both tries, and the split path answers
+        # of 5.9e-11, which passes the 1e-8 pre-check; the trace gates of
+        # the pencil of its 2-cyclic square, then of its own pencil, refuse
+        # it on both tries, and the split path answers
         cs = coin.random_coin_system(4, 5, seed=3)
         mat = walk.evolution_operator(
             magnetic.random_potential(4, np.random.default_rng(3)), cs
@@ -676,11 +692,122 @@ class TestPencil:
         rng = np.random.default_rng(1)
         moved = mat.copy()
         moved.data += 1e-11 * (rng.normal(size=mat.nnz) + 1j * rng.normal(size=mat.nnz))
-        drivers = spy_drivers(monkeypatch)
+        solves = spy_solves(monkeypatch)
         report = spectra.unitary_eigenvalues(moved)
-        assert drivers == ["gv", "gv", "evr"]
+        assert solves == [("gv", 80)] * 2 + [("gv", 160)] * 2 + [("evr", 160)]
         assert report.total_multiplicity == 160
         assert spectra.hausdorff_distance(report.values, reference.values) <= 1e-9
+
+
+def cycles_unitary(lengths, seed):
+    """Sparse unitary: a permutation of cycles of the given ``lengths``,
+    each entry with a random phase, and no diagonal entry."""
+    rng = np.random.default_rng(seed)
+    side = sum(lengths)
+    starts = np.cumsum([0] + list(lengths[:-1]))
+    cols = np.concatenate([np.roll(np.arange(s, s + n), 1) for s, n in zip(starts, lengths)])
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, side))
+    return sp.csr_matrix((phases, (np.arange(side), cols)), shape=(side, side))
+
+
+def split_oracle(mat):
+    """Eigenvalues of the full-side split path, its columns above 1e-12
+    rotated so that its error stays well below the agreement asserted."""
+    lam, _, residual = spectra._eig_unitary(mat, 1e-12)
+    assert residual <= 1e-10
+    return lam
+
+
+class TestTwoCyclic:
+    """A 2-cyclic zero pattern: the pencil of A^2 on one colour class."""
+
+    def assert_agrees(self, report, oracle):
+        assert report.multiplicities == tuple(spectra._cluster_unit_circle(oracle, 1e-8)[1])
+        assert spectra.hausdorff_distance(report.values, oracle) <= 1e-10
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_against_the_split_path(self, monkeypatch, n):
+        mat, dense = walk_forms(coin.random_coin_system(n, n + 1, seed=90 + n), 90)
+        side = mat.shape[0]
+        oracle = split_oracle(mat)
+        solves = spy_solves(monkeypatch)
+        for form in (mat, dense):
+            self.assert_agrees(spectra.unitary_eigenvalues(form), oracle)
+        # one eigenvalues-only solve, at half the side, for each form
+        assert solves == [("gv", side // 2)] * 2
+
+    def test_no_two_cyclic_pattern_takes_the_full_side(self, monkeypatch):
+        # a Haar ndarray has a nonzero diagonal; the permutation has no
+        # diagonal entry, but its cycles of lengths 3 and 97 are odd
+        haar = haar_unitary(96, np.random.default_rng(91))
+        cycles = cycles_unitary([3, 97], 92)
+        assert spectra._two_colouring(cycles) is None
+        solves = spy_solves(monkeypatch)
+        for mat in (haar, cycles):
+            report = spectra.unitary_eigenvalues(mat)
+            dense = mat.toarray() if sp.issparse(mat) else mat
+            assert spectra.hausdorff_distance(report.values, np.linalg.eigvals(dense)) <= 1e-10
+        assert solves == [("gv", 96), ("gv", 100)]
+
+    def test_components_of_different_sizes(self, monkeypatch):
+        # a side-192 and a side-96 walk, their rows and columns shuffled
+        # together: each component is coloured on its own
+        large = walk_forms(coin.random_coin_system(4, 6, seed=93), 93)[0]
+        small = walk_forms(coin.random_coin_system(3, 6, seed=94), 94)[0]
+        mat = sp.block_diag((large, small), format="csr")
+        perm = np.random.default_rng(95).permutation(mat.shape[0])
+        mat = mat[perm][:, perm]
+        oracle = split_oracle(mat)
+        solves = spy_solves(monkeypatch)
+        self.assert_agrees(spectra.unitary_eigenvalues(mat), oracle)
+        assert solves == [("gv", 144)]
+
+    def test_stored_zeros_are_ignored(self, monkeypatch):
+        # zeros stored on the diagonal and between rows of one colour
+        mat = walk_forms(coin.random_coin_system(4, 6, seed=96), 96)[0]
+        side = mat.shape[0]
+        same = np.flatnonzero(spectra._two_colouring(mat))
+        coo = mat.tocoo()
+        rows = np.concatenate((coo.row, np.arange(side), same[:-1]))
+        cols = np.concatenate((coo.col, np.arange(side), same[1:]))
+        data = np.concatenate((coo.data, np.zeros(side + same.size - 1)))
+        padded = sp.csr_matrix((data, (rows, cols)), shape=mat.shape)
+        assert padded.nnz == mat.nnz + side + same.size - 1
+        reference = spectra.unitary_eigenvalues(mat)
+        solves = spy_solves(monkeypatch)
+        report = spectra.unitary_eigenvalues(padded)
+        assert solves == [("gv", side // 2)]
+        assert report.to_json_dict() == reference.to_json_dict()
+
+    def test_miss_ends_on_the_full_side(self, monkeypatch):
+        mat = walk_forms(coin.random_coin_system(4, 6, seed=97), 97)[0]
+        side = mat.shape[0]
+        reference = spectra.unitary_eigenvalues(mat)
+        miss_pencil(monkeypatch)
+        solves = spy_solves(monkeypatch)
+        report = spectra.unitary_eigenvalues(mat)
+        assert solves == [("gv", side // 2)] * 2 + [("gv", side)] * 2 + [("evr", side)]
+        assert report.multiplicities == reference.multiplicities
+        assert np.abs(report.values - reference.values).max() <= 1e-12
+
+    def test_ndarray_entries_in_row_blocks(self):
+        mat, dense = walk_forms(coin.random_coin_system(5, 8, seed=98), 98)
+        side = dense.shape[0]
+        tracemalloc.start()
+        try:
+            entries = spectra._nonzero_entries(dense)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert entries.nnz == mat.nnz and (entries != mat).nnz == 0
+        # one block of rows and the entries (measured: 0.03 side^2
+        # complex numbers), no side x side temporary
+        assert peak <= 0.1 * side * side * 16
+        # more entries than a 2-cyclic pattern with classes of equal size
+        # holds, in either form
+        haar = haar_unitary(96, np.random.default_rng(99))
+        assert spectra._nonzero_entries(haar) is None
+        assert spectra._nonzero_entries(sp.csr_matrix(haar)) is None
 
 
 class TestSparseInput:
@@ -894,8 +1021,9 @@ class TestBlockedResiduals:
 
 
 class TestMemoryGuard:
-    """A dense step is refused when its two side x side arrays do not fit;
-    the trace-moment route, which holds none, is not."""
+    """A dense step is refused when its two side x side arrays, or (side /
+    2)^2 ones for a 2-cyclic pattern, do not fit; the trace-moment route,
+    which holds none, is not."""
 
     # "eigvals": a degenerate ndarray, whose eigenvalues the trace-moment
     # route gives from its CSR copy, which the guard comes before
@@ -937,14 +1065,45 @@ class TestMemoryGuard:
         assert moments == [(mat.shape, True)] and drivers == []
 
     def test_generic_csr_refused_before_the_dense_step(self, monkeypatch):
+        # a walk's pencil is solved on one colour class, so its dense step
+        # holds two (side / 2)^2 arrays, and memory short of the full
+        # side's two still answers
         mat = walk_forms(coin.random_coin_system(4, 6, seed=88), 88)[0]
         side = mat.shape[0]
+        half = side // 2
         moments = spy_moments(monkeypatch)
-        drivers = spy_drivers(monkeypatch)
+        solves = spy_solves(monkeypatch)
+        monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * half * half * 16 - 1)
+        with pytest.raises(walk.CapacityError, match=f"side {half}"):
+            spectra.unitary_eigenvalues(mat)
+        assert moments == [] and solves == []
         monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * side * side * 16 - 1)
+        report = spectra.unitary_eigenvalues(mat)
+        assert solves == [("gv", half)] and report.total_multiplicity == side
+        # a miss of the square's pencil reaches the full side's guard
+        miss_pencil(monkeypatch)
+        solves.clear()
         with pytest.raises(walk.CapacityError, match=f"side {side}"):
             spectra.unitary_eigenvalues(mat)
-        assert moments == [] and drivers == []
+        assert solves == [("gv", half)] * 2
+
+    def test_two_cyclic_ndarray_refused_before_the_dense_step(self, monkeypatch):
+        # its pattern is read in row blocks, with no side x side temporary
+        _, dense = walk_forms(coin.random_coin_system(5, 8, seed=89), 89)
+        side = dense.shape[0]
+        half = side // 2
+        solves = spy_solves(monkeypatch)
+        monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * half * half * 16 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(walk.CapacityError, match=f"side {half}"):
+                spectra.unitary_eigenvalues(dense)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the pre-check's row blocks (measured: 0.50 side^2 complex numbers)
+        # and the probe's basis, no side x side array
+        assert solves == [] and peak < side * side * 16
 
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="no /proc/meminfo")
     def test_reads_meminfo(self):
