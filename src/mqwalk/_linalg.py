@@ -10,11 +10,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["as_complex", "max_abs", "unitarity_residual", "require_unitary"]
+__all__ = ["BLOCK", "as_complex", "max_abs", "vector_norm", "unitarity_residual", "require_unitary"]
 
-# Rows per block of an ndarray's Gram matrices in ``unitarity_residual``:
-# the temporaries are block x side, not side x side.
-_GRAM_BLOCK = 64
+# Rows or columns per block wherever an ndarray's products or defects are
+# formed a block at a time: the temporaries are block x side, not side x
+# side.
+BLOCK = 64
 
 
 def as_complex(a):
@@ -35,10 +36,18 @@ def max_abs(a) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def vector_norm(vec: np.ndarray) -> float:
+    """2-norm of a contiguous complex vector, summed by einsum on the
+    calling thread: numpy's norm calls a BLAS dot, which hands a long
+    vector to the thread pool."""
+    flat = vec.view(float)
+    return float(np.sqrt(np.einsum("i,i", flat, flat)))
+
+
 def unitarity_residual(a) -> float:
     """max(|A*A - I|, |AA* - I|) entrywise, for an ndarray or a sparse matrix.
 
-    An ndarray's products are formed ``_GRAM_BLOCK`` rows at a time, as the
+    An ndarray's products are formed ``BLOCK`` rows at a time, as the
     rows ``A[:, r]* A`` of A*A and the conjugate rows ``conj(A[r, :]) A^T``
     of AA*, so no side x side array is made; the conjugate has the moduli of
     AA* - I.
@@ -53,8 +62,8 @@ def unitarity_residual(a) -> float:
         adj = a.conj().T
         return float(np.maximum(max_abs(adj @ a - eye), max_abs(a @ adj - eye)))
     res = 0.0
-    for lo in range(0, side, _GRAM_BLOCK):
-        rows = slice(lo, lo + _GRAM_BLOCK)
+    for lo in range(0, side, BLOCK):
+        rows = slice(lo, lo + BLOCK)
         for gram in (a[:, rows].conj().T @ a, a[rows].conj() @ a.T):
             k = gram.shape[0]
             gram[np.arange(k), lo + np.arange(k)] -= 1

@@ -54,9 +54,9 @@ def is_adjacent(sigma: int, tau: int) -> bool:
     return (sigma ^ tau).bit_count() == 1
 
 
-def _check_subset(n: int, sigma: int, name: str = "sigma") -> None:
+def _check_subset(n: int, sigma: int) -> None:
     if not 0 <= sigma < dimension(n):
-        raise ValueError(f"{name}={sigma} is not a subset mask of {{0,...,{n}}}")
+        raise ValueError(f"sigma={sigma} is not a subset mask of {{0,...,{n}}}")
 
 
 def _check_mode(n: int, k: int) -> None:

@@ -1,74 +1,30 @@
-"""Eigenvalue machinery for unitary matrices and the verification checks.
+"""Walk spectra, their clustering, and the three verification checks.
 
-Unitary matrices are normal, so their eigenproblem is solved here through
-Hermitian eigensolves; no nonsymmetric solve runs at the matrix's own side.
-The only Schur forms (``zgees``) are of small blocks: the Krylov probe's
-Hessenberg block and the compression in the split path's second pass.
-
-Three routes solve the eigenproblem, each blind to any structure of the
-matrix but its zero pattern.
-
-A spectrum with few distinct values is found, and its distinct values
-listed, by a short Krylov probe (the Ritz values of a space that closes).
-It then needs no eigenvectors and no dense array: the multiplicities of the
-Ritz values are the integer solution of the trace moments sum_i m_i
-lambda_i^p = tr A^p, whose traces come from sparse products with blocks of
-unit vectors, run on one thread per CPU when there is enough work, and the
-Ritz residuals, the moment residual and the distance of each m_i to an
-integer certify the result.  An ndarray goes to this route as its CSR copy,
-which keeps only its nonzeros.  The probe sums on the calling thread, so no
-BLAS thread pool spins beside those threads.  A miss falls back to the
-pencil.
-
-Every other spectrum above the probe's side comes from the Cayley pencil:
-for B = e^{-i alpha} A, the Hermitian-definite pencil (i(B* - B), 2I + B +
-B*) has the eigenvalues tan(phi_j / 2) for the eigenvalues e^{i phi_j} of
-B, so one eigenvalues-only solve fixes every value and its side of the real
-line, with no eigenvectors.  Its conditioning and the exact tr A and tr A^2
-certify the result, and a miss falls back to the splitting.
-
-Where the nonzero pattern is 2-cyclic, as every walk's is (each shift flips
-one bit of the subset, so the walk maps even subsets to odd ones and odd to
-even), the pencil is solved at half the side.  If no entry joins two rows
-of one colour class and the two classes have the same size, A is [[0, X],
-[Y, 0]] in their order, det(lambda I - A) = det(lambda^2 I - XY), and the
-values of A are the square roots +-sqrt(mu) of the values mu of the
-unitary M = XY, whose own pencil, gated by its own traces, gives them.  The
-colouring reads only the zeros of the input.  A pattern that is not
-2-cyclic, or a miss of M's gates, takes the pencil at the full side.
-
-The splitting A = H + iS with H = (A + A*)/2 and S = (A - A*)/2i answers
-at or below the probe's side, for the coin sums and after a miss of the
-full-side pencil: a Hermitian eigensolve of H fixes the real parts and an
-eigenbasis; within each cluster of (nearly) equal real parts, the
-restriction of S is diagonalized to separate the imaginary parts.  This keeps every reported
-eigenvalue a Rayleigh quotient of an orthonormal vector, and makes
-eigenvector witnesses available at no extra cost.
-
-Raw eigenvalues are grouped into multiplicity classes by single-linkage
-clustering on the unit circle, and finite spectra are compared as point
-sets in the complex plane by Hausdorff distance, which is insensitive to
-multiplicity bookkeeping.
+Eigenvalues come from ``_eigen``, the solver of ``unitary_eigenvalues``;
+its module docstring derives each route and its gates.  Raw eigenvalues
+are grouped into multiplicity classes by single-linkage clustering on the
+unit circle, and finite spectra are compared as point sets in the complex
+plane by Hausdorff distance, which is insensitive to multiplicity
+bookkeeping.
 
 The three verification entry points check, on concrete instances, that the
 walk's spectrum equals the union of the per-vertex signed coin-sum spectra
 (as a set, with the multiset refinement reported separately), that the same
 equality holds along the approximate-eigenvalue route with explicit
 residual witnesses, and that the spectrum does not move when the magnetic
-potential does.
+potential does.  The walk side of each is a structure-blind solve of the
+assembled walk matrix, so it is an independent oracle for the coin sums.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ._linalg import max_abs, require_unitary
+from ._eigen import EigensolverError, _eig_unitary, _pure_column_tol, unitary_eigvals
+from ._linalg import max_abs
 from .coin import (
     DEFAULT_COIN_TOL,
     CoinSystem,
@@ -82,7 +38,7 @@ from .magnetic import (
     null_potential,
     random_potential,
 )
-from .walk import CapacityError, evolution_operator
+from .walk import evolution_operator
 
 __all__ = [
     "SpectrumReport",
@@ -103,57 +59,6 @@ __all__ = [
 
 DEFAULT_SPECTRUM_TOL = 1e-8
 
-# Krylov probe that picks the eigenvalue route above _SATURATION_STEPS: a
-# spectrum with at most ~_SATURATION_STEPS distinct values closes the Krylov
-# space of a random start vector, whose Ritz values are then those distinct
-# values, and goes to the trace-moment route (see the module docstring),
-# which skips the eigenvectors and the clusters' rotations of the split
-# path.  At or below that side every Krylov space closes, so the probe is
-# not run.
-_SATURATION_STEPS = 64
-_SATURATION_TOL = 1e-8
-
-# Multiply-adds (count nnz side) from which ``_trace_powers`` shares its
-# products out to a thread pool.  Below it, starting and joining the
-# threads costs more than they save (measured on 2 cores: at side 160, 0.7
-# to 1.6 ms on the calling thread against 2.4 to 3.7 ms on two workers; the
-# two cross near 3e6 to 4e6).  The side-896 walks of ``verify-all`` (1e7 and
-# more) keep the pool.
-_MOMENT_POOL_WORK = 4_000_000
-
-# The Cayley pencil (``_eigvals_from_pencil``) of e^{-i _PENCIL_ALPHA} A is
-# singular where A has the eigenvalue -e^{i _PENCIL_ALPHA}, its seam.  An
-# angle of 1 radian keeps the seam off every root of unity, such as +-1
-# and +-i, where structured spectra tend to put their values.
-_PENCIL_ALPHA = 1.0
-# The pencil's gates bound each value's error by _PENCIL_CONDITION eps
-# (1 + |t|), about 100 times the angle errors measured near the seam.
-_PENCIL_CONDITION = 64
-
-# Side x side complex arrays held by a dense step: the pencil holds S and
-# H' (of side / 2 for a 2-cyclic pattern, ``_eigvals_two_cyclic``), the
-# split path H, then the eigenvectors and their images.  The
-# trace-moment route holds none, so a CSR input is checked only once it
-# reaches a dense step; an ndarray is checked before its CSR copy is made,
-# which for a full-density array peaks at 2.75 such arrays and holds 1.25.
-_DENSE_ARRAYS = 2
-
-# Consecutive real-part gap below which eigh output is treated as one
-# cluster.  Generous merging is safe: the skew restriction re-separates the
-# members.  Splitting too finely risks mixing nearly degenerate vectors.
-_COS_CLUSTER_GAP = 1e-6
-
-# Columns whose eigen-residual is already below this are accepted without
-# rotation; residual-sized eigenvalue errors at this scale are
-# absorbed by the downstream clustering tolerance.  Callers that gate the
-# residual pass a threshold kept below their gate (``_pure_column_tol``).
-_PURE_COLUMN_TOL = 1e-9
-
-# Columns per block of the images, Rayleigh quotients and defects formed
-# after the Hermitian eigensolve: the temporaries are side x block, not
-# side x side.
-_RESIDUAL_BLOCK = 64
-
 # The sampled walk operators must differ by more than this (largest entry)
 # for the stability check to show that the potential moved the operator.
 _OPERATOR_DIFFERENCE_FLOOR = 1e-6
@@ -163,506 +68,6 @@ _OPERATOR_DIFFERENCE_FLOOR = 1e-6
 # +0.0), so -1 reports arg +pi and sorts last whatever the sign of its
 # round-off (about 1e-17), far below every 1e-8 gate.
 _SEAM_IM_TOL = 1e-14
-
-
-class EigensolverError(RuntimeError):
-    """The eigensolver failed on input proven unitary: LAPACK did not
-    converge, or the result missed its eigen-residual or unit-circle gate.
-
-    Raised instead of ``ValueError`` once the explicit unitarity pre-check
-    has passed, so a numerical failure is never reported as invalid input.
-    """
-
-
-def _pure_column_tol(gate: float) -> float:
-    """Pure-column threshold kept an order of magnitude below ``gate``."""
-    return min(_PURE_COLUMN_TOL, gate / 10)
-
-
-def _hermitian_sum(a, scale) -> np.ndarray:
-    """c A + (c A)* for the scalar c = ``scale``, as a new Fortran-order
-    ndarray, which eigh overwrites in place instead of copying it.
-
-    A is scaled before the sum with its adjoint.  The sparse form is made
-    dense once; an ndarray is read in blocks of ``_RESIDUAL_BLOCK``
-    columns, leaving the caller's array as it is.
-    """
-    if sp.issparse(a):
-        scaled = a * scale
-        return (scaled + scaled.conj().T).toarray(order="F")
-    herm = np.conjugate(a.T, order="F")
-    herm *= np.conjugate(scale)
-    for lo in range(0, a.shape[0], _RESIDUAL_BLOCK):
-        cols = slice(lo, lo + _RESIDUAL_BLOCK)
-        herm[:, cols] += scale * a[:, cols]
-    return herm
-
-
-def _eig_unitary(
-    a, pure_tol: float = _PURE_COLUMN_TOL
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenvalues, orthonormal eigenvectors, and max residual ||Av - lv||.
-
-    ``a`` is a complex ndarray or a scipy sparse matrix; only its Hermitian
-    part is made dense for the eigensolve (LAPACK's MRRR driver, evr), and
-    the images ``a @ vecs`` are sparse products when ``a`` is sparse.
-
-    The Hermitian part H = (A + A*)/2 comes from ``_hermitian_sum`` and is
-    overwritten by the eigensolve.  The Rayleigh quotients and defects, and
-    the sparse images, are then formed in blocks of ``_RESIDUAL_BLOCK``
-    columns, so the working set is two side x side arrays: H, then the
-    eigenvectors and their images.
-
-    After the Hermitian eigensolve, each column's Rayleigh quotient and
-    defect norm cost O(N^2) in total; columns whose defect is at most
-    ``pure_tol`` (the common case, including every truly degenerate
-    eigenspace) are kept as is.  Flagged columns are rotated in two
-    passes.  First, cluster by cluster, by the skew part: within one
-    real-part cluster the flagged columns span the orthogonal complement of
-    the accepted ones inside an invariant subspace, which is itself
-    invariant, so restricting the rotation to them is exact.  Second, any
-    columns still flagged, which eigh mixed across real parts that are
-    close but outside one cluster (its eigenvector error scales like
-    eps / gap), are rotated together by a Schur form of the compression of
-    ``a`` to their span, again the complement of accepted eigenvectors.
-
-    The defect Av - lv is formed directly and its norm taken.  The
-    subtractive form ||Av||^2 - |<v, Av>|^2 takes the difference of two
-    numbers close to 1, so it cancels to round-off of order N eps, whose
-    square root (1.5e-8 already for the 2x2 Hadamard) sits above the
-    default 1e-8 gate.
-    """
-    size = a.shape[0]
-    sparse = sp.issparse(a)
-    w, vecs = sla.eigh(
-        _hermitian_sum(a, 0.5), driver="evr", check_finite=False, overwrite_a=True
-    )
-    images = np.empty((size, size), dtype=complex)
-    if not sparse:
-        # a dense product writes straight into images without a copy; cut
-        # into blocks, its narrowest blocks would round unlike the whole
-        np.matmul(a, vecs, out=images)
-    lam = np.empty(size, dtype=complex)
-    defect = np.empty(size)
-    for lo in range(0, size, _RESIDUAL_BLOCK):
-        cols = slice(lo, lo + _RESIDUAL_BLOCK)
-        v = vecs[:, cols]
-        if sparse:  # the sparse product copies its dense operand to C order
-            images[:, cols] = a @ v
-        y = images[:, cols]
-        lam[cols] = np.einsum("ij,ij->j", v.conj(), y)
-        defect[cols] = np.linalg.norm(y - v * lam[cols][None, :], axis=0)
-
-    def rotate(cols: np.ndarray, block: np.ndarray, rot: np.ndarray) -> None:
-        sub_v = vecs[:, cols] @ rot
-        sub_y = images[:, cols] @ rot
-        vecs[:, cols] = sub_v
-        images[:, cols] = sub_y
-        lam[cols] = np.einsum("ji,ji->i", rot.conj(), block @ rot)
-        defect[cols] = np.linalg.norm(sub_y - sub_v * lam[cols][None, :], axis=0)
-
-    flagged = defect > pure_tol
-    if flagged.any():
-        splits = np.nonzero(np.diff(w) > _COS_CLUSTER_GAP)[0] + 1
-        bounds = np.concatenate(([0], splits, [size]))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            bad = lo + np.nonzero(flagged[lo:hi])[0]
-            if bad.size < 2:
-                continue
-            block = vecs[:, bad].conj().T @ images[:, bad]
-            _, rot = np.linalg.eigh((block - block.conj().T) / 2j)
-            rotate(bad, block, rot)
-    bad = np.nonzero(defect > pure_tol)[0]
-    if bad.size > 1:
-        block = vecs[:, bad].conj().T @ images[:, bad]
-        _, rot = sla.schur(block, output="complex")
-        rotate(bad, block, rot)
-    residual = float(defect.max()) if size else 0.0
-    return lam, vecs, residual
-
-
-def _norm(vec: np.ndarray) -> float:
-    """2-norm of a contiguous complex vector, summed by einsum on the
-    calling thread (numpy's norm calls a threaded BLAS dot)."""
-    flat = vec.view(float)
-    return float(np.sqrt(np.einsum("i,i", flat, flat)))
-
-
-def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Ritz values and unit Ritz vectors (columns) of a random-start Krylov
-    space of ``a`` that closes within ``max_steps``, or None when it does
-    not close.
-
-    The Ritz pairs are those of the Arnoldi Hessenberg block: its Schur
-    form's diagonal, and its Schur vectors taken into the Krylov basis.
-    Closing at step k means the minimal polynomial relative to the start
-    vector has degree k, and as the start vector meets every eigenspace
-    with probability one, the k Ritz values are the spectrum's distinct
-    values, accurate to about the closing tolerance.  The start vector is
-    drawn from a fixed seed so results are reproducible.  ``a`` is a
-    complex ndarray or a scipy sparse matrix; only its products with
-    vectors are used.
-    """
-    size = a.shape[0]
-    if size == 0:  # the empty space is closed, and has no start vector
-        return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
-    rng = np.random.default_rng(0x5EED)
-    q = rng.normal(size=size) + 1j * rng.normal(size=size)
-    q /= _norm(q)
-    basis = np.empty((size, max_steps + 1), dtype=complex, order="F")
-    basis[:, 0] = q
-    hess = np.zeros((max_steps + 1, max_steps), dtype=complex)
-    for step in range(1, max_steps + 1):
-        y = a @ q
-        held = basis[:, :step]
-        coeffs = hess[:step, step - 1]
-        for _ in range(2):  # double reorthogonalization
-            # held (held* y) by einsum, on the calling thread: a BLAS
-            # product this size goes to its thread pool, whose threads keep
-            # spinning after it and take cores from the trace-moment
-            # workers or the eigensolve that follow the probe
-            proj = np.einsum("ij,i->j", held, y.conj()).conj()
-            y -= np.einsum("ij,j->i", held, proj)
-            coeffs += proj
-        beta = _norm(y)
-        if beta <= _SATURATION_TOL:
-            triangle, schur_vecs = sla.schur(hess[:step, :step], output="complex")
-            return triangle.diagonal().copy(), np.einsum("ij,jk->ik", held, schur_vecs)
-        hess[step, step - 1] = beta
-        q = y / beta
-        basis[:, step] = q
-    return None
-
-
-def _moment_workers() -> int:
-    """Threads for the trace-moment products: one per CPU this process may
-    run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _trace_powers(a: sp.csr_matrix, count: int) -> np.ndarray:
-    """tr A^p for p = 1..``count`` of a sparse ``a``, by sparse products only.
-
-    The unit vectors are taken in ranges E of columns, and E's share of
-    tr A^p is the trace of A^p E on E's own rows.  A E is E's columns of
-    ``a``, read from its CSC form, and each higher power is one more sparse
-    product, ``count`` nnz(A) side multiply-adds in all.
-
-    The sparse products release the interpreter lock, so from
-    ``_MOMENT_POOL_WORK`` multiply-adds up the ranges E are shared out to
-    ``_moment_workers`` threads, each range ``_RESIDUAL_BLOCK`` // workers
-    columns wide (at least one).  So up to ``_RESIDUAL_BLOCK`` workers keep
-    ``_RESIDUAL_BLOCK`` columns in flight, and the working set stays two
-    side x ``_RESIDUAL_BLOCK`` arrays.  Less work runs on the calling
-    thread, in ranges of ``_RESIDUAL_BLOCK`` columns.  The shares are added
-    in range order, so the traces do not depend on thread timing.  The
-    workers call only numpy and ``scipy.sparse``.
-    """
-    side = a.shape[0]
-    workers = _moment_workers() if count * a.nnz * side >= _MOMENT_POOL_WORK else 1
-    width = max(1, _RESIDUAL_BLOCK // workers)
-    columns = a.tocsc()
-
-    def share(lo: int) -> np.ndarray:
-        own = slice(lo, min(lo + width, side))
-        block = columns[:, own].toarray()
-        part = np.empty(count, dtype=complex)
-        for power in range(count):
-            if power:
-                block = a @ block
-            part[power] = np.trace(block[own])
-        return part
-
-    if workers == 1:
-        parts = map(share, range(0, side, width))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            parts = pool.map(share, range(0, side, width))
-    # read once the workers are joined, so the calling thread does not wake
-    # for each share and take the interpreter lock from them
-    traces = np.zeros(count, dtype=complex)
-    for part in parts:
-        traces += part
-    return traces
-
-
-def _eigvals_from_moments(
-    a: sp.csr_matrix, ritz: np.ndarray, ritz_vecs: np.ndarray, tol: float
-) -> np.ndarray | None:
-    """Eigenvalues of a sparse unitary ``a`` whose distinct values are the
-    Ritz values ``ritz`` (unit Ritz vectors ``ritz_vecs``), each repeated by
-    its multiplicity, or None when the result is not certified.
-
-    The multiplicities m_i of the k Ritz values solve the trace moments
-    sum_i m_i theta_i^p = tr A^p, p = -K..K, with K = ceil(k / 2).  As the
-    m_i are real and tr A^-p is the conjugate of tr A^p for a unitary A,
-    these are 2K + 1 >= k + 1 real equations: sum_i m_i = side (p = 0), and
-    the real and imaginary parts for p = 1..K (``_trace_powers``).  They are
-    solved by least squares, and every gate follows from ``tol`` (tau):
-
-    - Each Ritz residual ||A y_i - theta_i y_i|| is at most tau.  A is
-      normal, so by Bauer-Fike each theta_i lies within tau of an
-      eigenvalue, which is the split path's eigen-residual gate.
-    - Then |theta_i^p - lambda^p| <= p tau on the unit circle, and the true
-      multiplicities leave a residual of at most
-      r = side tau sqrt(sum_{p<=K} p^2); the least-squares residual, no
-      larger, must be within r.  An eigenvalue missing from the Ritz values
-      leaves its share of the moments unexplained, a residual of the order
-      of its multiplicity.
-    - The least-squares m lies within r / s of the true multiplicities,
-      where s is the Vandermonde matrix's least singular value.  So r / s
-      must be below 1/2, every m_i within r / s of a positive integer, and
-      the rounded m_i must sum to side; then rounding gives the true
-      multiplicities.
-    """
-    side, count = a.shape[0], ritz.size
-    defects = a @ ritz_vecs - ritz_vecs * ritz
-    # written so that a NaN residual fails
-    if not np.linalg.norm(defects, axis=0).max() <= tol:
-        return None
-    top = -(-count // 2)
-    powers = ritz ** np.arange(1, top + 1)[:, None]
-    traces = _trace_powers(a, top)
-    vander = np.vstack((np.ones(count), powers.real, powers.imag))
-    moments = np.concatenate(([side], traces.real, traces.imag))
-    mults, _, _, sing = np.linalg.lstsq(vander, moments, rcond=None)
-    bound = side * tol * np.sqrt((np.arange(1, top + 1) ** 2).sum())
-    spread = bound / sing[-1] if sing[-1] > 0 else np.inf
-    counts = np.rint(mults)
-    if not (np.linalg.norm(vander @ mults - moments) <= bound
-            and spread < 0.5
-            and np.abs(mults - counts).max() <= spread
-            and counts.min() >= 1
-            and counts.sum() == side):
-        return None
-    return np.repeat(ritz, counts.astype(int))
-
-
-def _traces(a) -> tuple[complex, complex]:
-    """tr A and tr A^2 = sum_ij A_ij A_ji, read from the entries: O(nnz) for
-    a sparse ``a``, and no temporary array for an ndarray."""
-    if sp.issparse(a):
-        return complex(a.diagonal().sum()), complex(a.multiply(a.T).sum())
-    return complex(np.trace(a)), complex(np.einsum("ij,ji->", a, a))
-
-
-def _eigvals_from_pencil(a, unitary_tol: float) -> np.ndarray | None:
-    """Eigenvalues of a unitary ``a`` from one eigenvalues-only solve of its
-    Cayley pencil, or None when the result is not certified.
-
-    For a unitary B = e^{-i alpha} A, take S = i(B* - B) and H' = 2I + B +
-    B*, both Hermitian.  B is normal, so an eigenvector v of B with B v =
-    e^{i phi} v, phi in (-pi, pi], has B* v = e^{-i phi} v, and
-
-        S v = 2 sin(phi) v,  H' v = (2 + 2 cos(phi)) v,  S v = t H' v
-
-    with t = sin(phi) / (1 + cos(phi)) = tan(phi / 2).  H' is positive
-    definite unless phi = pi, that is unless A has the eigenvalue -e^{i
-    alpha} (the seam), so (S, H') is a Hermitian-definite pencil whose
-    eigenvalues are the real t_j.  As (1 + i t) / (1 - i t) = e^{i phi},
-
-        lambda_j = e^{i alpha} (1 + i t_j) / (1 - i t_j),
-
-    each value with its side of the real line.  So one eigenvalues-only
-    solve (LAPACK's gv driver: a Cholesky factor of H', then a Hermitian
-    eigensolve of the reduced matrix) gives the spectrum, and no
-    eigenvectors are formed.  S = (-iB) + (-iB)* and H' - 2I = B + B* are
-    both ``_hermitian_sum`` of ``a``, so the working set is two side x side
-    arrays (``_DENSE_ARRAYS``).
-
-    With no eigenvectors, two gates certify the values.  A value at angle
-    delta from the seam has |t| about 2 / delta, and the angles come out
-    with errors of about eps max|t| (measured on Haar-rotated unitaries of
-    side 512 and 1024 with one phase 1e-1 to 1e-7 from the seam).  With C
-    = ``_PENCIL_CONDITION`` and tau = ``unitary_tol``:
-
-    - Conditioning: C eps (1 + max|t|) must be at most tau.
-    - Traces: with e = C eps sum_j (1 + |t_j|), sum lambda_j and sum
-      lambda_j^2 must lie within e and 2e of the exact tr A and tr A^2
-      (``_traces``).  Under the first gate e is at most side tau, so each
-      value's share of the sums may be off by up to tau.  The measured
-      misses were below e / 30.
-
-    The first gate alone does not suffice: a value within about sqrt(eps)
-    of the seam sits in a numerically singular H', and its t comes out far
-    too small, so it passes the first gate with an error of up to 2 / |t|
-    (at side 1024, a phase 1e-11 from the seam gave |t| = 4e5 and an error
-    of 5e-6).  Such a value moves the sums by its whole error, far above e,
-    and a value missing or counted twice moves them by the order of 1.
-
-    On a miss the solve is retried once, with the seam in the middle of the
-    widest gap between the first answer's angles; on a Cholesky failure
-    (a value on the seam), with alpha + pi, which puts that value at t = 0.
-    A second miss returns None.
-    """
-    trace, trace_sq = _traces(a)
-    alpha = _PENCIL_ALPHA
-    for retry in (False, True):
-        try:
-            tans = _pencil_tangents(a, alpha)
-        except np.linalg.LinAlgError:  # H' not positive definite, or no convergence
-            alpha += np.pi
-            continue
-        lam = np.exp(1j * alpha) * (1 + 1j * tans) / (1 - 1j * tans)
-        # each value's error bound; written so that a NaN fails
-        bounds = _PENCIL_CONDITION * np.finfo(float).eps * (1 + np.abs(tans))
-        if (bounds.max() <= unitary_tol
-                and abs(lam.sum() - trace) <= bounds.sum()
-                and abs((lam * lam).sum() - trace_sq) <= 2 * bounds.sum()):
-            return lam
-        if not retry:
-            angles = np.sort(np.angle(lam))
-            gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-            widest = int(np.argmax(gaps))
-            alpha = angles[widest] + gaps[widest] / 2 - np.pi
-    return None
-
-
-def _pencil_tangents(a, alpha: float) -> np.ndarray:
-    """Eigenvalues t_j = tan(phi_j / 2) of the Cayley pencil (S, H') of
-    e^{-i alpha} ``a`` (see ``_eigvals_from_pencil``), ascending.
-
-    A LAPACK failure, a Cholesky factor of H' among them, raises
-    ``LinAlgError``.
-    """
-    rot = np.exp(-1j * alpha)
-    shifted = _hermitian_sum(a, rot)
-    diag = np.arange(a.shape[0])
-    shifted[diag, diag] += 2.0
-    # the pre-check has already rejected non-finite input
-    return sla.eigh(
-        _hermitian_sum(a, -1j * rot), shifted, eigvals_only=True, driver="gv",
-        overwrite_a=True, overwrite_b=True, check_finite=False,
-    )
-
-
-def _nonzero_entries(a) -> sp.csr_matrix | None:
-    """The nonzero entries of a square ``a`` as a CSR matrix that stores no
-    zeros, or None when they are more than side^2 / 2, the most that a
-    2-cyclic pattern with colour classes of equal size has.
-
-    An ndarray is read in blocks of ``_RESIDUAL_BLOCK`` rows, so no side x
-    side temporary is made.
-    """
-    side = a.shape[0]
-    if sp.issparse(a):
-        entries = a.copy()
-        entries.sum_duplicates()
-        entries.eliminate_zeros()
-        return entries if entries.nnz <= side * side // 2 else None
-    counts, cols, vals = [], [], []
-    total = 0
-    for lo in range(0, side, _RESIDUAL_BLOCK):
-        block = a[lo:lo + _RESIDUAL_BLOCK]
-        rows, at = np.nonzero(block)
-        total += rows.size
-        if total > side * side // 2:
-            return None
-        counts.append(np.bincount(rows, minlength=block.shape[0]))
-        cols.append(at.astype(np.int32))
-        vals.append(block[rows, at])
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return sp.csr_matrix(
-        (np.concatenate(vals), np.concatenate(cols), indptr), shape=a.shape
-    )
-
-
-def _two_colouring(entries: sp.csr_matrix) -> np.ndarray | None:
-    """A colour (bool) for each row such that every stored entry of
-    ``entries`` joins rows of different colours, or None when there is
-    none.
-
-    Each connected component of the links A_ij != 0 or A_ji != 0 is
-    coloured by breadth-first search, one frontier at a time, with
-    alternating colours; then every entry is checked against the colours.
-    """
-    side = entries.shape[0]
-    pattern = entries.astype(bool)
-    links = (pattern + pattern.T).tocsr()
-    colour = np.full(side, -1, dtype=np.int8)
-    for start in range(side):
-        if colour[start] >= 0:
-            continue
-        colour[start] = shade = 0
-        frontier = np.array([start])
-        while frontier.size:
-            shade ^= 1
-            reached = links[frontier].indices
-            frontier = np.unique(reached[colour[reached] < 0])
-            colour[frontier] = shade
-    joined = entries.tocoo()
-    if (colour[joined.row] == colour[joined.col]).any():
-        return None
-    return colour.astype(bool)
-
-
-def _eigvals_two_cyclic(a, unitary_tol: float) -> np.ndarray | None:
-    """Eigenvalues of a unitary ``a`` whose nonzero pattern is 2-cyclic,
-    from the Cayley pencil of A^2 on one colour class; None when the
-    pattern is not 2-cyclic with colour classes of equal size, or when the
-    pencil's gates miss.
-
-    If no entry of A joins two rows of one colour class, and the classes P
-    and Q have the same size m, then A permuted to P, Q order is [[0, X],
-    [Y, 0]] with square blocks X = A_PQ and Y = A_QP.  For lambda != 0,
-
-        det(lambda I - A) = det(lambda I) det(lambda I - Y X / lambda)
-                          = det(lambda^2 I - Y X),
-
-    and by continuity for every lambda; YX and M = XY have one spectrum.
-    So each eigenvalue mu of M gives the two eigenvalues +-sqrt(mu) of A,
-    with the multiplicities of mu.  A*A = I makes X and Y unitary, so M is
-    unitary, of side m, and its pencil (``_eigvals_from_pencil``) is solved
-    with its own gates: the conditioning, and the exact tr M and tr M^2
-    read from M's entries.  Each mu within tau of the truth puts its square
-    roots within tau / 2.
-
-    A nonzero diagonal entry is a cycle of length one, so it is read first,
-    before any pass over the whole input; a side x side ndarray is then
-    read in row blocks (``_nonzero_entries``).  Beyond the entries
-    themselves, only their zero pattern and this determinant identity are
-    used, no structure of a walk.  ``CapacityError`` is raised when two m x
-    m complex arrays exceed the available memory.
-    """
-    side = a.shape[0]
-    if side % 2 or (a.diagonal() != 0).any():
-        return None
-    entries = _nonzero_entries(a)
-    colour = None if entries is None else _two_colouring(entries)
-    if colour is None or 2 * colour.sum() != side:
-        return None
-    _require_capacity(side // 2)
-    p, q = np.flatnonzero(~colour), np.flatnonzero(colour)
-    mu = _eigvals_from_pencil(entries[p][:, q] @ entries[q][:, p], unitary_tol)
-    if mu is None:
-        return None
-    root = np.sqrt(mu)
-    return np.concatenate((root, -root))
-
-
-def _available_memory() -> float:
-    """MemAvailable of /proc/meminfo in bytes; infinite where it is not read."""
-    try:
-        with open("/proc/meminfo") as meminfo:
-            fields = dict(line.split(":", 1) for line in meminfo)
-        return int(fields["MemAvailable"].split()[0]) * 1024
-    except (OSError, KeyError):
-        return float("inf")
-
-
-def _require_capacity(side: int) -> None:
-    """Raise ``CapacityError`` unless the dense step's working set of
-    ``_DENSE_ARRAYS`` side x side complex arrays fits in available memory."""
-    need = _DENSE_ARRAYS * side * side * np.dtype(complex).itemsize
-    available = _available_memory()
-    if need > available:
-        raise CapacityError(
-            f"dense eigensolve of side {side} needs about {need / 2**30:.1f} GiB, "
-            f"{available / 2**30:.1f} GiB is available"
-        )
 
 
 def _cluster_unit_circle(
@@ -759,70 +164,32 @@ def unitary_eigenvalues(
     """Clustered spectrum of a unitary matrix, given as an ndarray or as a
     scipy sparse matrix.
 
-    Three routes, tried in this order (see the module docstring):
+    Three routes, each tried at most once, in this order (derived in the
+    ``_eigen`` docstring); each is a solve of the matrix as given, blind to
+    any structure it has but the zeros that it stores or holds:
 
-    - trace moments (``_eigvals_from_moments``): any matrix above side
-      ``_SATURATION_STEPS`` whose fixed-seed Krylov probe closes.  Only
-      sparse products run, on the CSR copy of an ndarray, and no side x
-      side array is made.
-    - the Cayley pencil: every other matrix above side
-      ``_SATURATION_STEPS``, whose probe does not close or whose
-      trace-moment certificate misses.  One eigenvalues-only
-      Hermitian-definite solve: of M = A_PQ A_QP at half the side when the
+    - trace moments: any matrix above side 64 whose fixed-seed Krylov probe
+      closes.  Only sparse products run, on the CSR copy of an ndarray, and
+      no side x side array is made.
+    - one Cayley pencil, when the probe does not close or the moment
+      certificate misses: of M = A_PQ A_QP at half the side when the
       nonzero pattern is 2-cyclic with colour classes P and Q of equal
-      size (``_eigvals_two_cyclic``), as det(lambda I - A) = det(lambda^2
-      I - M) gives the values +-sqrt(mu); else, or on a miss of M's gates,
-      of A itself (``_eigvals_from_pencil``).
-    - Hermitian splitting (``_eig_unitary``): every matrix at or below side
-      ``_SATURATION_STEPS``, and a miss of the full-side pencil's gates.
-
-    Each is a solve of the matrix as given, blind to any structure it has
-    but the zeros that it stores or holds.
+      size (every walk), giving the values +-sqrt(mu); else of A itself.
+      The pencil retries once at another seam before it misses.
+    - Hermitian splitting: every matrix at or below side 64, and a miss of
+      the pencil, at the full side.  It alone gives eigenvectors.
 
     The explicit pre-check rejects non-square, non-finite or non-unitary
     input with ``ValueError``, and is the only source of that error.  Every
     failure after it, a LAPACK non-convergence or a miss of the
     eigen-residual or unit-circle gate, raises ``EigensolverError``.
     ``CapacityError`` is raised when a dense step's two arrays exceed the
-    available memory: before the pencil of M, of side / 2; before the
-    full-side pencil or the split path, of side; and before an ndarray's
-    CSR copy, of side.  So the trace-moment route on a sparse matrix is not
-    limited by it.
+    available memory: before the pencil, at its side (side / 2 for M);
+    before the split path, of side; and before an ndarray's CSR copy, of
+    side.  So the trace-moment route on a sparse matrix is not limited by
+    it.
     """
-    # the product residual also rejects a non-square shape
-    a = require_unitary(a, unitary_tol, what="input")
-    side = a.shape[0]
-    failure = "eigensolver failed on a unitary input"
-    try:
-        lam = None
-        if side > _SATURATION_STEPS:
-            probe = _krylov_saturation(a, _SATURATION_STEPS)
-            if probe is not None:
-                if not sp.issparse(a):  # before its CSR copy (_DENSE_ARRAYS)
-                    _require_capacity(side)
-                lam = _eigvals_from_moments(sp.csr_matrix(a), *probe, unitary_tol)
-        if lam is None and side > _SATURATION_STEPS:
-            lam = _eigvals_two_cyclic(a, unitary_tol)
-        if lam is None:
-            _require_capacity(side)
-            if side > _SATURATION_STEPS:
-                lam = _eigvals_from_pencil(a, unitary_tol)
-        if lam is None:
-            # the split path skips LAPACK's finiteness check: the pre-check
-            # has already rejected non-finite input
-            lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
-            if not residual <= unitary_tol:
-                raise EigensolverError(
-                    f"{failure}: eigen-residual {residual:.3e} exceeds {unitary_tol:.1e}"
-                )
-    except np.linalg.LinAlgError as exc:  # a ValueError, but not invalid input
-        raise EigensolverError(f"{failure}: {exc}") from exc
-    off_circle = float(np.abs(np.abs(lam) - 1.0).max()) if lam.size else 0.0
-    if not off_circle <= unitary_tol:
-        raise EigensolverError(
-            f"{failure}: unit-circle defect {off_circle:.3e} exceeds {unitary_tol:.1e}"
-        )
-    return _make_report(lam, source, nu, cluster_tol)
+    return _make_report(unitary_eigvals(a, unitary_tol), source, nu, cluster_tol)
 
 
 def walk_point_spectrum(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import max_abs
+from ._linalg import max_abs, vector_norm
 from .coin import DEFAULT_COIN_TOL, CoinSystem, algebraic_sum
 from .fock import _check_subset, dimension
 from .magnetic import (
@@ -237,10 +237,7 @@ class WalkState:
             )
         if self.t < 0:
             raise ValueError(f"time index must be nonnegative, got {self.t}")
-        # einsum sums on this thread; numpy's norm calls a BLAS dot, which
-        # hands a stepped state's length to the thread pool (see _GEMM_MACS)
-        flat = vec.view(float)
-        norm = np.sqrt(np.einsum("i,i", flat, flat))
+        norm = vector_norm(vec)  # off the BLAS thread pool (see _GEMM_MACS)
         if not abs(norm - 1.0) <= STATE_NORM_TOL:  # also rejects a NaN norm
             raise ValueError(f"walk states are unit vectors; got norm {norm}")
         vec.flags.writeable = False

@@ -35,6 +35,18 @@ REMOVED_PARAMETERS = [
 ]
 
 
+# bench/spans.py gives a span to each function in a layer module's __all__
+# that the module defines itself; a function re-exported from another
+# module (such as the private eigensolver) would lose its span unseen
+SPANNED_LAYERS = [
+    "mqwalk.fock",
+    "mqwalk.magnetic",
+    "mqwalk.coin",
+    "mqwalk.walk",
+    "mqwalk.spectra",
+]
+
+
 # library numerics that the CLI reaches only through a check
 NUMERICS_OUTSIDE_CLI = [
     "magnetic_shift",
@@ -88,3 +100,11 @@ def test_removed_names_are_gone(attr):
 def test_removed_parameters_are_gone(module, func, param):
     signature = inspect.signature(getattr(importlib.import_module(module), func))
     assert param not in signature.parameters
+
+
+@pytest.mark.parametrize("name", SPANNED_LAYERS)
+def test_public_functions_are_defined_where_exported(name):
+    module = importlib.import_module(name)
+    functions = [getattr(module, attr) for attr in module.__all__]
+    foreign = [f.__name__ for f in functions if inspect.isfunction(f) and f.__module__ != name]
+    assert foreign == []

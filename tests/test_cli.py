@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mqwalk import cli, coin, spectra
+from mqwalk import _eigen, cli, coin, spectra
 
 
 def run_cli(*argv):
@@ -362,10 +362,10 @@ class TestSpectrumTask:
         # the side-22,528 walk's pencil is solved on one colour class, two
         # 11,264^2 complex arrays (4 GB); memory short of them is an input
         # error, raised before any dense array: one side x side array
-        # would be 8 GB, and the traced peak is the probe's side x 65 basis
-        # and the CSR walk (measured: 28 MB)
+        # would be 8 GB, and the traced peak is the CSR walk, its nonzero
+        # entries and the sparse M (measured: 41 MB)
         half = 11264
-        monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * half * half * 16 - 1)
+        monkeypatch.setattr(_eigen, "_available_memory", lambda: 2 * half * half * 16 - 1)
         tracemalloc.start()
         try:
             assert run_cli("--task", "spectrum", "--n", "10", "--coin", "random") == 2
@@ -387,7 +387,7 @@ class TestSpectrumTask:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("the algorithm failed to converge")
 
-        monkeypatch.setattr(spectra.sla, "eigh", no_convergence)
+        monkeypatch.setattr(_eigen.sla, "eigh", no_convergence)
         assert run_cli("--task", "spectrum", "--n", "1", "--coin", "grover") == 3
         err = capsys.readouterr().err
         assert "internal numerical failure" in err and "converge" in err
@@ -396,14 +396,14 @@ class TestSpectrumTask:
 class TestVerifyTasks:
     def test_coin_sum_lapack_failure_is_not_input_error(self, monkeypatch, capsys):
         # the walk's own solve (side 24) runs; the 3 x 3 coin sums fail
-        eigh = spectra.sla.eigh
+        eigh = _eigen.sla.eigh
 
         def no_convergence_at_3(a, *args, **kwargs):
             if a.shape == (3, 3):
                 raise np.linalg.LinAlgError("the algorithm failed to converge")
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(spectra.sla, "eigh", no_convergence_at_3)
+        monkeypatch.setattr(_eigen.sla, "eigh", no_convergence_at_3)
         assert run_cli("--task", "verify-point", "--n", "2", "--coin", "grover") == 3
         err = capsys.readouterr().err
         assert "internal numerical failure" in err and "converge" in err
@@ -412,13 +412,13 @@ class TestVerifyTasks:
         # Grover at n=6, side 896: every walk spectrum takes the
         # trace-moment route, and only the 7 x 7 coin sums meet eigh
         shapes = []
-        eigh = spectra.sla.eigh
+        eigh = _eigen.sla.eigh
 
         def spy(a, *args, **kwargs):
             shapes.append(a.shape)
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(spectra.sla, "eigh", spy)
+        monkeypatch.setattr(_eigen.sla, "eigh", spy)
         out = tmp_path / "all.json"
         assert run_cli("--task", "verify-all", "--n", "6", "--coin", "grover",
                        "--samples", "2", "--out", str(out)) == 0

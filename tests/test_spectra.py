@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mqwalk import _linalg, coin, fock, magnetic, spectra, walk
+from mqwalk import _eigen, _linalg, coin, fock, magnetic, spectra, walk
 
 
 def haar_unitary(d, rng):
@@ -38,13 +38,13 @@ def spectrum_dict(report):
 
 def miss_split_gate(monkeypatch):
     """Make the split path report a residual above every gate."""
-    solve = spectra._eig_unitary
+    solve = _eigen._eig_unitary
 
-    def missed_gate(a, pure_tol=spectra._PURE_COLUMN_TOL):
+    def missed_gate(a, pure_tol=_eigen._PURE_COLUMN_TOL):
         lam, vecs, _ = solve(a, pure_tol)
         return lam, vecs, 1.0
 
-    monkeypatch.setattr(spectra, "_eig_unitary", missed_gate)
+    monkeypatch.setattr(_eigen, "_eig_unitary", missed_gate)
 
 
 class TestUnitaryEigenvalues:
@@ -134,7 +134,7 @@ class TestUnitaryEigenvalues:
     def test_eigenvector_witnesses(self):
         rng = np.random.default_rng(6)
         u = haar_unitary(10, rng)
-        lam, vecs, residual = spectra._eig_unitary(u)
+        lam, vecs, residual = _eigen._eig_unitary(u)
         assert residual <= 1e-12
         for i in range(10):
             defect = u @ vecs[:, i] - lam[i] * vecs[:, i]
@@ -145,7 +145,7 @@ class TestUnitaryEigenvalues:
         cs = coin.grover_coin_system(3)
         nu = magnetic.random_potential(3, np.random.default_rng(9))
         mat = walk.evolution_operator(nu, cs).dense()
-        lam, vecs, residual = spectra._eig_unitary(mat)
+        lam, vecs, residual = _eigen._eig_unitary(mat)
         assert residual <= 1e-10
         gram = vecs.conj().T @ vecs
         assert np.abs(gram - np.eye(mat.shape[0])).max() <= 1e-10
@@ -174,11 +174,11 @@ class TestEigenResidualFloor:
             cs = coin.grover_coin_system(3)
             mats = [coin.algebraic_sum(cs, sigma) for sigma in range(16)]
         for mat in mats:
-            _, _, residual = spectra._eig_unitary(mat)
+            _, _, residual = _eigen._eig_unitary(mat)
             assert residual <= 1e-14
 
     def test_random_coin_walk(self):
-        _, _, residual = spectra._eig_unitary(self.random_coin_walk())
+        _, _, residual = _eigen._eig_unitary(self.random_coin_walk())
         assert residual <= 1e-9
 
     def test_gate_tighter_than_pure_column_tol(self):
@@ -197,14 +197,14 @@ class TestEigenResidualFloor:
         assert not isinstance(info.value, ValueError)
 
     def test_unit_circle_miss_is_not_input_error(self, monkeypatch):
-        solve = spectra._eig_unitary
+        solve = _eigen._eig_unitary
 
-        def off_circle(a, pure_tol=spectra._PURE_COLUMN_TOL):
+        def off_circle(a, pure_tol=_eigen._PURE_COLUMN_TOL):
             lam, vecs, residual = solve(a, pure_tol)
             lam[0] *= 1.01
             return lam, vecs, residual
 
-        monkeypatch.setattr(spectra, "_eig_unitary", off_circle)
+        monkeypatch.setattr(_eigen, "_eig_unitary", off_circle)
         with pytest.raises(spectra.EigensolverError, match="unit-circle") as info:
             spectra.unitary_eigenvalues(np.eye(3, dtype=complex))
         assert not isinstance(info.value, ValueError)
@@ -220,7 +220,7 @@ class TestEigenResidualFloor:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("the algorithm failed to converge")
 
-        module = spectra.np.linalg if solver == "lstsq" else spectra.sla
+        module = _eigen.np.linalg if solver == "lstsq" else _eigen.sla
         monkeypatch.setattr(module, solver, no_convergence)
         with pytest.raises(spectra.EigensolverError, match="converge") as info:
             spectra.unitary_eigenvalues(clustered_unitary(side, [0.5, -0.5, 2.0], 42))
@@ -240,13 +240,13 @@ def spy_drivers(monkeypatch):
     pencil, the split path and the coin sums), eigenvalues-only calls
     included, so an empty record rules out any Hermitian solve."""
     drivers = []
-    eigh = spectra.sla.eigh
+    eigh = _eigen.sla.eigh
 
     def spy(*args, **kwargs):
         drivers.append(kwargs.get("driver"))
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(spectra.sla, "eigh", spy)
+    monkeypatch.setattr(_eigen.sla, "eigh", spy)
     return drivers
 
 
@@ -254,26 +254,26 @@ def spy_solves(monkeypatch):
     """Record the LAPACK driver and the side of every ``scipy.linalg.eigh``
     call, as ``spy_drivers`` records the drivers alone."""
     solves = []
-    eigh = spectra.sla.eigh
+    eigh = _eigen.sla.eigh
 
     def spy(a, *args, **kwargs):
         solves.append((kwargs.get("driver"), a.shape[0]))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectra.sla, "eigh", spy)
+    monkeypatch.setattr(_eigen.sla, "eigh", spy)
     return solves
 
 
 def spy_probe(monkeypatch):
     """Record the shape of every matrix the Krylov probe runs on."""
     shapes = []
-    probe = spectra._krylov_saturation
+    probe = _eigen._krylov_saturation
 
     def spy(a, max_steps):
         shapes.append(a.shape)
         return probe(a, max_steps)
 
-    monkeypatch.setattr(spectra, "_krylov_saturation", spy)
+    monkeypatch.setattr(_eigen, "_krylov_saturation", spy)
     return shapes
 
 
@@ -281,39 +281,39 @@ def spy_moments(monkeypatch):
     """Record the shape of every matrix the trace-moment route runs on, and
     whether its certificate answered."""
     calls = []
-    route = spectra._eigvals_from_moments
+    route = _eigen._eigvals_from_moments
 
     def spy(a, ritz, ritz_vecs, tol):
         lam = route(a, ritz, ritz_vecs, tol)
         calls.append((a.shape, lam is not None))
         return lam
 
-    monkeypatch.setattr(spectra, "_eigvals_from_moments", spy)
+    monkeypatch.setattr(_eigen, "_eigvals_from_moments", spy)
     return calls
 
 
 def miss_moments(monkeypatch):
     """Move tr A by 1, a moment error that the moment certificate refuses."""
-    traces = spectra._trace_powers
+    traces = _eigen._trace_powers
 
     def perturbed(a, count):
         out = traces(a, count)
         out[0] += 1.0
         return out
 
-    monkeypatch.setattr(spectra, "_trace_powers", perturbed)
+    monkeypatch.setattr(_eigen, "_trace_powers", perturbed)
 
 
 def miss_pencil(monkeypatch):
     """Move tr A by 1, a trace error that the pencil's gate refuses on both
     of its tries."""
-    traces = spectra._traces
+    traces = _eigen._traces
 
     def perturbed(a):
         trace, trace_sq = traces(a)
         return trace + 1.0, trace_sq
 
-    monkeypatch.setattr(spectra, "_traces", perturbed)
+    monkeypatch.setattr(_eigen, "_traces", perturbed)
 
 
 class TestKrylovRouting:
@@ -371,10 +371,10 @@ class TestKrylovRouting:
     @pytest.mark.parametrize("form", ["csr", "ndarray"])
     def test_moment_certificate_miss(self, monkeypatch, form):
         # a certificate miss ends on the pencil of the walk's 2-cyclic
-        # square with the right answer, and a miss of its gates on the
-        # full-side pencil, then on the split path; a miss of the split
-        # path's gate then is a solver failure, as the pre-check has proven
-        # either form unitary
+        # square with the right answer, and a miss of its gates (on both of
+        # its tries) on the split path at the full side, with no full-side
+        # pencil; a miss of the split path's gate then is a solver failure,
+        # as the pre-check has proven either form unitary
         mat, dense = walk_forms(coin.grover_coin_system(4), 45)
         reference = spectra.unitary_eigenvalues(mat)
         if form == "ndarray":
@@ -389,7 +389,7 @@ class TestKrylovRouting:
         miss_pencil(monkeypatch)
         solves.clear()
         report = spectra.unitary_eigenvalues(mat)
-        assert solves == [("gv", 80)] * 2 + [("gv", 160)] * 2 + [("evr", 160)]
+        assert solves == [("gv", 80)] * 2 + [("evr", 160)]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_split_gate(monkeypatch)
@@ -442,7 +442,7 @@ class TestKrylovRouting:
     def test_empty_and_scalar_inputs(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ritz, ritz_vecs = spectra._krylov_saturation(np.zeros((0, 0), dtype=complex), 64)
+            ritz, ritz_vecs = _eigen._krylov_saturation(np.zeros((0, 0), dtype=complex), 64)
             assert ritz.shape == (0,) and ritz_vecs.shape == (0, 0)
             empty = spectra.unitary_eigenvalues(np.zeros((0, 0), dtype=complex))
             scalar = spectra.unitary_eigenvalues(np.array([[1j]]))
@@ -452,7 +452,7 @@ class TestKrylovRouting:
     def test_saturation_detects_few_distinct_values(self):
         phases = [0.1, 0.9, -2.0, 2.4]
         mat = clustered_unitary(96, phases, 30)
-        ritz, ritz_vecs = spectra._krylov_saturation(mat, 64)
+        ritz, ritz_vecs = _eigen._krylov_saturation(mat, 64)
         # the Ritz values are the four distinct values, and the Ritz vectors
         # unit eigenvectors of them
         assert ritz.shape == (4,) and ritz_vecs.shape == (96, 4)
@@ -463,19 +463,19 @@ class TestKrylovRouting:
     def test_generic_spectrum_does_not_saturate(self):
         rng = np.random.default_rng(31)
         mat = haar_unitary(96, rng)
-        ritz = spectra._krylov_saturation(mat, 64)
+        ritz = _eigen._krylov_saturation(mat, 64)
         assert ritz is None
 
 
 def drop_a_ritz_pair(monkeypatch):
     """Make the probe lose its first Ritz value and vector."""
-    probe = spectra._krylov_saturation
+    probe = _eigen._krylov_saturation
 
     def dropped(a, max_steps):
         ritz, ritz_vecs = probe(a, max_steps)
         return ritz[1:], ritz_vecs[:, 1:]
 
-    monkeypatch.setattr(spectra, "_krylov_saturation", dropped)
+    monkeypatch.setattr(_eigen, "_krylov_saturation", dropped)
 
 
 def grover_block_coin_system(n, d, seed):
@@ -496,7 +496,7 @@ def walk_forms(cs, seed):
 
 def split_clusters(mat):
     """Clusters of the split path, the structure-blind oracle."""
-    lam, _, residual = spectra._eig_unitary(mat, spectra._pure_column_tol(1e-8))
+    lam, _, residual = _eigen._eig_unitary(mat, _eigen._pure_column_tol(1e-8))
     assert residual <= 1e-8
     return spectra._cluster_unit_circle(lam, 1e-8)
 
@@ -538,21 +538,21 @@ class TestMomentsRoute:
         powers = [np.trace(np.linalg.matrix_power(dense, p)) for p in range(1, 6)]
         # 3 workers cut each 64 columns into ragged pieces
         for workers in (1, 2, 3, 4):
-            monkeypatch.setattr(spectra, "_moment_workers", lambda: workers)
-            assert np.abs(spectra._trace_powers(mat, 5) - powers).max() <= 1e-10
+            monkeypatch.setattr(_eigen, "_moment_workers", lambda: workers)
+            assert np.abs(_eigen._trace_powers(mat, 5) - powers).max() <= 1e-10
 
     def test_small_products_run_on_the_calling_thread(self, monkeypatch):
         # below _MOMENT_POOL_WORK multiply-adds no thread pool starts; the
         # side-896 walk keeps its pool
         pools = []
-        pool = spectra.ThreadPoolExecutor
+        pool = _eigen.ThreadPoolExecutor
 
         def counted(workers):
             pools.append(workers)
             return pool(workers)
 
-        monkeypatch.setattr(spectra, "ThreadPoolExecutor", counted)
-        monkeypatch.setattr(spectra, "_moment_workers", lambda: 2)
+        monkeypatch.setattr(_eigen, "ThreadPoolExecutor", counted)
+        monkeypatch.setattr(_eigen, "_moment_workers", lambda: 2)
         moments = spy_moments(monkeypatch)
         small, large = MOMENT_CASES["grover4"](), MOMENT_CASES["grover6"]()
         spectra.unitary_eigenvalues(small)
@@ -571,14 +571,14 @@ class TestMomentsRoute:
         elif fault == "perturbed":
             miss_moments(monkeypatch)
         else:
-            probe = spectra._krylov_saturation
+            probe = _eigen._krylov_saturation
 
             def moved(a, max_steps):
                 ritz, ritz_vecs = probe(a, max_steps)
                 ritz[0] *= np.exp(1e-6j)
                 return ritz, ritz_vecs
 
-            monkeypatch.setattr(spectra, "_krylov_saturation", moved)
+            monkeypatch.setattr(_eigen, "_krylov_saturation", moved)
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
@@ -589,16 +589,16 @@ class TestMomentsRoute:
     def test_gates_follow_tol(self):
         # Ritz residuals of round-off pass a gate of 1e-8, not one of zero
         mat = MOMENT_CASES["grover4"]()
-        ritz, ritz_vecs = spectra._krylov_saturation(mat, 64)
-        assert spectra._eigvals_from_moments(mat, ritz, ritz_vecs, 1e-8).size == 160
-        assert spectra._eigvals_from_moments(mat, ritz, ritz_vecs, 0.0) is None
+        ritz, ritz_vecs = _eigen._krylov_saturation(mat, 64)
+        assert _eigen._eigvals_from_moments(mat, ritz, ritz_vecs, 1e-8).size == 160
+        assert _eigen._eigvals_from_moments(mat, ritz, ritz_vecs, 0.0) is None
 
 
 def spy_pencil(monkeypatch):
     """Record the angle alpha of every Cayley pencil solve, and whether it
     raised ``LinAlgError``."""
     solves = []
-    solve = spectra._pencil_tangents
+    solve = _eigen._pencil_tangents
 
     def spy(a, alpha):
         try:
@@ -609,7 +609,7 @@ def spy_pencil(monkeypatch):
         solves.append((alpha, True))
         return tans
 
-    monkeypatch.setattr(spectra, "_pencil_tangents", spy)
+    monkeypatch.setattr(_eigen, "_pencil_tangents", spy)
     return solves
 
 
@@ -619,7 +619,7 @@ def seam_unitary(side, delta, seed):
     rng = np.random.default_rng(seed)
     q = haar_unitary(side, rng)
     phases = rng.uniform(-np.pi, np.pi, side)
-    phases[0] = np.pi + spectra._PENCIL_ALPHA + delta
+    phases[0] = np.pi + _eigen._PENCIL_ALPHA + delta
     values = np.exp(1j * phases)
     return (q * values) @ q.conj().T, values
 
@@ -634,7 +634,7 @@ class TestPencil:
     def test_values_near_the_seam(self, monkeypatch, delta):
         mat, values = seam_unitary(512, delta, 56)
         solves = spy_pencil(monkeypatch)
-        lam = spectra._eigvals_from_pencil(mat, 1e-8)
+        lam = _eigen._eigvals_from_pencil(mat, 1e-8)
         # a first answer far from the seam, a retry with the seam in the
         # widest gap otherwise; each answer within tau of the truth
         assert len(solves) == (1 if delta >= 1e-5 else 2)
@@ -647,11 +647,11 @@ class TestPencil:
         if n == "ndarray":
             mat = dense
         solves = spy_pencil(monkeypatch)
-        lam = spectra._eigvals_from_pencil(mat, 1e-8)
-        assert solves == [(spectra._PENCIL_ALPHA, True)]
+        lam = _eigen._eigvals_from_pencil(mat, 1e-8)
+        assert solves == [(_eigen._PENCIL_ALPHA, True)]
         # columns above 1e-12 are rotated, which keeps the oracle's
         # residual, and so its error, well below the agreement asserted
-        split, _, residual = spectra._eig_unitary(mat, 1e-12)
+        split, _, residual = _eigen._eig_unitary(mat, 1e-12)
         assert residual <= 1e-10
         assert lam.size == mat.shape[0]
         assert spectra.hausdorff_distance(lam, split) <= 1e-10
@@ -660,7 +660,7 @@ class TestPencil:
         # at alpha = 0 the value -1 makes H' exactly singular, and at the
         # retry's alpha = pi the value 1 does: both Cholesky factors fail,
         # and the split path answers
-        monkeypatch.setattr(spectra, "_PENCIL_ALPHA", 0.0)
+        monkeypatch.setattr(_eigen, "_PENCIL_ALPHA", 0.0)
         phases = np.random.default_rng(59).uniform(-3.0, 3.0, 96)
         phases[:2] = np.pi, 0.0
         values = np.exp(1j * phases)
@@ -682,8 +682,8 @@ class TestPencil:
     def test_nearly_unitary_input_reaches_the_split_path(self, monkeypatch):
         # a walk moved by 1e-11 per stored entry keeps a unitarity residual
         # of 5.9e-11, which passes the 1e-8 pre-check; the trace gates of
-        # the pencil of its 2-cyclic square, then of its own pencil, refuse
-        # it on both tries, and the split path answers
+        # the pencil of its 2-cyclic square refuse it on both tries, and
+        # the split path answers at the full side
         cs = coin.random_coin_system(4, 5, seed=3)
         mat = walk.evolution_operator(
             magnetic.random_potential(4, np.random.default_rng(3)), cs
@@ -694,7 +694,7 @@ class TestPencil:
         moved.data += 1e-11 * (rng.normal(size=mat.nnz) + 1j * rng.normal(size=mat.nnz))
         solves = spy_solves(monkeypatch)
         report = spectra.unitary_eigenvalues(moved)
-        assert solves == [("gv", 80)] * 2 + [("gv", 160)] * 2 + [("evr", 160)]
+        assert solves == [("gv", 80)] * 2 + [("evr", 160)]
         assert report.total_multiplicity == 160
         assert spectra.hausdorff_distance(report.values, reference.values) <= 1e-9
 
@@ -713,7 +713,7 @@ def cycles_unitary(lengths, seed):
 def split_oracle(mat):
     """Eigenvalues of the full-side split path, its columns above 1e-12
     rotated so that its error stays well below the agreement asserted."""
-    lam, _, residual = spectra._eig_unitary(mat, 1e-12)
+    lam, _, residual = _eigen._eig_unitary(mat, 1e-12)
     assert residual <= 1e-10
     return lam
 
@@ -741,7 +741,7 @@ class TestTwoCyclic:
         # diagonal entry, but its cycles of lengths 3 and 97 are odd
         haar = haar_unitary(96, np.random.default_rng(91))
         cycles = cycles_unitary([3, 97], 92)
-        assert spectra._two_colouring(cycles) is None
+        assert _eigen._two_colouring(cycles) is None
         solves = spy_solves(monkeypatch)
         for mat in (haar, cycles):
             report = spectra.unitary_eigenvalues(mat)
@@ -766,7 +766,7 @@ class TestTwoCyclic:
         # zeros stored on the diagonal and between rows of one colour
         mat = walk_forms(coin.random_coin_system(4, 6, seed=96), 96)[0]
         side = mat.shape[0]
-        same = np.flatnonzero(spectra._two_colouring(mat))
+        same = np.flatnonzero(_eigen._two_colouring(mat))
         coo = mat.tocoo()
         rows = np.concatenate((coo.row, np.arange(side), same[:-1]))
         cols = np.concatenate((coo.col, np.arange(side), same[1:]))
@@ -786,7 +786,9 @@ class TestTwoCyclic:
         miss_pencil(monkeypatch)
         solves = spy_solves(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
-        assert solves == [("gv", side // 2)] * 2 + [("gv", side)] * 2 + [("evr", side)]
+        # the one pencil of a walk is that of its square: a miss there goes
+        # straight to the split path, with no full-side pencil
+        assert solves == [("gv", side // 2)] * 2 + [("evr", side)]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
 
@@ -795,7 +797,7 @@ class TestTwoCyclic:
         side = dense.shape[0]
         tracemalloc.start()
         try:
-            entries = spectra._nonzero_entries(dense)
+            entries = _eigen._nonzero_entries(dense)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -806,8 +808,8 @@ class TestTwoCyclic:
         # more entries than a 2-cyclic pattern with classes of equal size
         # holds, in either form
         haar = haar_unitary(96, np.random.default_rng(99))
-        assert spectra._nonzero_entries(haar) is None
-        assert spectra._nonzero_entries(sp.csr_matrix(haar)) is None
+        assert _eigen._nonzero_entries(haar) is None
+        assert _eigen._nonzero_entries(sp.csr_matrix(haar)) is None
 
 
 class TestSparseInput:
@@ -888,13 +890,13 @@ def unblocked_eig_unitary(a, driver):
     """Eigenpairs and defects of ``a`` formed on whole arrays, unblocked."""
     herm = (a + a.conj().T) / 2
     herm = herm.toarray() if sp.issparse(herm) else herm
-    _, vecs = spectra.sla.eigh(herm, driver=driver, check_finite=False)
+    _, vecs = _eigen.sla.eigh(herm, driver=driver, check_finite=False)
     images = a @ vecs
     lam = np.einsum("ij,ij->j", vecs.conj(), images)
     return lam, vecs, np.linalg.norm(images - vecs * lam[None, :], axis=0)
 
 
-BLOCK = spectra._RESIDUAL_BLOCK
+BLOCK = _linalg.BLOCK
 # a walk side below one block, one not a multiple of it, and one a multiple
 BLOCK_SIDES = [BLOCK // 2 + 3, 2 * BLOCK + BLOCK // 4 + 1, 2 * BLOCK]
 BLOCK_WALKS = [
@@ -916,8 +918,8 @@ class TestBlockedResiduals:
         a = sp.csr_matrix(mat) if form == "csr" else mat
         lam_ref, vecs_ref, defect_ref = unblocked_eig_unitary(a, driver)
         # no column is rotated, so the outputs are the formula's
-        assert defect_ref.max() <= spectra._PURE_COLUMN_TOL
-        lam, vecs, residual = spectra._eig_unitary(a)
+        assert defect_ref.max() <= _eigen._PURE_COLUMN_TOL
+        lam, vecs, residual = _eigen._eig_unitary(a)
         assert lam.tobytes() == lam_ref.tobytes()
         assert vecs.tobytes() == vecs_ref.tobytes()
         assert residual == defect_ref.max()
@@ -978,7 +980,7 @@ class TestBlockedResiduals:
         side = mat.shape[0]
         reference = spectra.unitary_eigenvalues(mat).to_json_dict()
         moments = spy_moments(monkeypatch)
-        monkeypatch.setattr(spectra, "_moment_workers", lambda: workers)
+        monkeypatch.setattr(_eigen, "_moment_workers", lambda: workers)
         tracemalloc.start()
         try:
             report = spectra.unitary_eigenvalues(mat)
@@ -1035,7 +1037,7 @@ class TestMemoryGuard:
         need = 2 * side * side * 16
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        monkeypatch.setattr(spectra, "_available_memory", lambda: need - 1)
+        monkeypatch.setattr(_eigen, "_available_memory", lambda: need - 1)
         tracemalloc.start()
         try:
             with pytest.raises(walk.CapacityError, match=f"side {side}"):
@@ -1047,7 +1049,7 @@ class TestMemoryGuard:
         # the pre-check's row blocks and the probe's basis, no side x side
         # array
         assert peak < side * side * 16
-        monkeypatch.setattr(spectra, "_available_memory", lambda: need)
+        monkeypatch.setattr(_eigen, "_available_memory", lambda: need)
         report = spectra.unitary_eigenvalues(mat)
         assert report.total_multiplicity == side
         assert (moments, drivers) == (
@@ -1059,7 +1061,7 @@ class TestMemoryGuard:
         side = mat.shape[0]
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * side * side * 16 - 1)
+        monkeypatch.setattr(_eigen, "_available_memory", lambda: 2 * side * side * 16 - 1)
         report = spectra.unitary_eigenvalues(mat)
         assert report.total_multiplicity == side == 896
         assert moments == [(mat.shape, True)] and drivers == []
@@ -1073,11 +1075,11 @@ class TestMemoryGuard:
         half = side // 2
         moments = spy_moments(monkeypatch)
         solves = spy_solves(monkeypatch)
-        monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * half * half * 16 - 1)
+        monkeypatch.setattr(_eigen, "_available_memory", lambda: 2 * half * half * 16 - 1)
         with pytest.raises(walk.CapacityError, match=f"side {half}"):
             spectra.unitary_eigenvalues(mat)
         assert moments == [] and solves == []
-        monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * side * side * 16 - 1)
+        monkeypatch.setattr(_eigen, "_available_memory", lambda: 2 * side * side * 16 - 1)
         report = spectra.unitary_eigenvalues(mat)
         assert solves == [("gv", half)] and report.total_multiplicity == side
         # a miss of the square's pencil reaches the full side's guard
@@ -1093,7 +1095,7 @@ class TestMemoryGuard:
         side = dense.shape[0]
         half = side // 2
         solves = spy_solves(monkeypatch)
-        monkeypatch.setattr(spectra, "_available_memory", lambda: 2 * half * half * 16 - 1)
+        monkeypatch.setattr(_eigen, "_available_memory", lambda: 2 * half * half * 16 - 1)
         tracemalloc.start()
         try:
             with pytest.raises(walk.CapacityError, match=f"side {half}"):
@@ -1107,7 +1109,7 @@ class TestMemoryGuard:
 
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="no /proc/meminfo")
     def test_reads_meminfo(self):
-        assert 0 < spectra._available_memory() < float("inf")
+        assert 0 < _eigen._available_memory() < float("inf")
 
 
 class TestSpectrumReport:
@@ -1208,7 +1210,7 @@ class TestCoinSumEigensystem:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("the algorithm failed to converge")
 
-        monkeypatch.setattr(spectra.sla, "eigh", no_convergence)
+        monkeypatch.setattr(_eigen.sla, "eigh", no_convergence)
         with pytest.raises(spectra.EigensolverError, match="converge") as info:
             spectra.coin_sum_eigensystem(coin.grover_coin_system(2), 3)
         assert not isinstance(info.value, ValueError)
