@@ -8,40 +8,77 @@ probe's Hessenberg block and the compression in the split path's second
 pass.  Each route is a solve of the matrix as given, blind to any structure
 it has but its zero pattern, and each is tried at most once.
 
+Routed matrix.  Above side ``_SATURATION_STEPS`` the probe, the trace
+moments and the pencil all run on one routed matrix R of side m: M = A_PQ
+A_QP with m = side / 2 when the zero pattern of A is 2-cyclic (every walk),
+else A itself with m = side.  Each gate below is R's own, with R's side m.
+
+2-cyclic square (``_two_cyclic_blocks``; Varga, Matrix Iterative Analysis,
+1962).  Every walk's nonzero pattern is 2-cyclic: each shift flips one bit
+of the subset, so the walk maps even subsets to odd ones and odd to even.
+If no entry of A joins two rows of one colour class, and the classes P and
+Q have the same size m, then A permuted to P, Q order is [[0, X], [Y, 0]]
+with square blocks X = A_PQ and Y = A_QP.  For lambda != 0,
+
+    det(lambda I - A) = det(lambda I) det(lambda I - Y X / lambda)
+                      = det(lambda^2 I - Y X),
+
+and by continuity for every lambda; YX and M = XY have one spectrum.  So
+each eigenvalue mu of M gives the two eigenvalues +-sqrt(mu) of A, each
+with the multiplicity of mu: lambda and -lambda have equal multiplicities,
+and k distinct values of M give 2k of A.  A*A = I makes X and Y unitary, so
+M is unitary, of side m = side / 2.  Each mu within tau of the truth puts
+its square roots within tau / 2, as |sqrt(mu) + sqrt(mu')| is about 2 for
+neighbours mu, mu' on the unit circle.  In P, Q order A^2 = [[XY, 0], [0,
+YX]], so
+
+    tr M^p = sum_{i in P} (A^{2p})_ii,
+
+and M's moments need only P's unit vectors, taken through Y and then X,
+with no product XY formed for them.  The colouring reads only the zeros of
+the input.
+
 Krylov probe (``_krylov_saturation``).  A spectrum with few distinct values
 closes the Krylov space of a random start vector early, at some step k, and
 the k Ritz values of the Arnoldi Hessenberg block are then its distinct
-values.  At or below ``_SATURATION_STEPS`` every Krylov space closes, so
-the probe says nothing there and is not run.  It sums on the calling
-thread, so no BLAS thread pool spins beside the moment workers or the
-eigensolve that follow it.
+values.  When R is of side at most ``_SATURATION_STEPS`` every Krylov space
+closes, so the probe says nothing there and is not run: a walk of side up
+to 2 ``_SATURATION_STEPS`` goes straight to the pencil of M.  On M, a walk
+spectrum of up to 2 ``_SATURATION_STEPS`` distinct values, paired +-,
+closes within the probe's steps.  It sums on the calling thread, so no
+BLAS thread pool spins beside the moment workers or the eigensolve that
+follow it.
 
 Trace moments (``_eigvals_from_moments``).  The multiplicities m_i of the k
-Ritz values theta_i solve sum_i m_i theta_i^p = tr A^p, p = -K..K, with K =
-ceil(k / 2).  As the m_i are real and tr A^-p is the conjugate of tr A^p for
-a unitary A, these are 2K + 1 >= k + 1 real equations: sum_i m_i = side
-(p = 0), and the real and imaginary parts for p = 1..K, whose traces come
-from sparse products with blocks of unit vectors (``_trace_powers``).  They
-are solved by least squares, and every gate follows from tau =
-``unitary_tol``:
+Ritz values theta_i of R solve sum_i m_i theta_i^p = tr R^p, p = -K..K,
+with K = ceil(k / 2).  As the m_i are real and tr R^-p is the conjugate of
+tr R^p for a unitary R, these are 2K + 1 >= k + 1 real equations: sum_i m_i
+= m (p = 0), and the real and imaginary parts for p = 1..K, whose traces
+come from sparse products of R's factors (A, or Y then X) with blocks of
+unit vectors (``_trace_powers``).  They are solved by least squares, and
+every gate follows from tau = ``unitary_tol``:
 
-- Each Ritz residual ||A y_i - theta_i y_i|| is at most tau.  A is normal,
+- Each Ritz residual ||R y_i - theta_i y_i|| is at most tau.  R is normal,
   so by Bauer-Fike each theta_i lies within tau of an eigenvalue, which is
   the split path's eigen-residual gate.
 - Then |theta_i^p - lambda^p| <= p tau on the unit circle, and the true
-  multiplicities leave a residual of at most r = side tau sqrt(sum_{p<=K}
+  multiplicities leave a residual of at most r = m tau sqrt(sum_{p<=K}
   p^2); the least-squares residual, no larger, must be within r.  An
   eigenvalue missing from the Ritz values leaves its share of the moments
   unexplained, a residual of the order of its multiplicity.
-- The least-squares m lies within r / s of the true multiplicities, where s
-  is the Vandermonde matrix's least singular value.  So r / s must be below
-  1/2, every m_i within r / s of a positive integer, and the rounded m_i
-  must sum to side; then rounding gives the true multiplicities.
+- The least-squares m_i lie within r / s of the true multiplicities, where
+  s is the Vandermonde matrix's least singular value.  So r / s must be
+  below 1/2, every m_i within r / s of a positive integer, and the rounded
+  m_i must sum to m; then rounding gives the true multiplicities.
 
-An ndarray takes this route as its CSR copy, which keeps only its nonzeros.
+A miss of the certificate goes to the pencil of the same R.  An ndarray
+that is not 2-cyclic takes this route as its CSR copy, which keeps only its
+nonzeros.
 
 Cayley pencil (``_eigvals_from_pencil``; Bunse-Gerstner and Elsner, LAA
-1991).  For a unitary B = e^{-i alpha} A, take S = i(B* - B) and H' = 2I +
+1991).  It answers when the probe does not close or the certificate
+misses, and runs on R, written A below.  For a unitary B = e^{-i alpha} A,
+take S = i(B* - B) and H' = 2I +
 B + B*, both Hermitian.  B is normal, so an eigenvector v of B with B v =
 e^{i phi} v, phi in (-pi, pi], has B* v = e^{-i phi} v, and
 
@@ -78,24 +115,6 @@ small, so it passes the first gate with an error of up to 2 / |t| (at side
 Such a value moves the sums by its whole error, far above e, and a value
 missing or counted twice moves them by the order of 1.
 
-2-cyclic square (``_two_cyclic_square``; Varga, Matrix Iterative Analysis,
-1962).  Every walk's nonzero pattern is 2-cyclic: each shift flips one bit
-of the subset, so the walk maps even subsets to odd ones and odd to even.
-If no entry of A joins two rows of one colour class, and the classes P and
-Q have the same size m, then A permuted to P, Q order is [[0, X], [Y, 0]]
-with square blocks X = A_PQ and Y = A_QP.  For lambda != 0,
-
-    det(lambda I - A) = det(lambda I) det(lambda I - Y X / lambda)
-                      = det(lambda^2 I - Y X),
-
-and by continuity for every lambda; YX and M = XY have one spectrum.  So
-each eigenvalue mu of M gives the two eigenvalues +-sqrt(mu) of A, with the
-multiplicities of mu.  A*A = I makes X and Y unitary, so M is unitary, of
-side m, and its own pencil, with its own gates (the exact tr M and tr M^2
-read from M's entries), gives the mu.  Each mu within tau of the truth puts
-its square roots within tau / 2.  The colouring reads only the zeros of the
-input.
-
 Splitting (``_eig_unitary``).  A = H + iS with H = (A + A*)/2 and S = (A -
 A*)/2i: a Hermitian eigensolve of H fixes the real parts and an eigenbasis;
 within each cluster of (nearly) equal real parts, the restriction of S is
@@ -124,12 +143,12 @@ from .walk import CapacityError
 _SATURATION_STEPS = 64
 _SATURATION_TOL = 1e-8
 
-# Multiply-adds (count nnz side) from which ``_trace_powers`` shares its
-# products out to a thread pool.  Below it, starting and joining the
-# threads costs more than they save (measured on 2 cores: at side 160, 0.7
-# to 1.6 ms on the calling thread against 2.4 to 3.7 ms on two workers; the
-# two cross near 3e6 to 4e6).  The side-896 walks of ``verify-all`` (1e7 and
-# more) keep the pool.
+# Multiply-adds (powers x the factors' total nnz x unit vectors) from which
+# ``_trace_powers`` shares its products out to a thread pool.  Below it,
+# starting and joining the threads costs more than they save (measured on 2
+# cores on a side-160 A: 0.7 to 1.6 ms on the calling thread against 2.4 to
+# 3.7 ms on two workers; the two cross near 3e6 to 4e6).  The side-448 M of
+# the side-896 walks of ``verify-all`` (1e7 and more) keeps the pool.
 _MOMENT_POOL_WORK = 4_000_000
 
 # The Cayley pencil of e^{-i _PENCIL_ALPHA} A is singular where A has the
@@ -144,9 +163,9 @@ _PENCIL_CONDITION = 64
 # Side x side complex arrays held by a dense step: the pencil holds S and
 # H' (of side / 2 for a 2-cyclic pattern), the split path H, then the
 # eigenvectors and their images.  The trace-moment route holds none, so a
-# CSR input is checked only once it reaches a dense step; an ndarray is
-# checked before its CSR copy is made, which for a full-density array peaks
-# at 2.75 such arrays and holds 1.25.
+# CSR input is checked only once it reaches a dense step; an ndarray that
+# is not 2-cyclic is checked before its CSR copy is made, which for a
+# full-density array peaks at 2.75 such arrays and holds 1.25.
 _DENSE_ARRAYS = 2
 
 # Consecutive real-part gap below which eigh output is treated as one
@@ -182,19 +201,7 @@ def unitary_eigvals(a, unitary_tol: float) -> np.ndarray:
     side = a.shape[0]
     failure = "eigensolver failed on a unitary input"
     try:
-        lam = None
-        if side > _SATURATION_STEPS:
-            probe = _krylov_saturation(a, _SATURATION_STEPS)
-            if probe is not None:
-                if not sp.issparse(a):  # before its CSR copy (_DENSE_ARRAYS)
-                    _require_capacity(side)
-                lam = _eigvals_from_moments(sp.csr_matrix(a), *probe, unitary_tol)
-            if lam is None:  # one pencil; its miss goes to the split path
-                square = _two_cyclic_square(a)
-                lam = _eigvals_from_pencil(a if square is None else square, unitary_tol)
-                if lam is not None and square is not None:
-                    root = np.sqrt(lam)
-                    lam = np.concatenate((root, -root))
+        lam = _routed_eigvals(a, unitary_tol) if side > _SATURATION_STEPS else None
         if lam is None:
             _require_capacity(side)
             # the split path skips LAPACK's finiteness check: the pre-check
@@ -212,6 +219,34 @@ def unitary_eigvals(a, unitary_tol: float) -> np.ndarray:
             f"{failure}: unit-circle defect {off_circle:.3e} exceeds {unitary_tol:.1e}"
         )
     return lam
+
+
+def _routed_eigvals(a, unitary_tol: float) -> np.ndarray | None:
+    """Eigenvalues of a unitary ``a`` from the trace moments or the pencil of
+    its routed matrix (see the module docstring), or None when both miss.
+
+    The blocks and M are local, so none is held through the split path that
+    follows a miss.
+    """
+    blocks = _two_cyclic_blocks(a)
+    paired = blocks is not None
+    routed = blocks[0] @ blocks[1] if paired else a
+    lam = probe = None
+    if routed.shape[0] > _SATURATION_STEPS:
+        probe = _krylov_saturation(routed, _SATURATION_STEPS)
+    if probe is not None:
+        if not paired:
+            if not sp.issparse(a):  # before its CSR copy (_DENSE_ARRAYS)
+                _require_capacity(a.shape[0])
+            blocks = (sp.csr_matrix(a),)
+        lam = _eigvals_from_moments(blocks, *probe, unitary_tol)
+    if lam is None:
+        blocks = probe = None  # the pencil holds only the routed matrix
+        lam = _eigvals_from_pencil(routed, unitary_tol)
+    if lam is None or not paired:
+        return lam
+    root = np.sqrt(lam)
+    return np.concatenate((root, -root))
 
 
 def _pure_column_tol(gate: float) -> float:
@@ -338,8 +373,6 @@ def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray, np.ndarray] | Non
     vectors are used.
     """
     size = a.shape[0]
-    if size == 0:  # the empty space is closed, and has no start vector
-        return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
     rng = np.random.default_rng(0x5EED)
     q = rng.normal(size=size) + 1j * rng.normal(size=size)
     q /= vector_norm(q)
@@ -377,35 +410,48 @@ def _moment_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _trace_powers(a: sp.csr_matrix, count: int) -> np.ndarray:
-    """tr A^p for p = 1..``count`` of a sparse ``a``, by sparse products only.
+def _apply(factors, block: np.ndarray) -> np.ndarray:
+    """The product of the sparse ``factors`` applied to ``block``, the last
+    factor first."""
+    for factor in reversed(factors):
+        block = factor @ block
+    return block
+
+
+def _trace_powers(factors, count: int) -> np.ndarray:
+    """tr R^p for p = 1..``count`` of the product R of the sparse square
+    ``factors``, by sparse products only: A alone, or the blocks (A_PQ,
+    A_QP) of a 2-cyclic A, whose product M is never formed.
 
     The unit vectors are taken in ranges E of columns, and E's share of
-    tr A^p is the trace of A^p E on E's own rows.  A E is E's columns of
-    ``a``, read from its CSC form, and each higher power is one more sparse
-    product, ``count`` nnz(A) side multiply-adds in all.
+    tr R^p is the trace of R^p E on E's own rows.  The last factor times E
+    is E's columns of it, read from its CSC form, and every other product is
+    a sparse one: ``count`` times the factors' total nnz times side
+    multiply-adds in all.
 
     The sparse products release the interpreter lock, so from
     ``_MOMENT_POOL_WORK`` multiply-adds up the ranges E are shared out to
     ``_moment_workers`` threads, each range ``BLOCK`` // workers columns
     wide (at least one).  So up to ``BLOCK`` workers keep ``BLOCK`` columns
-    in flight, and the working set stays two side x ``BLOCK`` arrays.  Less
+    in flight, and the working set stays one side x ``BLOCK`` array more
+    than there are factors.  Less
     work runs on the calling thread, in ranges of ``BLOCK`` columns.  The
     shares are added in range order, so the traces do not depend on thread
     timing.  The workers call only numpy and ``scipy.sparse``.
     """
-    side = a.shape[0]
-    workers = _moment_workers() if count * a.nnz * side >= _MOMENT_POOL_WORK else 1
+    side = factors[0].shape[0]
+    work = count * sum(factor.nnz for factor in factors) * side
+    workers = _moment_workers() if work >= _MOMENT_POOL_WORK else 1
     width = max(1, BLOCK // workers)
-    columns = a.tocsc()
+    columns = factors[-1].tocsc()
 
     def share(lo: int) -> np.ndarray:
         own = slice(lo, min(lo + width, side))
-        block = columns[:, own].toarray()
+        block = _apply(factors[:-1], columns[:, own].toarray())
         part = np.empty(count, dtype=complex)
         for power in range(count):
             if power:
-                block = a @ block
+                block = _apply(factors, block)
             part[power] = np.trace(block[own])
         return part
 
@@ -423,21 +469,22 @@ def _trace_powers(a: sp.csr_matrix, count: int) -> np.ndarray:
 
 
 def _eigvals_from_moments(
-    a: sp.csr_matrix, ritz: np.ndarray, ritz_vecs: np.ndarray, tol: float
+    factors, ritz: np.ndarray, ritz_vecs: np.ndarray, tol: float
 ) -> np.ndarray | None:
-    """Eigenvalues of a sparse unitary ``a`` whose distinct values are the
-    Ritz values ``ritz`` (unit Ritz vectors ``ritz_vecs``), each repeated by
-    its multiplicity, or None when the moment certificate of the module
-    docstring, at tau = ``tol``, misses.
+    """Eigenvalues of the sparse unitary product R of ``factors`` (see
+    ``_trace_powers``) whose distinct values are the Ritz values ``ritz``
+    (unit Ritz vectors ``ritz_vecs``), each repeated by its multiplicity, or
+    None when the moment certificate of the module docstring, at tau =
+    ``tol``, misses.
     """
-    side, count = a.shape[0], ritz.size
-    defects = a @ ritz_vecs - ritz_vecs * ritz
+    side, count = factors[0].shape[0], ritz.size
+    defects = _apply(factors, ritz_vecs) - ritz_vecs * ritz
     # written so that a NaN residual fails
     if not np.linalg.norm(defects, axis=0).max() <= tol:
         return None
     top = -(-count // 2)
     powers = ritz ** np.arange(1, top + 1)[:, None]
-    traces = _trace_powers(a, top)
+    traces = _trace_powers(factors, top)
     vander = np.vstack((np.ones(count), powers.real, powers.imag))
     moments = np.concatenate(([side], traces.real, traces.imag))
     mults, _, _, sing = np.linalg.lstsq(vander, moments, rcond=None)
@@ -567,11 +614,11 @@ def _two_colouring(entries: sp.csr_matrix) -> np.ndarray | None:
     return colour.astype(bool)
 
 
-def _two_cyclic_square(a) -> sp.csr_matrix | None:
-    """The sparse unitary M = A_PQ A_QP of side / 2 whose square roots are
-    the eigenvalues of ``a`` (see the module docstring), or None when the
-    nonzero pattern of ``a`` is not 2-cyclic with colour classes P and Q of
-    equal size.
+def _two_cyclic_blocks(a) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
+    """The sparse blocks X = A_PQ and Y = A_QP of side / 2 of ``a``, whose
+    product M = XY is the routed matrix (see the module docstring), or None
+    when the nonzero pattern of ``a`` is not 2-cyclic with colour classes P
+    and Q of equal size.
 
     A nonzero diagonal entry is a cycle of length one, so it is read first,
     before any pass over the whole input; a side x side ndarray is then
@@ -585,7 +632,7 @@ def _two_cyclic_square(a) -> sp.csr_matrix | None:
     if colour is None or 2 * colour.sum() != side:
         return None
     p, q = np.flatnonzero(~colour), np.flatnonzero(colour)
-    return entries[p][:, q] @ entries[q][:, p]
+    return entries[p][:, q], entries[q][:, p]
 
 
 def _available_memory() -> float:

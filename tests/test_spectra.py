@@ -278,14 +278,15 @@ def spy_probe(monkeypatch):
 
 
 def spy_moments(monkeypatch):
-    """Record the shape of every matrix the trace-moment route runs on, and
-    whether its certificate answered."""
+    """Record the shape of every matrix the trace-moment route runs on (the
+    product of its factors: a walk's M at half the side), and whether its
+    certificate answered."""
     calls = []
     route = _eigen._eigvals_from_moments
 
-    def spy(a, ritz, ritz_vecs, tol):
-        lam = route(a, ritz, ritz_vecs, tol)
-        calls.append((a.shape, lam is not None))
+    def spy(factors, ritz, ritz_vecs, tol):
+        lam = route(factors, ritz, ritz_vecs, tol)
+        calls.append(((factors[0].shape[0], factors[-1].shape[1]), lam is not None))
         return lam
 
     monkeypatch.setattr(_eigen, "_eigvals_from_moments", spy)
@@ -293,15 +294,21 @@ def spy_moments(monkeypatch):
 
 
 def miss_moments(monkeypatch):
-    """Move tr A by 1, a moment error that the moment certificate refuses."""
+    """Move the first trace moment by 1, an error that the moment
+    certificate refuses."""
     traces = _eigen._trace_powers
 
-    def perturbed(a, count):
-        out = traces(a, count)
+    def perturbed(factors, count):
+        out = traces(factors, count)
         out[0] += 1.0
         return out
 
     monkeypatch.setattr(_eigen, "_trace_powers", perturbed)
+
+
+def half(shape):
+    """The shape of a walk's M = A_PQ A_QP, on one colour class."""
+    return (shape[0] // 2, shape[1] // 2)
 
 
 def miss_pencil(monkeypatch):
@@ -370,11 +377,12 @@ class TestKrylovRouting:
 
     @pytest.mark.parametrize("form", ["csr", "ndarray"])
     def test_moment_certificate_miss(self, monkeypatch, form):
-        # a certificate miss ends on the pencil of the walk's 2-cyclic
-        # square with the right answer, and a miss of its gates (on both of
-        # its tries) on the split path at the full side, with no full-side
-        # pencil; a miss of the split path's gate then is a solver failure,
-        # as the pre-check has proven either form unitary
+        # the moments run on the walk's 2-cyclic square M; a certificate
+        # miss ends on the pencil of the same M with the right answer, and a
+        # miss of its gates (on both of its tries) on the split path at the
+        # full side, with no full-side pencil; a miss of the split path's
+        # gate then is a solver failure, as the pre-check has proven either
+        # form unitary
         mat, dense = walk_forms(coin.grover_coin_system(4), 45)
         reference = spectra.unitary_eigenvalues(mat)
         if form == "ndarray":
@@ -383,7 +391,7 @@ class TestKrylovRouting:
         miss_moments(monkeypatch)
         solves = spy_solves(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [((160, 160), False)] and solves == [("gv", 80)]
+        assert moments == [((80, 80), False)] and solves == [("gv", 80)]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_pencil(monkeypatch)
@@ -442,8 +450,6 @@ class TestKrylovRouting:
     def test_empty_and_scalar_inputs(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ritz, ritz_vecs = _eigen._krylov_saturation(np.zeros((0, 0), dtype=complex), 64)
-            assert ritz.shape == (0,) and ritz_vecs.shape == (0, 0)
             empty = spectra.unitary_eigenvalues(np.zeros((0, 0), dtype=complex))
             scalar = spectra.unitary_eigenvalues(np.array([[1j]]))
         assert empty.eigenvalues == () and empty.multiplicities == ()
@@ -516,6 +522,9 @@ MOMENT_CASES = {
         clustered_unitary(120, [0.4, -0.4, 2.2, -2.2, np.pi], 86)
     ),
 }
+# the cases whose pattern is not 2-cyclic: their moments run on A itself
+FULL_SIDE_CASES = ("clustered", "conjugate-pairs")
+WALK_CASES = sorted(set(MOMENT_CASES) - set(FULL_SIDE_CASES))
 
 
 class TestMomentsRoute:
@@ -527,10 +536,34 @@ class TestMomentsRoute:
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [(mat.shape, True)] and drivers == []
+        routed = mat.shape if case in FULL_SIDE_CASES else half(mat.shape)
+        assert moments == [(routed, True)] and drivers == []
         split_vals, split_mults = split_clusters(mat)
         assert report.multiplicities == tuple(split_mults)
         assert np.abs(report.values - split_vals).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", FULL_SIDE_CASES)
+    def test_not_two_cyclic_runs_at_the_full_side(self, monkeypatch, case):
+        mat = MOMENT_CASES[case]()
+        assert _eigen._two_cyclic_blocks(mat) is None
+        probes = spy_probe(monkeypatch)
+        moments = spy_moments(monkeypatch)
+        spectra.unitary_eigenvalues(mat)
+        assert probes == [mat.shape] and moments == [(mat.shape, True)]
+
+    @pytest.mark.parametrize("case", WALK_CASES)
+    def test_walk_values_pair_by_sign(self, monkeypatch, case):
+        # each value mu of M gives +-sqrt(mu): lambda and -lambda have equal
+        # multiplicities
+        mat = MOMENT_CASES[case]()
+        moments = spy_moments(monkeypatch)
+        report = spectra.unitary_eigenvalues(mat)
+        assert moments == [(half(mat.shape), True)]
+        values, mults = report.values, np.array(report.multiplicities)
+        partner = np.abs(values[:, None] + values[None, :]).argmin(axis=1)
+        assert np.array_equal(np.sort(partner), np.arange(values.size))
+        assert np.abs(values + values[partner]).max() <= 1e-12
+        assert (mults[partner] == mults).all()
 
     def test_trace_powers(self, monkeypatch):
         mat = MOMENT_CASES["grover-blocks"]()
@@ -539,11 +572,29 @@ class TestMomentsRoute:
         # 3 workers cut each 64 columns into ragged pieces
         for workers in (1, 2, 3, 4):
             monkeypatch.setattr(_eigen, "_moment_workers", lambda: workers)
-            assert np.abs(_eigen._trace_powers(mat, 5) - powers).max() <= 1e-10
+            assert np.abs(_eigen._trace_powers((mat,), 5) - powers).max() <= 1e-10
+
+    def test_trace_powers_of_the_blocks(self, monkeypatch):
+        # tr M^p from (A_PQ, A_QP) applied in turn, with no product formed,
+        # against dense powers of M and against sum_{i in P} (A^2p)_ii
+        mat = MOMENT_CASES["grover-blocks"]()
+        blocks = _eigen._two_cyclic_blocks(mat)
+        square = (blocks[0] @ blocks[1]).toarray()
+        assert square.shape == half(mat.shape)
+        powers = [np.trace(np.linalg.matrix_power(square, p)) for p in range(1, 6)]
+        dense = mat.toarray()
+        p_class = np.flatnonzero(~_eigen._two_colouring(mat))
+        on_p = [np.linalg.matrix_power(dense, 2 * p)[p_class, p_class].sum() for p in range(1, 6)]
+        assert np.abs(np.array(on_p) - powers).max() <= 1e-10
+        # 3 workers cut each 64 columns into ragged pieces
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(_eigen, "_moment_workers", lambda: workers)
+            assert np.abs(_eigen._trace_powers(blocks, 5) - powers).max() <= 1e-10
 
     def test_small_products_run_on_the_calling_thread(self, monkeypatch):
-        # below _MOMENT_POOL_WORK multiply-adds no thread pool starts; the
-        # side-896 walk keeps its pool
+        # below _MOMENT_POOL_WORK multiply-adds no thread pool starts: the
+        # side-160 walk's M, of side 80, has none; the side-896 walk's M, of
+        # side 448, keeps its pool
         pools = []
         pool = _eigen.ThreadPoolExecutor
 
@@ -556,14 +607,14 @@ class TestMomentsRoute:
         moments = spy_moments(monkeypatch)
         small, large = MOMENT_CASES["grover4"](), MOMENT_CASES["grover6"]()
         spectra.unitary_eigenvalues(small)
-        assert moments == [((160, 160), True)] and pools == []
+        assert moments == [((80, 80), True)] and pools == []
         spectra.unitary_eigenvalues(large)
-        assert moments[1] == ((896, 896), True) and pools == [2]
+        assert moments[1] == ((448, 448), True) and pools == [2]
 
     @pytest.mark.parametrize("fault", ["dropped", "perturbed", "moved"])
     def test_fault_falls_back(self, monkeypatch, fault):
-        # each fault is refused by the certificate; the pencil answers,
-        # with the unperturbed multiset
+        # each fault is refused by the certificate on M; the pencil of the
+        # same M answers, with the unperturbed multiset
         mat = MOMENT_CASES["grover5"]()
         reference = spectra.unitary_eigenvalues(mat)
         if fault == "dropped":
@@ -582,16 +633,16 @@ class TestMomentsRoute:
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [(mat.shape, False)] and drivers == ["gv"]
+        assert moments == [(half(mat.shape), False)] and drivers == ["gv"]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
 
     def test_gates_follow_tol(self):
         # Ritz residuals of round-off pass a gate of 1e-8, not one of zero
-        mat = MOMENT_CASES["grover4"]()
-        ritz, ritz_vecs = _eigen._krylov_saturation(mat, 64)
-        assert _eigen._eigvals_from_moments(mat, ritz, ritz_vecs, 1e-8).size == 160
-        assert _eigen._eigvals_from_moments(mat, ritz, ritz_vecs, 0.0) is None
+        blocks = _eigen._two_cyclic_blocks(MOMENT_CASES["grover4"]())
+        ritz, ritz_vecs = _eigen._krylov_saturation(blocks[0] @ blocks[1], 64)
+        assert _eigen._eigvals_from_moments(blocks, ritz, ritz_vecs, 1e-8).size == 80
+        assert _eigen._eigvals_from_moments(blocks, ritz, ritz_vecs, 0.0) is None
 
 
 def spy_pencil(monkeypatch):
@@ -792,6 +843,21 @@ class TestTwoCyclic:
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
 
+    @pytest.mark.parametrize("cs", [
+        coin.random_coin_system(2, 12, seed=54),
+        grover_block_coin_system(2, 12, 55),
+    ], ids=["random", "grover-blocks"])
+    def test_side_96_walk_runs_no_probe(self, monkeypatch, cs):
+        # M is of side 48, where every Krylov space closes: the pencil of M
+        # answers with no probe
+        mat = walk_forms(cs, 56)[0]
+        assert mat.shape == (96, 96)
+        oracle = split_oracle(mat)
+        probes = spy_probe(monkeypatch)
+        solves = spy_solves(monkeypatch)
+        self.assert_agrees(spectra.unitary_eigenvalues(mat), oracle)
+        assert probes == [] and solves == [("gv", 48)]
+
     def test_ndarray_entries_in_row_blocks(self):
         mat, dense = walk_forms(coin.random_coin_system(5, 8, seed=98), 98)
         side = dense.shape[0]
@@ -864,7 +930,7 @@ class TestSparseInput:
         sparse_drivers, drivers[:] = drivers[:], []
         from_dense = spectra.unitary_eigenvalues(dense)
         assert sparse_drivers == drivers == ([] if route == "eigvals" else [route])
-        assert moments == ([(mat.shape, True)] * 2 if route == "eigvals" else [])
+        assert moments == ([(half(mat.shape), True)] * 2 if route == "eigvals" else [])
         assert from_sparse.multiplicities == from_dense.multiplicities
         assert np.abs(from_sparse.values - from_dense.values).max() <= 1e-12
         assert from_sparse.total_multiplicity == mat.shape[0]
@@ -964,10 +1030,11 @@ class TestBlockedResiduals:
         finally:
             tracemalloc.stop()
         assert drivers == ([] if route == "moments" else [route])
-        assert moments == ([(mat.shape, True)] if route == "moments" else [])
-        # the pencil holds S and H'; the trace-moment route the probe's side x 65 basis and, over all its
-        # workers, two blocks of A^p E for 64 columns in flight (measured:
-        # 0.259 side^2 complex numbers on two workers)
+        assert moments == ([(half(mat.shape), True)] if route == "moments" else [])
+        # the pencil holds S and H'; the trace-moment route, on the side / 2
+        # of M, the probe's side / 2 x 65 basis and, over all its workers,
+        # the blocks of M^p E and Y M^p E for 64 columns in flight
+        # (measured: 0.168 side^2 complex numbers on two workers)
         assert peak <= arrays * side * side * 16
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
@@ -987,7 +1054,7 @@ class TestBlockedResiduals:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert moments == [(mat.shape, True)]
+        assert moments == [(half(mat.shape), True)]
         assert report.to_json_dict() == reference
         assert peak <= 0.27 * side * side * 16
 
@@ -1008,12 +1075,13 @@ class TestBlockedResiduals:
         finally:
             tracemalloc.stop()
         assert drivers == ([] if route == "moments" else [route])
-        assert moments == ([(dense.shape, True)] if route == "moments" else [])
+        assert moments == ([(half(dense.shape), True)] if route == "moments" else [])
         # the pre-check's products are formed in blocks of rows, so only
-        # the pencil's two arrays are side x side; the trace-moment
-        # route holds the CSR copy beside the working set of
-        # test_peak_memory_of_a_side_896_walk (measured: 0.286 side^2
-        # complex numbers on two workers)
+        # the pencil's two arrays are side x side; the trace-moment route
+        # reads the nonzero entries in row blocks, and then holds the
+        # working set of test_peak_memory_of_a_side_896_walk (measured:
+        # 0.286 side^2 complex numbers on two workers, which the pre-check
+        # alone reaches)
         assert peak <= arrays * side * side * 16
         with_nan = dense.copy()
         with_nan[side - 3, 5] = np.nan
@@ -1064,7 +1132,7 @@ class TestMemoryGuard:
         monkeypatch.setattr(_eigen, "_available_memory", lambda: 2 * side * side * 16 - 1)
         report = spectra.unitary_eigenvalues(mat)
         assert report.total_multiplicity == side == 896
-        assert moments == [(mat.shape, True)] and drivers == []
+        assert moments == [(half(mat.shape), True)] and drivers == []
 
     def test_generic_csr_refused_before_the_dense_step(self, monkeypatch):
         # a walk's pencil is solved on one colour class, so its dense step
