@@ -8,10 +8,12 @@ probe's Hessenberg block and the compression in the split path's second
 pass.  Each route is a solve of the matrix as given, blind to any structure
 it has but its zero pattern, and each is tried at most once.
 
-Routed matrix.  Above side ``_SATURATION_STEPS`` the probe, the trace
-moments and the pencil all run on one routed matrix R of side m: M = A_PQ
-A_QP with m = side / 2 when the zero pattern of A is 2-cyclic (every walk),
-else A itself with m = side.  Each gate below is R's own, with R's side m.
+Routes.  Above side ``_SATURATION_STEPS`` a matrix whose zero pattern is
+2-cyclic (every walk) is solved through its square M = A_PQ A_QP of side m
+= side / 2: the probe, the trace moments and the pencil all run on M, and
+each gate below is M's own, with M's side m.  Every other matrix, and every
+matrix at or below that side, takes the split path, the structure-blind
+oracle.
 
 2-cyclic square (``_two_cyclic_blocks``; Varga, Matrix Iterative Analysis,
 1962).  Every walk's nonzero pattern is 2-cyclic: each shift flips one bit
@@ -41,7 +43,7 @@ the input.
 Krylov probe (``_krylov_saturation``).  A spectrum with few distinct values
 closes the Krylov space of a random start vector early, at some step k, and
 the k Ritz values of the Arnoldi Hessenberg block are then its distinct
-values.  When R is of side at most ``_SATURATION_STEPS`` every Krylov space
+values.  When M is of side at most ``_SATURATION_STEPS`` every Krylov space
 closes, so the probe says nothing there and is not run: a walk of side up
 to 2 ``_SATURATION_STEPS`` goes straight to the pencil of M.  On M, a walk
 spectrum of up to 2 ``_SATURATION_STEPS`` distinct values, paired +-,
@@ -50,15 +52,15 @@ BLAS thread pool spins beside the moment workers or the eigensolve that
 follow it.
 
 Trace moments (``_eigvals_from_moments``).  The multiplicities m_i of the k
-Ritz values theta_i of R solve sum_i m_i theta_i^p = tr R^p, p = -K..K,
-with K = ceil(k / 2).  As the m_i are real and tr R^-p is the conjugate of
-tr R^p for a unitary R, these are 2K + 1 >= k + 1 real equations: sum_i m_i
+Ritz values theta_i of M solve sum_i m_i theta_i^p = tr M^p, p = -K..K,
+with K = ceil(k / 2).  As the m_i are real and tr M^-p is the conjugate of
+tr M^p for a unitary M, these are 2K + 1 >= k + 1 real equations: sum_i m_i
 = m (p = 0), and the real and imaginary parts for p = 1..K, whose traces
-come from sparse products of R's factors (A, or Y then X) with blocks of
-unit vectors (``_trace_powers``).  They are solved by least squares, and
-every gate follows from tau = ``unitary_tol``:
+come from sparse products of Y, then X, with blocks of unit vectors
+(``_trace_powers``).  They are solved by least squares, and every gate
+follows from tau = ``unitary_tol``:
 
-- Each Ritz residual ||R y_i - theta_i y_i|| is at most tau.  R is normal,
+- Each Ritz residual ||M y_i - theta_i y_i|| is at most tau.  M is normal,
   so by Bauer-Fike each theta_i lies within tau of an eigenvalue, which is
   the split path's eigen-residual gate.
 - Then |theta_i^p - lambda^p| <= p tau on the unit circle, and the true
@@ -71,16 +73,14 @@ every gate follows from tau = ``unitary_tol``:
   below 1/2, every m_i within r / s of a positive integer, and the rounded
   m_i must sum to m; then rounding gives the true multiplicities.
 
-A miss of the certificate goes to the pencil of the same R.  An ndarray
-that is not 2-cyclic takes this route as its CSR copy, which keeps only its
-nonzeros.
+A miss of the certificate goes to the pencil of M.
 
 Cayley pencil (``_eigvals_from_pencil``; Bunse-Gerstner and Elsner, LAA
 1991).  It answers when the probe does not close or the certificate
-misses, and runs on R, written A below.  For a unitary B = e^{-i alpha} A,
-take S = i(B* - B) and H' = 2I +
-B + B*, both Hermitian.  B is normal, so an eigenvector v of B with B v =
-e^{i phi} v, phi in (-pi, pi], has B* v = e^{-i phi} v, and
+misses, and runs on M, written A below.  For a unitary B = e^{-i alpha} A,
+take S = i(B* - B) and H' = 2I + B + B*, both Hermitian.  B is normal, so
+an eigenvector v of B with B v = e^{i phi} v, phi in (-pi, pi], has B* v =
+e^{-i phi} v, and
 
     S v = 2 sin(phi) v,  H' v = (2 + 2 cos(phi)) v,  S v = t H' v
 
@@ -143,7 +143,7 @@ from .walk import CapacityError
 _SATURATION_STEPS = 64
 _SATURATION_TOL = 1e-8
 
-# Multiply-adds (powers x the factors' total nnz x unit vectors) from which
+# Multiply-adds (powers x the blocks' total nnz x unit vectors) from which
 # ``_trace_powers`` shares its products out to a thread pool.  Below it,
 # starting and joining the threads costs more than they save (measured on 2
 # cores on a side-160 A: 0.7 to 1.6 ms on the calling thread against 2.4 to
@@ -161,11 +161,9 @@ _PENCIL_ALPHA = 1.0
 _PENCIL_CONDITION = 64
 
 # Side x side complex arrays held by a dense step: the pencil holds S and
-# H' (of side / 2 for a 2-cyclic pattern), the split path H, then the
-# eigenvectors and their images.  The trace-moment route holds none, so a
-# CSR input is checked only once it reaches a dense step; an ndarray that
-# is not 2-cyclic is checked before its CSR copy is made, which for a
-# full-density array peaks at 2.75 such arrays and holds 1.25.
+# H' (of M's side, side / 2), the split path H, then the eigenvectors and
+# their images.  The trace-moment route holds none, so an input is checked
+# only once it reaches a dense step.
 _DENSE_ARRAYS = 2
 
 # Consecutive real-part gap below which eigh output is treated as one
@@ -223,28 +221,26 @@ def unitary_eigvals(a, unitary_tol: float) -> np.ndarray:
 
 def _routed_eigvals(a, unitary_tol: float) -> np.ndarray | None:
     """Eigenvalues of a unitary ``a`` from the trace moments or the pencil of
-    its routed matrix (see the module docstring), or None when both miss.
+    its 2-cyclic square M (see the module docstring), or None when its
+    pattern is not 2-cyclic or both miss.
 
     The blocks and M are local, so none is held through the split path that
     follows a miss.
     """
     blocks = _two_cyclic_blocks(a)
-    paired = blocks is not None
-    routed = blocks[0] @ blocks[1] if paired else a
+    if blocks is None:
+        return None
+    square = blocks[0] @ blocks[1]
     lam = probe = None
-    if routed.shape[0] > _SATURATION_STEPS:
-        probe = _krylov_saturation(routed, _SATURATION_STEPS)
+    if square.shape[0] > _SATURATION_STEPS:
+        probe = _krylov_saturation(square, _SATURATION_STEPS)
     if probe is not None:
-        if not paired:
-            if not sp.issparse(a):  # before its CSR copy (_DENSE_ARRAYS)
-                _require_capacity(a.shape[0])
-            blocks = (sp.csr_matrix(a),)
-        lam = _eigvals_from_moments(blocks, *probe, unitary_tol)
+        lam = _eigvals_from_moments(*blocks, *probe, unitary_tol)
     if lam is None:
-        blocks = probe = None  # the pencil holds only the routed matrix
-        lam = _eigvals_from_pencil(routed, unitary_tol)
-    if lam is None or not paired:
-        return lam
+        blocks = probe = None  # the pencil holds only M
+        lam = _eigvals_from_pencil(square, unitary_tol)
+    if lam is None:
+        return None
     root = np.sqrt(lam)
     return np.concatenate((root, -root))
 
@@ -410,48 +406,38 @@ def _moment_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _apply(factors, block: np.ndarray) -> np.ndarray:
-    """The product of the sparse ``factors`` applied to ``block``, the last
-    factor first."""
-    for factor in reversed(factors):
-        block = factor @ block
-    return block
-
-
-def _trace_powers(factors, count: int) -> np.ndarray:
-    """tr R^p for p = 1..``count`` of the product R of the sparse square
-    ``factors``, by sparse products only: A alone, or the blocks (A_PQ,
-    A_QP) of a 2-cyclic A, whose product M is never formed.
+def _trace_powers(x, y, count: int) -> np.ndarray:
+    """tr M^p for p = 1..``count`` of M = XY, from the sparse square blocks
+    X = ``x`` and Y = ``y``, by sparse products only: M is never formed.
 
     The unit vectors are taken in ranges E of columns, and E's share of
-    tr R^p is the trace of R^p E on E's own rows.  The last factor times E
-    is E's columns of it, read from its CSC form, and every other product is
-    a sparse one: ``count`` times the factors' total nnz times side
-    multiply-adds in all.
+    tr M^p is the trace of M^p E on E's own rows.  YE is E's columns of Y,
+    read from its CSC form, and every other product is a sparse one:
+    ``count`` times the blocks' total nnz times side multiply-adds in all.
 
     The sparse products release the interpreter lock, so from
     ``_MOMENT_POOL_WORK`` multiply-adds up the ranges E are shared out to
     ``_moment_workers`` threads, each range ``BLOCK`` // workers columns
     wide (at least one).  So up to ``BLOCK`` workers keep ``BLOCK`` columns
-    in flight, and the working set stays one side x ``BLOCK`` array more
-    than there are factors.  Less
-    work runs on the calling thread, in ranges of ``BLOCK`` columns.  The
-    shares are added in range order, so the traces do not depend on thread
-    timing.  The workers call only numpy and ``scipy.sparse``.
+    in flight, and the working set stays three side x ``BLOCK`` arrays:
+    M^p E, Y M^p E and M^(p+1) E.  Less work runs on the calling thread, in
+    ranges of ``BLOCK`` columns.  The shares are added in range order, so
+    the traces do not depend on thread timing.  The workers call only numpy
+    and ``scipy.sparse``.
     """
-    side = factors[0].shape[0]
-    work = count * sum(factor.nnz for factor in factors) * side
+    side = x.shape[0]
+    work = count * (x.nnz + y.nnz) * side
     workers = _moment_workers() if work >= _MOMENT_POOL_WORK else 1
     width = max(1, BLOCK // workers)
-    columns = factors[-1].tocsc()
+    columns = y.tocsc()
 
     def share(lo: int) -> np.ndarray:
         own = slice(lo, min(lo + width, side))
-        block = _apply(factors[:-1], columns[:, own].toarray())
+        block = x @ columns[:, own].toarray()
         part = np.empty(count, dtype=complex)
         for power in range(count):
             if power:
-                block = _apply(factors, block)
+                block = x @ (y @ block)
             part[power] = np.trace(block[own])
         return part
 
@@ -469,22 +455,22 @@ def _trace_powers(factors, count: int) -> np.ndarray:
 
 
 def _eigvals_from_moments(
-    factors, ritz: np.ndarray, ritz_vecs: np.ndarray, tol: float
+    x, y, ritz: np.ndarray, ritz_vecs: np.ndarray, tol: float
 ) -> np.ndarray | None:
-    """Eigenvalues of the sparse unitary product R of ``factors`` (see
-    ``_trace_powers``) whose distinct values are the Ritz values ``ritz``
-    (unit Ritz vectors ``ritz_vecs``), each repeated by its multiplicity, or
-    None when the moment certificate of the module docstring, at tau =
-    ``tol``, misses.
+    """Eigenvalues of the unitary M = XY of the sparse blocks X = ``x`` and
+    Y = ``y`` (see ``_trace_powers``) whose distinct values are the Ritz
+    values ``ritz`` (unit Ritz vectors ``ritz_vecs``), each repeated by its
+    multiplicity, or None when the moment certificate of the module
+    docstring, at tau = ``tol``, misses.
     """
-    side, count = factors[0].shape[0], ritz.size
-    defects = _apply(factors, ritz_vecs) - ritz_vecs * ritz
+    side, count = x.shape[0], ritz.size
+    defects = x @ (y @ ritz_vecs) - ritz_vecs * ritz
     # written so that a NaN residual fails
     if not np.linalg.norm(defects, axis=0).max() <= tol:
         return None
     top = -(-count // 2)
     powers = ritz ** np.arange(1, top + 1)[:, None]
-    traces = _trace_powers(factors, top)
+    traces = _trace_powers(x, y, top)
     vander = np.vstack((np.ones(count), powers.real, powers.imag))
     moments = np.concatenate(([side], traces.real, traces.imag))
     mults, _, _, sing = np.linalg.lstsq(vander, moments, rcond=None)
@@ -500,17 +486,16 @@ def _eigvals_from_moments(
     return np.repeat(ritz, counts.astype(int))
 
 
-def _traces(a) -> tuple[complex, complex]:
-    """tr A and tr A^2 = sum_ij A_ij A_ji, read from the entries: O(nnz) for
-    a sparse ``a``, and no temporary array for an ndarray."""
-    if sp.issparse(a):
-        return complex(a.diagonal().sum()), complex(a.multiply(a.T).sum())
-    return complex(np.trace(a)), complex(np.einsum("ij,ji->", a, a))
+def _traces(a: sp.csr_matrix) -> tuple[complex, complex]:
+    """tr A and tr A^2 = sum_ij A_ij A_ji of a sparse ``a``, read from its
+    entries in O(nnz)."""
+    return complex(a.diagonal().sum()), complex(a.multiply(a.T).sum())
 
 
 def _eigvals_from_pencil(a, unitary_tol: float) -> np.ndarray | None:
-    """Eigenvalues of a unitary ``a`` from one eigenvalues-only solve of its
-    Cayley pencil, or None when the gates of the module docstring miss.
+    """Eigenvalues of a sparse unitary ``a`` (a walk's M) from one
+    eigenvalues-only solve of its Cayley pencil, or None when the gates of
+    the module docstring miss.
 
     S = (-iB) + (-iB)* and H' - 2I = B + B* are both ``_hermitian_sum`` of
     ``a``, so the working set is two side x side arrays (``_DENSE_ARRAYS``),
@@ -616,9 +601,9 @@ def _two_colouring(entries: sp.csr_matrix) -> np.ndarray | None:
 
 def _two_cyclic_blocks(a) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
     """The sparse blocks X = A_PQ and Y = A_QP of side / 2 of ``a``, whose
-    product M = XY is the routed matrix (see the module docstring), or None
-    when the nonzero pattern of ``a`` is not 2-cyclic with colour classes P
-    and Q of equal size.
+    product M = XY the probe, the moments and the pencil run on (see the
+    module docstring), or None when the nonzero pattern of ``a`` is not
+    2-cyclic with colour classes P and Q of equal size.
 
     A nonzero diagonal entry is a cycle of length one, so it is read first,
     before any pass over the whole input; a side x side ndarray is then

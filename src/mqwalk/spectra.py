@@ -164,34 +164,31 @@ def unitary_eigenvalues(
     """Clustered spectrum of a unitary matrix, given as an ndarray or as a
     scipy sparse matrix.
 
-    Above side 64 the first two routes run on one routed matrix: M = A_PQ
-    A_QP at half the side when the nonzero pattern is 2-cyclic with colour
-    classes P and Q of equal size (every walk), each value mu of M giving
-    the two values +-sqrt(mu) with its multiplicity; else A itself.  Three
-    routes, each tried at most once, in this order (derived in the
-    ``_eigen`` docstring); each is a solve of the matrix as given, blind to
-    any structure it has but the zeros that it stores or holds:
+    Above side 64 the first two routes run on M = A_PQ A_QP, at half the
+    side, when the nonzero pattern is 2-cyclic with colour classes P and Q
+    of equal size (every walk), each value mu of M giving the two values
+    +-sqrt(mu) with its multiplicity.  Three routes, each tried at most
+    once, in this order (derived in the ``_eigen`` docstring); each is a
+    solve of the matrix as given, blind to any structure it has but the
+    zeros that it stores or holds:
 
-    - trace moments: a routed matrix above side 64 whose fixed-seed Krylov
-      probe closes.  Only sparse products run, with the blocks A_QP and
-      A_PQ in turn or with the CSR copy of an ndarray, and no side x side
-      array is made.
-    - one Cayley pencil of the same routed matrix, when the probe does not
-      close, or does not run (M at or below side 64), or the moment
-      certificate misses.  It retries once at another seam before it
-      misses.
-    - Hermitian splitting: every matrix at or below side 64, and a miss of
-      the pencil, at the full side.  It alone gives eigenvectors.
+    - trace moments: M above side 64 whose fixed-seed Krylov probe closes.
+      Only sparse products run, with the blocks A_QP and A_PQ in turn, and
+      no side x side array is made.
+    - one Cayley pencil of M, when the probe does not close, or does not
+      run (M at or below side 64), or the moment certificate misses.  It
+      retries once at another seam before it misses.
+    - Hermitian splitting: every matrix at or below side 64, every matrix
+      that is not 2-cyclic, and a miss of the pencil, at the full side.  It
+      alone gives eigenvectors.
 
     The explicit pre-check rejects non-square, non-finite or non-unitary
     input with ``ValueError``, and is the only source of that error.  Every
     failure after it, a LAPACK non-convergence or a miss of the
     eigen-residual or unit-circle gate, raises ``EigensolverError``.
     ``CapacityError`` is raised when a dense step's two arrays exceed the
-    available memory: before the pencil, at its side (side / 2 for M);
-    before the split path, of side; and before the CSR copy of an ndarray
-    that is not 2-cyclic, of side.  So the trace-moment route on a sparse
-    or 2-cyclic matrix is not limited by it.
+    available memory: before the pencil, of side / 2, and before the split
+    path, of side.  So the trace-moment route is not limited by it.
     """
     return _make_report(unitary_eigvals(a, unitary_tol), source, nu, cluster_tol)
 

@@ -108,3 +108,23 @@ def test_public_functions_are_defined_where_exported(name):
     functions = [getattr(module, attr) for attr in module.__all__]
     foreign = [f.__name__ for f in functions if inspect.isfunction(f) and f.__module__ != name]
     assert foreign == []
+
+
+def test_private_functions_have_a_library_caller():
+    # a module-level _name function that only the tests call is a code
+    # path no CLI task or library entry point runs
+    package = Path(cli.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+    defined, used = set(), set()
+    for tree in trees:
+        defined |= {
+            node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.startswith("__")
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(defined - used) == []

@@ -211,8 +211,8 @@ class TestEigenResidualFloor:
 
     @pytest.mark.parametrize("solver, side", [
         ("eigh", 3),  # the split path
-        ("lstsq", 96),  # the trace-moment route's multiplicities
-        ("schur", 96),  # the probe's Hessenberg block
+        ("lstsq", 160),  # the trace-moment route's multiplicities, on M
+        ("schur", 160),  # the probe's Hessenberg block, of M
     ])
     def test_lapack_failure_is_not_input_error(self, monkeypatch, solver, side):
         # LinAlgError subclasses ValueError; after the pre-check it is a
@@ -220,10 +220,13 @@ class TestEigenResidualFloor:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("the algorithm failed to converge")
 
+        mat = (clustered_unitary(side, [0.5, -0.5, 2.0], 42) if solver == "eigh"
+               else MOMENT_CASES["grover4"]())
+        assert mat.shape == (side, side)
         module = _eigen.np.linalg if solver == "lstsq" else _eigen.sla
         monkeypatch.setattr(module, solver, no_convergence)
         with pytest.raises(spectra.EigensolverError, match="converge") as info:
-            spectra.unitary_eigenvalues(clustered_unitary(side, [0.5, -0.5, 2.0], 42))
+            spectra.unitary_eigenvalues(mat)
         assert not isinstance(info.value, ValueError)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
@@ -279,14 +282,14 @@ def spy_probe(monkeypatch):
 
 def spy_moments(monkeypatch):
     """Record the shape of every matrix the trace-moment route runs on (the
-    product of its factors: a walk's M at half the side), and whether its
-    certificate answered."""
+    product M of its blocks, at half the side), and whether its certificate
+    answered."""
     calls = []
     route = _eigen._eigvals_from_moments
 
-    def spy(factors, ritz, ritz_vecs, tol):
-        lam = route(factors, ritz, ritz_vecs, tol)
-        calls.append(((factors[0].shape[0], factors[-1].shape[1]), lam is not None))
+    def spy(x, y, ritz, ritz_vecs, tol):
+        lam = route(x, y, ritz, ritz_vecs, tol)
+        calls.append(((x.shape[0], y.shape[1]), lam is not None))
         return lam
 
     monkeypatch.setattr(_eigen, "_eigvals_from_moments", spy)
@@ -298,8 +301,8 @@ def miss_moments(monkeypatch):
     certificate refuses."""
     traces = _eigen._trace_powers
 
-    def perturbed(factors, count):
-        out = traces(factors, count)
+    def perturbed(x, y, count):
+        out = traces(x, y, count)
         out[0] += 1.0
         return out
 
@@ -326,50 +329,35 @@ def miss_pencil(monkeypatch):
 class TestKrylovRouting:
     """The probe's choice of route and the probe itself."""
 
-    def test_small_degenerate_uses_the_moments(self, monkeypatch):
-        moments = spy_moments(monkeypatch)
-        drivers = spy_drivers(monkeypatch)
-        phases = [0.1, 0.9, -2.0, 2.4]
-        report = spectra.unitary_eigenvalues(clustered_unitary(96, phases, 40))
-        assert moments == [((96, 96), True)] and drivers == []
-        assert report.multiplicities == (24, 24, 24, 24)
-        assert spectra.hausdorff_distance(report.values, np.exp(1j * np.array(phases))) <= 1e-9
-
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_moment_route_keeps_the_callers_ndarray(self, monkeypatch, order):
-        # the route runs on a CSR copy, made beside the caller's array
+        # the blocks are read from the caller's array in row blocks, beside it
         moments = spy_moments(monkeypatch)
-        mat = np.array(clustered_unitary(96, [0.1, 0.9, -2.0, 2.4], 40), order=order)
+        mat = np.array(MOMENT_CASES["grover4-ndarray"](), order=order)
         before = mat.tobytes(order="A")
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [((96, 96), True)]
-        assert report.multiplicities == (24, 24, 24, 24)
+        assert moments == [(half(mat.shape), True)]
+        assert report.multiplicities == tuple(split_clusters(mat)[1])
         assert mat.tobytes(order="A") == before
 
-    def test_small_generic_uses_the_pencil(self, monkeypatch):
-        drivers = spy_drivers(monkeypatch)
-        mat = haar_unitary(96, np.random.default_rng(41))
-        report = spectra.unitary_eigenvalues(mat)
-        assert drivers == ["gv"]
-        assert spectra.hausdorff_distance(report.values, np.linalg.eigvals(mat)) <= 1e-10
-
     def test_small_degenerate_solver_miss_is_not_input_error(self, monkeypatch):
-        # a certificate miss falls back to the pencil, which answers; a
+        # a certificate miss falls back to the pencil of M, which answers; a
         # miss of the pencil's gates falls back to the split path, and a
         # miss there too is a solver failure, not invalid input
+        mat = MOMENT_CASES["grover5"]()
+        reference = spectra.unitary_eigenvalues(mat)
         moments = spy_moments(monkeypatch)
         miss_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        mat = clustered_unitary(96, [0.5, -0.5], 43)
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [((96, 96), False)] and drivers == ["gv"]
-        assert report.multiplicities == (48, 48)
-        assert spectra.hausdorff_distance(report.values, np.exp([-0.5j, 0.5j])) <= 1e-9
+        assert moments == [(half(mat.shape), False)] and drivers == ["gv"]
+        assert report.multiplicities == reference.multiplicities
+        assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_pencil(monkeypatch)
         drivers.clear()
         report = spectra.unitary_eigenvalues(mat)
         assert drivers == ["gv", "gv", "evr"]
-        assert report.multiplicities == (48, 48)
+        assert report.multiplicities == reference.multiplicities
         miss_split_gate(monkeypatch)
         with pytest.raises(spectra.EigensolverError, match="eigen-residual") as info:
             spectra.unitary_eigenvalues(mat)
@@ -424,15 +412,6 @@ class TestKrylovRouting:
         assert spectra.hausdorff_distance(reports[1].values, np.exp(1j * np.array(phases))) <= 1e-9
         reference = np.linalg.eigvals(generic)
         assert spectra.hausdorff_distance(reports[2].values, reference) <= 1e-10
-
-    def test_sixty_distinct_phases(self, monkeypatch):
-        moments = spy_moments(monkeypatch)
-        drivers = spy_drivers(monkeypatch)
-        phases = np.angle(np.exp(1j * (2 * np.pi * np.arange(60) / 60 + 0.1)))
-        report = spectra.unitary_eigenvalues(clustered_unitary(240, phases, 53))
-        assert moments == [((240, 240), True)] and drivers == []
-        assert report.multiplicities == (4,) * 60
-        assert spectra.hausdorff_distance(report.values, np.exp(1j * phases)) <= 1e-9
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_small_route_rejects_nan_and_non_unitary(self, monkeypatch):
@@ -512,23 +491,16 @@ MOMENT_CASES = {
     "grover5": lambda: walk_forms(coin.grover_coin_system(5), 81)[0],
     "grover6": lambda: walk_forms(coin.grover_coin_system(6), 82)[0],
     "grover7": lambda: walk_forms(coin.grover_coin_system(7), 83)[0],
-    # the ndarray forms go through their CSR copies
+    # the blocks of the ndarray forms are read from them in row blocks
     "grover4-ndarray": lambda: walk_forms(coin.grover_coin_system(4), 49)[1],
     "grover5-ndarray": lambda: walk_forms(coin.grover_coin_system(5), 49)[1],
     "grover6-ndarray": lambda: walk_forms(coin.grover_coin_system(6), 49)[1],
     "grover-blocks": lambda: walk_forms(grover_block_coin_system(4, 15, 84), 84)[0],
-    "clustered": lambda: sp.csr_matrix(clustered_unitary(96, [0.1, 0.9, -2.0, 2.4], 85)),
-    "conjugate-pairs": lambda: sp.csr_matrix(
-        clustered_unitary(120, [0.4, -0.4, 2.2, -2.2, np.pi], 86)
-    ),
 }
-# the cases whose pattern is not 2-cyclic: their moments run on A itself
-FULL_SIDE_CASES = ("clustered", "conjugate-pairs")
-WALK_CASES = sorted(set(MOMENT_CASES) - set(FULL_SIDE_CASES))
 
 
 class TestMomentsRoute:
-    """A matrix whose probe closes: multiplicities from trace moments."""
+    """A walk whose probe of M closes: multiplicities from trace moments."""
 
     @pytest.mark.parametrize("case", sorted(MOMENT_CASES))
     def test_against_the_split_path(self, monkeypatch, case):
@@ -536,22 +508,12 @@ class TestMomentsRoute:
         moments = spy_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
-        routed = mat.shape if case in FULL_SIDE_CASES else half(mat.shape)
-        assert moments == [(routed, True)] and drivers == []
+        assert moments == [(half(mat.shape), True)] and drivers == []
         split_vals, split_mults = split_clusters(mat)
         assert report.multiplicities == tuple(split_mults)
         assert np.abs(report.values - split_vals).max() <= 1e-12
 
-    @pytest.mark.parametrize("case", FULL_SIDE_CASES)
-    def test_not_two_cyclic_runs_at_the_full_side(self, monkeypatch, case):
-        mat = MOMENT_CASES[case]()
-        assert _eigen._two_cyclic_blocks(mat) is None
-        probes = spy_probe(monkeypatch)
-        moments = spy_moments(monkeypatch)
-        spectra.unitary_eigenvalues(mat)
-        assert probes == [mat.shape] and moments == [(mat.shape, True)]
-
-    @pytest.mark.parametrize("case", WALK_CASES)
+    @pytest.mark.parametrize("case", sorted(MOMENT_CASES))
     def test_walk_values_pair_by_sign(self, monkeypatch, case):
         # each value mu of M gives +-sqrt(mu): lambda and -lambda have equal
         # multiplicities
@@ -566,13 +528,14 @@ class TestMomentsRoute:
         assert (mults[partner] == mults).all()
 
     def test_trace_powers(self, monkeypatch):
+        # any two square factors: X = Y = A gives tr A^2p
         mat = MOMENT_CASES["grover-blocks"]()
         dense = mat.toarray()
-        powers = [np.trace(np.linalg.matrix_power(dense, p)) for p in range(1, 6)]
+        powers = [np.trace(np.linalg.matrix_power(dense, 2 * p)) for p in range(1, 6)]
         # 3 workers cut each 64 columns into ragged pieces
         for workers in (1, 2, 3, 4):
             monkeypatch.setattr(_eigen, "_moment_workers", lambda: workers)
-            assert np.abs(_eigen._trace_powers((mat,), 5) - powers).max() <= 1e-10
+            assert np.abs(_eigen._trace_powers(mat, mat, 5) - powers).max() <= 1e-10
 
     def test_trace_powers_of_the_blocks(self, monkeypatch):
         # tr M^p from (A_PQ, A_QP) applied in turn, with no product formed,
@@ -589,7 +552,7 @@ class TestMomentsRoute:
         # 3 workers cut each 64 columns into ragged pieces
         for workers in (1, 2, 3, 4):
             monkeypatch.setattr(_eigen, "_moment_workers", lambda: workers)
-            assert np.abs(_eigen._trace_powers(blocks, 5) - powers).max() <= 1e-10
+            assert np.abs(_eigen._trace_powers(*blocks, 5) - powers).max() <= 1e-10
 
     def test_small_products_run_on_the_calling_thread(self, monkeypatch):
         # below _MOMENT_POOL_WORK multiply-adds no thread pool starts: the
@@ -641,8 +604,8 @@ class TestMomentsRoute:
         # Ritz residuals of round-off pass a gate of 1e-8, not one of zero
         blocks = _eigen._two_cyclic_blocks(MOMENT_CASES["grover4"]())
         ritz, ritz_vecs = _eigen._krylov_saturation(blocks[0] @ blocks[1], 64)
-        assert _eigen._eigvals_from_moments(blocks, ritz, ritz_vecs, 1e-8).size == 80
-        assert _eigen._eigvals_from_moments(blocks, ritz, ritz_vecs, 0.0) is None
+        assert _eigen._eigvals_from_moments(*blocks, ritz, ritz_vecs, 1e-8).size == 80
+        assert _eigen._eigvals_from_moments(*blocks, ritz, ritz_vecs, 0.0) is None
 
 
 def spy_pencil(monkeypatch):
@@ -676,7 +639,8 @@ def seam_unitary(side, delta, seed):
 
 
 class TestPencil:
-    """A spectrum whose probe does not close: the Cayley pencil."""
+    """The Cayley pencil, which a walk's M takes when its probe does not
+    close."""
 
     # the phase 3e-10 from the seam came out with |t| = 5e5, which passes
     # the conditioning gate, and an error of 4e-6, below side tau; the
@@ -685,18 +649,15 @@ class TestPencil:
     def test_values_near_the_seam(self, monkeypatch, delta):
         mat, values = seam_unitary(512, delta, 56)
         solves = spy_pencil(monkeypatch)
-        lam = _eigen._eigvals_from_pencil(mat, 1e-8)
+        lam = _eigen._eigvals_from_pencil(sp.csr_matrix(mat), 1e-8)
         # a first answer far from the seam, a retry with the seam in the
         # widest gap otherwise; each answer within tau of the truth
         assert len(solves) == (1 if delta >= 1e-5 else 2)
         assert lam.size == 512 and spectra.hausdorff_distance(lam, values) <= 1e-8
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, "ndarray"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_against_the_split_path(self, monkeypatch, n):
-        cs = coin.random_coin_system(5 if n == "ndarray" else n, 8, seed=57)
-        mat, dense = walk_forms(cs, 58)
-        if n == "ndarray":
-            mat = dense
+        mat, _ = walk_forms(coin.random_coin_system(n, 8, seed=57), 58)
         solves = spy_pencil(monkeypatch)
         lam = _eigen._eigvals_from_pencil(mat, 1e-8)
         assert solves == [(_eigen._PENCIL_ALPHA, True)]
@@ -708,27 +669,35 @@ class TestPencil:
         assert spectra.hausdorff_distance(lam, split) <= 1e-10
 
     def test_cholesky_failure_is_not_input_error(self, monkeypatch):
-        # at alpha = 0 the value -1 makes H' exactly singular, and at the
-        # retry's alpha = pi the value 1 does: both Cholesky factors fail,
-        # and the split path answers
+        # [[0, D], [I, 0]] is 2-cyclic with M = D: at alpha = 0 the value
+        # -1 of M makes H' exactly singular, and at the retry's alpha = pi
+        # the value 1 does: both Cholesky factors fail, and the split path
+        # answers at the full side
         monkeypatch.setattr(_eigen, "_PENCIL_ALPHA", 0.0)
         phases = np.random.default_rng(59).uniform(-3.0, 3.0, 96)
         phases[:2] = np.pi, 0.0
         values = np.exp(1j * phases)
         values[:2] = -1.0, 1.0
+
+        def paired(values):
+            mat = sp.bmat([[None, sp.diags(values)], [sp.identity(96), None]], format="csr")
+            return mat, np.concatenate((np.sqrt(values), -np.sqrt(values)))
+
         solves = spy_pencil(monkeypatch)
         drivers = spy_drivers(monkeypatch)
-        report = spectra.unitary_eigenvalues(np.diag(values))
+        mat, roots = paired(values)
+        report = spectra.unitary_eigenvalues(mat)
         assert solves == [(0.0, False), (np.pi, False)]
         assert drivers == ["gv", "gv", "evr"]
-        assert report.total_multiplicity == 96
-        assert spectra.hausdorff_distance(report.values, values) <= 1e-12
+        assert report.total_multiplicity == 192
+        assert spectra.hausdorff_distance(report.values, roots) <= 1e-12
         # with only -1 on the seam, the retry answers
         solves.clear()
         values[1] = np.exp(0.5j)
-        report = spectra.unitary_eigenvalues(np.diag(values))
+        mat, roots = paired(values)
+        report = spectra.unitary_eigenvalues(mat)
         assert solves == [(0.0, False), (np.pi, True)]
-        assert spectra.hausdorff_distance(report.values, values) <= 1e-12
+        assert spectra.hausdorff_distance(report.values, roots) <= 1e-12
 
     def test_nearly_unitary_input_reaches_the_split_path(self, monkeypatch):
         # a walk moved by 1e-11 per stored entry keeps a unitarity residual
@@ -787,18 +756,47 @@ class TestTwoCyclic:
         # one eigenvalues-only solve, at half the side, for each form
         assert solves == [("gv", side // 2)] * 2
 
-    def test_no_two_cyclic_pattern_takes_the_full_side(self, monkeypatch):
-        # a Haar ndarray has a nonzero diagonal; the permutation has no
-        # diagonal entry, but its cycles of lengths 3 and 97 are odd
-        haar = haar_unitary(96, np.random.default_rng(91))
-        cycles = cycles_unitary([3, 97], 92)
-        assert _eigen._two_colouring(cycles) is None
+    # every coin kind the CLI builds above side 64: grover, random (d = n +
+    # 1), random:<d>, and the bench's Grover-in-blocks coin file, whose
+    # pattern falls apart into components
+    @pytest.mark.parametrize("cs", [
+        coin.grover_coin_system(4),
+        coin.random_coin_system(4, 5, seed=100),
+        coin.random_coin_system(3, 9, seed=101),
+        grover_block_coin_system(4, 15, 102),
+    ], ids=["grover", "random", "random:9", "grover-blocks"])
+    def test_every_cli_walk_is_two_cyclic(self, cs):
+        for form in walk_forms(cs, 103):
+            side = form.shape[0]
+            blocks = _eigen._two_cyclic_blocks(form)
+            assert side > 64 and blocks is not None
+            assert [block.shape for block in blocks] == [(side // 2, side // 2)] * 2
+            assert blocks[0].nnz + blocks[1].nnz == cs.d * side
+
+    # a Haar ndarray and a clustered CSR matrix have a nonzero diagonal; the
+    # permutation has none, but its cycles of lengths 3 and 97 are odd
+    @pytest.mark.parametrize("case", ["haar", "clustered-csr", "cycles", "sixty-phases"])
+    def test_not_two_cyclic_takes_the_split_path(self, monkeypatch, case):
+        mat = {
+            "haar": lambda: haar_unitary(96, np.random.default_rng(91)),
+            "clustered-csr": lambda: sp.csr_matrix(
+                clustered_unitary(96, [0.1, 0.9, -2.0, 2.4], 85)
+            ),
+            "cycles": lambda: cycles_unitary([3, 97], 92),
+            "sixty-phases": lambda: clustered_unitary(
+                240, np.angle(np.exp(1j * (2 * np.pi * np.arange(60) / 60 + 0.1))), 53
+            ),
+        }[case]()
+        assert _eigen._two_cyclic_blocks(mat) is None
+        probes = spy_probe(monkeypatch)
+        moments = spy_moments(monkeypatch)
         solves = spy_solves(monkeypatch)
-        for mat in (haar, cycles):
-            report = spectra.unitary_eigenvalues(mat)
-            dense = mat.toarray() if sp.issparse(mat) else mat
-            assert spectra.hausdorff_distance(report.values, np.linalg.eigvals(dense)) <= 1e-10
-        assert solves == [("gv", 96), ("gv", 100)]
+        report = spectra.unitary_eigenvalues(mat)
+        assert probes == [] and moments == [] and solves == [("evr", mat.shape[0])]
+        dense = mat.toarray() if sp.issparse(mat) else mat
+        reference = np.linalg.eigvals(dense)
+        assert report.multiplicities == tuple(spectra._cluster_unit_circle(reference, 1e-8)[1])
+        assert spectra.hausdorff_distance(report.values, reference) <= 1e-10
 
     def test_components_of_different_sizes(self, monkeypatch):
         # a side-192 and a side-96 walk, their rows and columns shuffled
@@ -1092,37 +1090,40 @@ class TestBlockedResiduals:
 
 class TestMemoryGuard:
     """A dense step is refused when its two side x side arrays, or (side /
-    2)^2 ones for a 2-cyclic pattern, do not fit; the trace-moment route,
-    which holds none, is not."""
+    2)^2 ones for the pencil of a walk's M, do not fit; the trace-moment
+    route, which holds none, is not."""
 
-    # "eigvals": a degenerate ndarray, whose eigenvalues the trace-moment
-    # route gives from its CSR copy, which the guard comes before
-    @pytest.mark.parametrize("route", ["eigvals", "gv"])
-    def test_refused_before_the_dense_step(self, monkeypatch, route):
-        side = 512
-        mat = (clustered_unitary(side, [0.5, -0.5], 50) if route == "eigvals"
-               else haar_unitary(side, np.random.default_rng(51)))
-        need = 2 * side * side * 16
+    # walk ndarrays of side 512.  "eigvals": a degenerate walk, whose
+    # moments run under any memory and here miss, so that the pencil of M
+    # is refused after them; "gv": a generic walk, refused at its pencil
+    @pytest.mark.parametrize("route, cs", [
+        ("eigvals", grover_block_coin_system(5, 8, 50)),
+        ("gv", coin.random_coin_system(5, 8, seed=51)),
+    ], ids=["eigvals", "gv"])
+    def test_refused_before_the_dense_step(self, monkeypatch, route, cs):
+        _, mat = walk_forms(cs, 52)
+        side = mat.shape[0]
+        need = 2 * (side // 2) ** 2 * 16
         moments = spy_moments(monkeypatch)
+        miss_moments(monkeypatch)
         drivers = spy_drivers(monkeypatch)
         monkeypatch.setattr(_eigen, "_available_memory", lambda: need - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(walk.CapacityError, match=f"side {side}"):
+            with pytest.raises(walk.CapacityError, match=f"side {side // 2}"):
                 spectra.unitary_eigenvalues(mat)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert moments == [] and drivers == []
-        # the pre-check's row blocks and the probe's basis, no side x side
-        # array
+        ran = [(half(mat.shape), False)] if route == "eigvals" else []
+        assert moments == ran and drivers == []
+        # the pre-check's row blocks, the blocks of M and the probe's basis,
+        # no side x side array
         assert peak < side * side * 16
         monkeypatch.setattr(_eigen, "_available_memory", lambda: need)
         report = spectra.unitary_eigenvalues(mat)
         assert report.total_multiplicity == side
-        assert (moments, drivers) == (
-            ([(mat.shape, True)], []) if route == "eigvals" else ([], ["gv"])
-        )
+        assert moments == ran * 2 and drivers == ["gv"]
 
     def test_moment_route_needs_no_dense_capacity(self, monkeypatch):
         mat = walk_forms(coin.grover_coin_system(6), 87)[0]
