@@ -115,12 +115,26 @@ small, so it passes the first gate with an error of up to 2 / |t| (at side
 Such a value moves the sums by its whole error, far above e, and a value
 missing or counted twice moves them by the order of 1.
 
-Splitting (``_eig_unitary``).  A = H + iS with H = (A + A*)/2 and S = (A -
-A*)/2i: a Hermitian eigensolve of H fixes the real parts and an eigenbasis;
-within each cluster of (nearly) equal real parts, the restriction of S is
-diagonalized to separate the imaginary parts.  Every value is then a
-Rayleigh quotient of an orthonormal vector, and the eigenvectors serve as
-witnesses.
+Splitting (``_eig_unitary``).  For an angle alpha, e^{-i alpha} A = H + iS
+with H = (B + B*)/2 and S = (B - B*)/2i of B = e^{-i alpha} A: a Hermitian
+eigensolve of H fixes the real parts of the values e^{-i alpha} lambda and
+an eigenbasis; within each cluster of (nearly) equal real parts, the
+restriction of S is diagonalized to separate the imaginary parts.  Every
+value is then a Rayleigh quotient of A at an orthonormal vector, and the
+eigenvectors serve as witnesses.
+
+At alpha = 0 every conjugate pair e^{+-i phi} of a real-structured spectrum
+(a Grover coin sum, a Grover walk) shares a real part cos(phi), so eigh
+mixes the pair and both columns need the rotation passes.  The pair shares
+a real part of e^{-i alpha} lambda only when phi_1 + phi_2 = 2 alpha modulo
+2 pi, so the eigenvalues-only callers (``unitary_eigvals``, the coin-union
+spectrum) split at alpha = ``_PENCIL_ALPHA``, 1 radian, off every root of
+unity, and the two rotation passes run only as a fallback for values that
+mirror about alpha.  The coin-sum eigensystem keeps alpha = 0: its
+eigenvectors are the witnesses of the approximate-eigenvalue check and the
+``eigen:`` initial states of the CLI, and an eigenspace of multiplicity
+above one can get another orthonormal basis at another angle, which would
+change those reports.
 """
 
 from __future__ import annotations
@@ -152,9 +166,10 @@ _SATURATION_TOL = 1e-8
 _MOMENT_POOL_WORK = 4_000_000
 
 # The Cayley pencil of e^{-i _PENCIL_ALPHA} A is singular where A has the
-# eigenvalue -e^{i _PENCIL_ALPHA}, its seam.  An angle of 1 radian keeps the
-# seam off every root of unity, such as +-1 and +-i, where structured
-# spectra tend to put their values.
+# eigenvalue -e^{i _PENCIL_ALPHA}, its seam, and the eigenvalues-only split
+# path mixes values that mirror about the line through e^{i _PENCIL_ALPHA}.
+# An angle of 1 radian keeps both off every root of unity, such as +-1 and
+# +-i, where structured spectra tend to put their values.
 _PENCIL_ALPHA = 1.0
 # The pencil's gates bound each value's error by _PENCIL_CONDITION eps
 # (1 + |t|), about 100 times the angle errors measured near the seam.
@@ -204,7 +219,7 @@ def unitary_eigvals(a, unitary_tol: float) -> np.ndarray:
             _require_capacity(side)
             # the split path skips LAPACK's finiteness check: the pre-check
             # has already rejected non-finite input
-            lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol))
+            lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol), _PENCIL_ALPHA)
             if not residual <= unitary_tol:
                 raise EigensolverError(
                     f"{failure}: eigen-residual {residual:.3e} exceeds {unitary_tol:.1e}"
@@ -270,26 +285,27 @@ def _hermitian_sum(a, scale) -> np.ndarray:
 
 
 def _eig_unitary(
-    a, pure_tol: float = _PURE_COLUMN_TOL
+    a, pure_tol: float = _PURE_COLUMN_TOL, angle: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalues, orthonormal eigenvectors, and max residual ||Av - lv||,
-    by the splitting (see the module docstring).
+    by the splitting of e^{-i ``angle``} A (see the module docstring).
 
-    ``a`` is a complex ndarray or a scipy sparse matrix; only its Hermitian
-    part is made dense for the eigensolve (LAPACK's MRRR driver, evr), and
-    the images ``a @ vecs`` are sparse products when ``a`` is sparse.
+    ``a`` is a complex ndarray or a scipy sparse matrix; only the Hermitian
+    part of e^{-i ``angle``} A is made dense for the eigensolve (LAPACK's
+    MRRR driver, evr), and the images ``a @ vecs`` are sparse products when
+    ``a`` is sparse.
 
-    The Hermitian part H = (A + A*)/2 comes from ``_hermitian_sum`` and is
-    overwritten by the eigensolve.  The Rayleigh quotients and defects, and
-    the sparse images, are then formed in blocks of ``BLOCK`` columns, so
-    the working set is two side x side arrays: H, then the eigenvectors and
-    their images.
+    The Hermitian part H = (B + B*)/2 of B = e^{-i ``angle``} A comes from
+    ``_hermitian_sum`` and is overwritten by the eigensolve.  The Rayleigh
+    quotients and defects, and the sparse images, are then formed in blocks
+    of ``BLOCK`` columns, so the working set is two side x side arrays: H,
+    then the eigenvectors and their images.
 
     After the Hermitian eigensolve, each column's Rayleigh quotient and
     defect norm cost O(N^2) in total; columns whose defect is at most
     ``pure_tol`` (the common case, including every truly degenerate
     eigenspace) are kept as is.  Flagged columns are rotated in two
-    passes.  First, cluster by cluster, by the skew part: within one
+    passes.  First, cluster by cluster, by the skew part of B: within one
     real-part cluster the flagged columns span the orthogonal complement of
     the accepted ones inside an invariant subspace, which is itself
     invariant, so restricting the rotation to them is exact.  Second, any
@@ -306,8 +322,10 @@ def _eig_unitary(
     """
     size = a.shape[0]
     sparse = sp.issparse(a)
+    # a real 1.0 at angle 0 leaves every product as it is without the turn
+    turn = np.exp(-1j * angle) if angle else 1.0
     w, vecs = sla.eigh(
-        _hermitian_sum(a, 0.5), driver="evr", check_finite=False, overwrite_a=True
+        _hermitian_sum(a, 0.5 * turn), driver="evr", check_finite=False, overwrite_a=True
     )
     images = np.empty((size, size), dtype=complex)
     if not sparse:
@@ -342,7 +360,8 @@ def _eig_unitary(
             if bad.size < 2:
                 continue
             block = vecs[:, bad].conj().T @ images[:, bad]
-            _, rot = np.linalg.eigh((block - block.conj().T) / 2j)
+            turned = turn * block
+            _, rot = np.linalg.eigh((turned - turned.conj().T) / 2j)
             rotate(bad, block, rot)
     bad = np.nonzero(defect > pure_tol)[0]
     if bad.size > 1:

@@ -23,7 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from ._eigen import EigensolverError, _eig_unitary, _pure_column_tol, unitary_eigvals
+from ._eigen import (
+    _PENCIL_ALPHA,
+    EigensolverError,
+    _eig_unitary,
+    _pure_column_tol,
+    unitary_eigvals,
+)
 from ._linalg import max_abs
 from .coin import (
     DEFAULT_COIN_TOL,
@@ -233,9 +239,17 @@ def coin_sum_eigensystem(
     ``EigensolverError``, as the coin system is validated before any check
     reaches its sums.
     """
+    return _coin_sum_solve(cs, sigma, tol, 0.0)
+
+
+def _coin_sum_solve(
+    cs: CoinSystem, sigma: int, tol: float, angle: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``coin_sum_eigensystem`` by the splitting of e^{-i ``angle``} times
+    the coin sum (see the ``_eigen`` docstring)."""
     mat = algebraic_sum(cs, sigma)
     try:
-        lam, vecs, _ = _eig_unitary(mat, _pure_column_tol(tol))
+        lam, vecs, _ = _eig_unitary(mat, _pure_column_tol(tol), angle)
     except np.linalg.LinAlgError as exc:  # a ValueError, but not invalid input
         raise EigensolverError(
             f"eigensolver failed on the coin sum at vertex {sigma}: {exc}"
@@ -251,11 +265,14 @@ def coin_union_spectrum(
 
     Returns (set variant, multiset variant): the set variant lists each
     distinct eigenvalue once; the multiset variant sums multiplicities
-    across vertices, totalling 2^(n+1) * d.
+    across vertices, totalling 2^(n+1) * d.  Only the values are kept, so
+    each sum is split at the angle ``_PENCIL_ALPHA`` of the eigenvalues-only
+    solves, where a conjugate pair needs no rotation pass.
     """
-    raw = np.concatenate(
-        [coin_sum_eigensystem(cs, sigma, cluster_tol)[0] for sigma in range(dimension(cs.n))]
-    )
+    raw = np.concatenate([
+        _coin_sum_solve(cs, sigma, cluster_tol, _PENCIL_ALPHA)[0]
+        for sigma in range(dimension(cs.n))
+    ])
     multiset = _make_report(
         raw, f"coin-sum union (multiset), n={cs.n}, d={cs.d}", None, cluster_tol
     )

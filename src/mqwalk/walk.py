@@ -33,9 +33,9 @@ from .coin import DEFAULT_COIN_TOL, CoinSystem, algebraic_sum
 from .fock import _check_subset, dimension
 from .magnetic import (
     MagneticPotential,
-    magnetic_basis_change,
+    _basis_adjoint,
+    _basis_columns,
     magnetic_basis_vector,
-    magnetic_shift,
 )
 
 __all__ = [
@@ -178,26 +178,51 @@ class WalkOperator:
         return y
 
     def sparse(self) -> sp.csr_matrix:
-        """Assembled matrix, the literal Kronecker sum in CSR form (d stored
-        entries per row for the built-in coins); cached, read-only,
-        n <= DENSE_N_LIMIT only."""
+        """Assembled matrix, the Kronecker sum sum_j Xi_j (x) C_j in CSR form
+        (d stored entries per row for the built-in coins); cached, read-only,
+        n <= DENSE_N_LIMIT only.
+
+        It is built in one pass from index arithmetic: for each direction j,
+        each vertex sigma and each nonzero C_j[a, b], the entry at row
+        sigma d + a and column (sigma xor 2^j) d + b is the phase of Xi_j
+        (``magnetic_shift``) times C_j[a, b].  The entries are laid out row
+        by row, so the CSR arrays are formed in place, and distinct j reach
+        distinct columns, so no two entries share a place: one sort of each
+        row's columns gives the CSR form of ``sp.kron`` summed over j, bit
+        for bit (the sum's signs of zero included).
+        """
         if self._sparse is None:
             if self.n > DENSE_N_LIMIT:
                 raise CapacityError(
                     f"dense walk matrix needs n <= {DENSE_N_LIMIT}, got n={self.n}; "
                     "use the matrix-free apply or the per-vertex coin spectra instead"
                 )
-            acc = None
-            for j in range(self.n + 1):
-                term = sp.kron(
-                    magnetic_shift(self.n, j, self.nu),
-                    sp.csr_matrix(self.cs.ops[j]),
-                    format="csr",
-                )
-                acc = term if acc is None else acc + term
-            for part in (acc.data, acc.indices, acc.indptr):
+            # the nonzeros C_j[a, b] in (a, j, b) order, the order of one
+            # vertex's rows and then of each row's entries
+            coins = np.stack(self.cs.ops, axis=1)
+            coin_rows, coin_dirs, coin_cols = np.nonzero(coins)
+            sigmas = np.arange(self.dim_fock, dtype=np.int32)[:, None]
+            # Xi_j's column sigma xor 2^j is occupied where sigma is not
+            phases = self.nu.phases
+            shifts = np.where((sigmas >> np.arange(self.n + 1)) & 1,
+                              np.exp(-1j * phases), np.exp(1j * phases))
+            data = np.take(shifts, coin_dirs, axis=1)
+            data *= coins[coin_rows, coin_dirs, coin_cols]
+            if self.n:
+                # the sum of the n + 1 terms adds each product to a zero,
+                # which turns a -0.0 part of it into +0.0
+                data += 0.0
+            indices = sigmas ^ (1 << coin_dirs).astype(np.int32)
+            indices *= self.d
+            indices += coin_cols.astype(np.int32)
+            lengths = np.tile(np.bincount(coin_rows, minlength=self.d), self.dim_fock)
+            indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
+            mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                                shape=(self.dim, self.dim))
+            mat.sort_indices()
+            for part in (mat.data, mat.indices, mat.indptr):
                 part.flags.writeable = False
-            self._sparse = acc
+            self._sparse = mat
         return self._sparse
 
     def dense(self) -> np.ndarray:
@@ -345,32 +370,57 @@ class IntertwiningReport:
 def intertwining_check(op: WalkOperator) -> IntertwiningReport:
     """Verify that the walk acts as U_tau on each eigenbasis fiber.
 
-    One pass over the vertices tau: the kernel's defect W X - E, with the
-    lift X = b_tau (x) I_d and E = b_tau (x) U_tau, gives the vector
-    residual; the CSR matrix's defect rotated by (B* (x) I) is column block
-    tau of (B* (x) I) W (B (x) I) - e_tau (x) U_tau, which gives the block
-    residuals.
+    One pass over chunks of vertices tau.  For each tau the lift X = b_tau
+    (x) I_d and E = b_tau (x) U_tau are formed by broadcasting, and the
+    chunk's lifts side by side take one ``apply`` and one CSR product.  The
+    kernel's defect W X - E gives the vector residual; the CSR matrix's
+    defect rotated by (B* (x) I) is column block tau of (B* (x) I) W (B (x)
+    I) - e_tau (x) U_tau, which gives the block residuals.  B* is applied
+    as a fast Walsh-Hadamard transform (``magnetic._basis_adjoint``), so no
+    2^(n+1) x 2^(n+1) basis is held.
+
+    A chunk holds 1 + 2^(n+1) // (2 d^2) vertices.  Its working set, four
+    (side, chunk * d) arrays while ``apply`` runs (the lifts and its three
+    stages), then stays within what a rotation by the basis change as a
+    matrix holds: that N x N matrix and its adjoint, N = 2^(n+1), and the
+    four arrays of one vertex.  That is chunks of 2 vertices at side 896
+    (n = 6, d = 7) and of 6 at n = 9, d = 10.
     """
-    d = op.d
+    d, dim_fock = op.d, op.dim_fock
     mat = op.sparse()  # raises CapacityError before any vertex is applied
-    basis = magnetic_basis_change(op.nu)
-    basis_adj = basis.conj().T
     eye = np.eye(d, dtype=complex)
+    basis_adjoint = _basis_adjoint(op.nu)
+    width = 1 + dim_fock // (2 * d * d)
     vec_residual = block_mismatch = off_block = 0.0
-    for tau in range(op.dim_fock):
-        # column a: the eigenbasis vector times coin axis a, and its
-        # expected image through the signed coin sum
-        lift = np.kron(basis[:, tau, None], eye)
-        expected = np.kron(basis[:, tau, None], algebraic_sum(op.cs, tau))
+    for lo in range(0, dim_fock, width):
+        taus = np.arange(lo, min(lo + width, dim_fock))
+        count = taus.size
+        # axes (sigma, coin row, tau, coin column): column (tau, a) holds the
+        # eigenbasis vector of tau times coin axis a, and its expected image
+        # through the signed coin sum of tau
+        fibers = _basis_columns(op.nu, taus)[:, None, :, None]
+        lift = (fibers * eye[:, None, :]).reshape(op.dim, count * d)
+        image = op.apply(lift)
+        defect = mat @ lift
+        # each array is dropped once used, so that the arrays of apply set
+        # the peak
+        del lift
+        expected = fibers * np.stack([algebraic_sum(op.cs, int(tau)) for tau in taus], axis=1)
+        image -= expected.reshape(image.shape)
+        defect -= expected.reshape(defect.shape)
+        del expected
         # np.maximum, unlike max, keeps a NaN residual
-        vec_residual = np.maximum(
-            vec_residual, np.linalg.norm(op.apply(lift) - expected, axis=0).max()
+        vec_residual = np.maximum(vec_residual, np.linalg.norm(image, axis=0).max())
+        del image
+        # entry (rho, x, t, a) is entry (x, a) of the rotated (rho, tau_t) block
+        rotated = basis_adjoint(defect.reshape(dim_fock, d * count * d)).reshape(
+            dim_fock, d, count, d
         )
-        # row rho holds the rotated (rho, tau) block, flattened
-        rotated = basis_adj @ (mat @ lift - expected).reshape(op.dim_fock, d * d)
-        block_mismatch = np.maximum(block_mismatch, max_abs(rotated[tau]))
-        rotated[tau] = 0.0
+        own = (taus, slice(None), np.arange(count))
+        block_mismatch = np.maximum(block_mismatch, max_abs(rotated[own]))
+        rotated[own] = 0.0
         off_block = np.maximum(off_block, max_abs(rotated))
+        del defect, rotated  # not held through the next chunk's apply
 
     return IntertwiningReport(
         n=op.n,

@@ -350,6 +350,28 @@ def verify_all_checks(tmp_path):
     return json.loads(out.read_text())["checks"], code
 
 
+class TestBasisAdjoint:
+    """B* applied as a fast Walsh-Hadamard transform, against the matrix."""
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_matches_the_basis_change(self, n):
+        rng = np.random.default_rng(90 + n)
+        nu = magnetic.random_potential(n, rng)
+        x = rng.normal(size=(2 ** (n + 1), 5)) + 1j * rng.normal(size=(2 ** (n + 1), 5))
+        x /= np.linalg.norm(x, axis=0)
+        want = magnetic.magnetic_basis_change(nu).conj().T @ x
+        assert np.abs(magnetic._basis_adjoint(nu)(x) - want).max() <= 1e-15
+
+    def test_nan_stays_nan(self):
+        nu = magnetic.random_potential(3, np.random.default_rng(89))
+        x = np.ones((16, 3), dtype=complex)
+        x[5, 1] = np.nan
+        out = magnetic._basis_adjoint(nu)(x)
+        # every entry of B* is nonzero, so the NaN reaches its whole column
+        assert np.isnan(out[:, 1]).all()
+        assert np.isfinite(out[:, [0, 2]]).all()
+
+
 class TestEigenbasisCheck:
     @pytest.mark.parametrize("n", range(5))
     def test_residuals_are_round_off(self, n):

@@ -40,8 +40,8 @@ def miss_split_gate(monkeypatch):
     """Make the split path report a residual above every gate."""
     solve = _eigen._eig_unitary
 
-    def missed_gate(a, pure_tol=_eigen._PURE_COLUMN_TOL):
-        lam, vecs, _ = solve(a, pure_tol)
+    def missed_gate(a, pure_tol=_eigen._PURE_COLUMN_TOL, angle=0.0):
+        lam, vecs, _ = solve(a, pure_tol, angle)
         return lam, vecs, 1.0
 
     monkeypatch.setattr(_eigen, "_eig_unitary", missed_gate)
@@ -199,8 +199,8 @@ class TestEigenResidualFloor:
     def test_unit_circle_miss_is_not_input_error(self, monkeypatch):
         solve = _eigen._eig_unitary
 
-        def off_circle(a, pure_tol=_eigen._PURE_COLUMN_TOL):
-            lam, vecs, residual = solve(a, pure_tol)
+        def off_circle(a, pure_tol=_eigen._PURE_COLUMN_TOL, angle=0.0):
+            lam, vecs, residual = solve(a, pure_tol, angle)
             lam[0] *= 1.01
             return lam, vecs, residual
 
@@ -340,52 +340,31 @@ class TestKrylovRouting:
         assert report.multiplicities == tuple(split_clusters(mat)[1])
         assert mat.tobytes(order="A") == before
 
-    def test_small_degenerate_solver_miss_is_not_input_error(self, monkeypatch):
-        # a certificate miss falls back to the pencil of M, which answers; a
-        # miss of the pencil's gates falls back to the split path, and a
-        # miss there too is a solver failure, not invalid input
-        mat = MOMENT_CASES["grover5"]()
-        reference = spectra.unitary_eigenvalues(mat)
-        moments = spy_moments(monkeypatch)
-        miss_moments(monkeypatch)
-        drivers = spy_drivers(monkeypatch)
-        report = spectra.unitary_eigenvalues(mat)
-        assert moments == [(half(mat.shape), False)] and drivers == ["gv"]
-        assert report.multiplicities == reference.multiplicities
-        assert np.abs(report.values - reference.values).max() <= 1e-12
-        miss_pencil(monkeypatch)
-        drivers.clear()
-        report = spectra.unitary_eigenvalues(mat)
-        assert drivers == ["gv", "gv", "evr"]
-        assert report.multiplicities == reference.multiplicities
-        miss_split_gate(monkeypatch)
-        with pytest.raises(spectra.EigensolverError, match="eigen-residual") as info:
-            spectra.unitary_eigenvalues(mat)
-        assert not isinstance(info.value, ValueError)
-
-    @pytest.mark.parametrize("form", ["csr", "ndarray"])
-    def test_moment_certificate_miss(self, monkeypatch, form):
+    @pytest.mark.parametrize("case", ["csr", "ndarray", "grover5"])
+    def test_moment_certificate_miss(self, monkeypatch, case):
         # the moments run on the walk's 2-cyclic square M; a certificate
         # miss ends on the pencil of the same M with the right answer, and a
         # miss of its gates (on both of its tries) on the split path at the
         # full side, with no full-side pencil; a miss of the split path's
-        # gate then is a solver failure, as the pre-check has proven either
-        # form unitary
-        mat, dense = walk_forms(coin.grover_coin_system(4), 45)
+        # gate then is a solver failure, not invalid input, as the pre-check
+        # has proven either form unitary
+        n, seed = (5, 81) if case == "grover5" else (4, 45)
+        mat, dense = walk_forms(coin.grover_coin_system(n), seed)
         reference = spectra.unitary_eigenvalues(mat)
-        if form == "ndarray":
+        if case == "ndarray":
             mat = dense
+        side = mat.shape[0]
         moments = spy_moments(monkeypatch)
         miss_moments(monkeypatch)
         solves = spy_solves(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
-        assert moments == [((80, 80), False)] and solves == [("gv", 80)]
+        assert moments == [(half(mat.shape), False)] and solves == [("gv", side // 2)]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_pencil(monkeypatch)
         solves.clear()
         report = spectra.unitary_eigenvalues(mat)
-        assert solves == [("gv", 80)] * 2 + [("evr", 160)]
+        assert solves == [("gv", side // 2)] * 2 + [("evr", side)]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_split_gate(monkeypatch)
@@ -933,9 +912,7 @@ class TestSparseInput:
         assert np.abs(from_sparse.values - from_dense.values).max() <= 1e-12
         assert from_sparse.total_multiplicity == mat.shape[0]
 
-    def test_capacity_guard_before_any_allocation(self, monkeypatch):
-        shifts = []
-        monkeypatch.setattr(walk, "magnetic_shift", lambda *args: shifts.append(args))
+    def test_capacity_guard_before_any_allocation(self):
         cs = coin.random_coin_system(11, 12, seed=0)
         nu = magnetic.null_potential(11)
         tracemalloc.start()
@@ -945,8 +922,8 @@ class TestSparseInput:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one n=11 shift alone would hold 2^12 entries
-        assert shifts == []
+        # the n=11 index arrays of one direction alone would hold 2^12 x 144
+        # entries
         assert peak < 1 << 20
 
 
@@ -1086,6 +1063,131 @@ class TestBlockedResiduals:
         for bad in (with_nan, 1.01 * dense):
             with pytest.raises(ValueError, match="not unitary"):
                 spectra.unitary_eigenvalues(bad)
+
+
+def spy_rotations(monkeypatch):
+    """Record every rotation pass of the split path, by kind and side: the
+    skew part's ``numpy.linalg.eigh`` and the compression's
+    ``scipy.linalg.schur``."""
+    passes = []
+    eigh, schur = _eigen.np.linalg.eigh, _eigen.sla.schur
+
+    def spy_eigh(a, *args, **kwargs):
+        passes.append(("eigh", a.shape[0]))
+        return eigh(a, *args, **kwargs)
+
+    def spy_schur(a, *args, **kwargs):
+        passes.append(("schur", a.shape[0]))
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(_eigen.np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(_eigen.sla, "schur", spy_schur)
+    return passes
+
+
+def grover_coin_sums(n):
+    cs = coin.grover_coin_system(n)
+    return [coin.algebraic_sum(cs, sigma) for sigma in range(2 ** (n + 1))]
+
+
+# spectra whose conjugate pairs e^{+-i phi} share a real part at angle 0
+CONJUGATE_PAIR_CASES = {
+    **{f"grover-sums-{n}": (lambda n=n: grover_coin_sums(n)) for n in range(3, 7)},
+    **{f"grover-walk-{n}": (lambda n=n: [walk_forms(coin.grover_coin_system(n), 86)[0]])
+       for n in (3, 4)},
+    "four-phases": lambda: [clustered_unitary(256, [0.5, -0.5, 2.0, -2.0], 87)],
+}
+
+
+def split_at_angle_zero(mat, pure_tol):
+    """The splitting of a small ndarray with no angle, written out whole:
+    the reference for the bytes of the coin-sum eigensystem."""
+    w, vecs = _eigen.sla.eigh(_eigen._hermitian_sum(mat, 0.5), driver="evr",
+                              check_finite=False, overwrite_a=True)
+    images = mat @ vecs
+    lam = np.einsum("ij,ij->j", vecs.conj(), images)
+    defect = np.linalg.norm(images - vecs * lam[None, :], axis=0)
+
+    def rotate(cols, block, rot):
+        vecs[:, cols], images[:, cols] = vecs[:, cols] @ rot, images[:, cols] @ rot
+        lam[cols] = np.einsum("ji,ji->i", rot.conj(), block @ rot)
+        defect[cols] = np.linalg.norm(images[:, cols] - vecs[:, cols] * lam[cols][None, :],
+                                      axis=0)
+
+    flagged = defect > pure_tol
+    bounds = np.concatenate(([0], np.nonzero(np.diff(w) > _eigen._COS_CLUSTER_GAP)[0] + 1,
+                             [lam.size]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        bad = lo + np.nonzero(flagged[lo:hi])[0]
+        if bad.size > 1:
+            block = vecs[:, bad].conj().T @ images[:, bad]
+            rotate(bad, block, np.linalg.eigh((block - block.conj().T) / 2j)[1])
+    bad = np.nonzero(defect > pure_tol)[0]
+    if bad.size > 1:
+        block = vecs[:, bad].conj().T @ images[:, bad]
+        rotate(bad, block, _eigen.sla.schur(block, output="complex")[1])
+    return lam, vecs
+
+
+class TestGenericAngleSplit:
+    """The eigenvalues-only solves split e^{-i alpha} A at alpha =
+    ``_PENCIL_ALPHA``, where a conjugate pair needs no rotation pass."""
+
+    @pytest.mark.parametrize("case", sorted(CONJUGATE_PAIR_CASES))
+    def test_no_rotation_pass_at_the_angle(self, monkeypatch, case):
+        mats = CONJUGATE_PAIR_CASES[case]()
+        tol = _eigen._pure_column_tol(1e-8)
+        passes = spy_rotations(monkeypatch)
+        at_zero = [_eigen._eig_unitary(mat, tol) for mat in mats]
+        assert passes  # at angle 0 the pairs share real parts
+        passes.clear()
+        at_alpha = [_eigen._eig_unitary(mat, tol, _eigen._PENCIL_ALPHA) for mat in mats]
+        assert passes == []
+        for (lam_zero, _, _), (lam, vecs, residual) in zip(at_zero, at_alpha):
+            assert residual <= 1e-12
+            assert np.abs(vecs.conj().T @ vecs - np.eye(lam.size)).max() <= 1e-12
+            values, mults = spectra._cluster_unit_circle(lam, 1e-8)
+            values_zero, mults_zero = spectra._cluster_unit_circle(lam_zero, 1e-8)
+            assert list(mults) == list(mults_zero)
+            assert np.abs(values - values_zero).max() <= 1e-12
+
+    def test_coin_union_and_small_walks_run_no_rotation_pass(self, monkeypatch):
+        cs = coin.grover_coin_system(3)
+        passes = spy_rotations(monkeypatch)
+        _, multiset = spectra.coin_union_spectrum(cs)
+        report = spectra.unitary_eigenvalues(walk_forms(cs, 88)[0])  # side 64
+        assert passes == []
+        assert multiset.total_multiplicity == report.total_multiplicity == 64
+        assert spectra._multisets_match(report, multiset, 1e-8)
+
+    def test_mirror_pair_about_the_angle_takes_the_fallback(self, monkeypatch):
+        # phi_1 + phi_2 = 2 alpha: e^{-i alpha} lambda of the pair share a
+        # real part, so the rotation passes separate them, within the gate
+        alpha = _eigen._PENCIL_ALPHA
+        phases = [alpha + 0.7, alpha - 0.7, alpha + 2.0, alpha - 2.0]
+        mat = clustered_unitary(48, phases, 89)
+        passes = spy_rotations(monkeypatch)
+        lam, vecs, residual = _eigen._eig_unitary(mat, _eigen._pure_column_tol(1e-8), alpha)
+        assert passes
+        assert residual <= _eigen._pure_column_tol(1e-8)
+        assert np.abs(vecs.conj().T @ vecs - np.eye(48)).max() <= 1e-12
+        values, mults = spectra._cluster_unit_circle(lam, 1e-8)
+        assert list(mults) == [12] * 4
+        assert spectra.hausdorff_distance(values, np.exp(1j * np.array(phases))) <= 1e-9
+        report = spectra.unitary_eigenvalues(mat)  # side 48: the split path at alpha
+        assert report.multiplicities == (12,) * 4
+
+    @pytest.mark.parametrize("cs", [
+        coin.grover_coin_system(4), coin.random_coin_system(3, 6, seed=90),
+    ], ids=["grover", "random"])
+    def test_coin_sum_eigensystem_keeps_angle_zero(self, cs):
+        # its vectors are the witnesses and the eigen: initial states
+        tol = _eigen._pure_column_tol(spectra.DEFAULT_SPECTRUM_TOL)
+        for sigma in range(2 ** (cs.n + 1)):
+            lam, vecs = spectra.coin_sum_eigensystem(cs, sigma)
+            ref_lam, ref_vecs = split_at_angle_zero(coin.algebraic_sum(cs, sigma), tol)
+            assert lam.tobytes() == ref_lam.tobytes()
+            assert vecs.tobytes() == ref_vecs.tobytes()
 
 
 class TestMemoryGuard:
@@ -1312,6 +1414,19 @@ class TestCoinUnionSpectrum:
         values = as_set.values
         for v in values:
             assert np.abs(values + v).min() <= 1e-9
+
+
+    def test_lapack_failure_is_not_input_error(self, monkeypatch):
+        # the union's eigenvalues-only solves are wrapped as the
+        # eigensystem's are
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+        monkeypatch.setattr(_eigen.sla, "eigh", no_convergence)
+        with pytest.raises(spectra.EigensolverError, match="vertex 0.*converge") as info:
+            spectra.coin_union_spectrum(coin.grover_coin_system(2))
+        assert not isinstance(info.value, ValueError)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestPointSpectrumTheorem:

@@ -23,6 +23,42 @@ def dense_oracle(nu, cs):
     return total
 
 
+def kron_sum_oracle(nu, cs):
+    """The walk as the literal sum over j of sp.kron(Xi_j, C_j), in CSR form."""
+    acc = None
+    for j, op in enumerate(cs.ops):
+        term = sp.kron(magnetic.magnetic_shift(cs.n, j, nu), sp.csr_matrix(op), format="csr")
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def signed_zero_coins():
+    """Projections of a 3 x 3 coin whose zero entries carry both signs of zero."""
+    ops = [np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 1j, 0.0]),
+           np.diag([0.0, 0.0, -1.0]).astype(complex)]
+    ops[0][1, 2] = complex(-0.0, 0.0)
+    ops[2][0, 1] = complex(0.0, -0.0)
+    return coin.CoinSystem(tuple(ops))
+
+
+def rank_deficient_coins():
+    """Coins of ranks 1, 1 and 2 in dimension 4, not a partition of a unitary."""
+    return coin.CoinSystem((
+        np.outer([1, 2j, 0, 1], [1, 0, 1, -1j]),
+        np.outer([0, 1, 1, 1], [2, 1, 0, 0]),
+        np.outer([1, 0, 0, 1j], [1, 1, 1, 1]) + np.outer([0, 1, 0, 0], [0, 0, 1j, 0]),
+    ))
+
+
+ASSEMBLY_COINS = {
+    "hadamard-partition": coin.hadamard_partition_coin_system,
+    **{f"grover{n}": (lambda n=n: coin.grover_coin_system(n)) for n in (1, 3, 6)},
+    **{f"random-n{n}": (lambda n=n: coin.random_coin_system(n, n + 2, seed=n)) for n in range(7)},
+    "rank-deficient": rank_deficient_coins,
+    "signed-zeros": signed_zero_coins,
+}
+
+
 class TestAssembly:
     def test_n0_single_term(self):
         cs = coin.CoinSystem((np.array([[1.0]]),))
@@ -48,6 +84,20 @@ class TestAssembly:
         nu = magnetic.random_potential(n, rng)
         op = walk.evolution_operator(nu, cs)
         np.testing.assert_allclose(op.dense(), dense_oracle(nu, cs), atol=1e-15)
+
+    @pytest.mark.parametrize("case", sorted(ASSEMBLY_COINS))
+    def test_one_pass_is_the_kron_sum(self, case):
+        cs = ASSEMBLY_COINS[case]()
+        # a random potential, and one of phases 0, pi and -pi
+        for nu in (magnetic.random_potential(cs.n, np.random.default_rng(33)),
+                   magnetic.MagneticPotential(np.resize([0.0, np.pi, -np.pi], cs.n + 1))):
+            mat = walk.evolution_operator(nu, cs).sparse()
+            want = kron_sum_oracle(nu, cs)
+            assert mat.format == "csr" and mat.shape == want.shape and mat.has_canonical_format
+            for got, ref in ((mat.data, want.data), (mat.indices, want.indices),
+                             (mat.indptr, want.indptr)):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+                assert not got.flags.writeable
 
     def test_null_reduction_exact(self):
         # at zero phases every shift is a plain bit flip, so the walk is the
@@ -397,6 +447,25 @@ class TestPositionDistribution:
                 assert fock.is_adjacent(sigma, int(tau))
 
 
+def per_vertex_intertwining(op):
+    """The intertwining residuals one vertex at a time, with np.kron lifts and
+    the dense basis change: the reference for the chunked check."""
+    d = op.d
+    mat = op.sparse()
+    basis = magnetic.magnetic_basis_change(op.nu)
+    eye = np.eye(d, dtype=complex)
+    vec = off = block = 0.0
+    for tau in range(op.dim_fock):
+        lift = np.kron(basis[:, tau, None], eye)
+        expected = np.kron(basis[:, tau, None], coin.algebraic_sum(op.cs, tau))
+        vec = max(vec, np.linalg.norm(op.apply(lift) - expected, axis=0).max())
+        rotated = basis.conj().T @ (mat @ lift - expected).reshape(op.dim_fock, d * d)
+        block = max(block, np.abs(rotated[tau]).max())
+        rotated[tau] = 0.0
+        off = max(off, np.abs(rotated).max())
+    return vec, off, block
+
+
 class TestIntertwining:
     def test_n0_single_coin_blocks(self):
         cs = coin.CoinSystem((np.array([[np.exp(0.4j)]]),))
@@ -481,12 +550,65 @@ class TestIntertwining:
         assert report.max_vector_residual == clean.max_vector_residual
         assert not report.passed()
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    @pytest.mark.parametrize(("kind", "n"), [
+        *[("grover", n) for n in range(2, 8)],  # n = 6: chunks of 2, n = 7: of 3, ragged
+        *[("random", n) for n in range(2, 7)],
+    ])
+    def test_chunks_match_the_per_vertex_reference(self, monkeypatch, kind, n, noise):
+        cs = coin.grover_coin_system(n) if kind == "grover" else coin.random_coin_system(
+            n, n + 2, seed=n)
+        op = walk.evolution_operator(magnetic.random_potential(n, np.random.default_rng(76 + n)), cs)
+        if noise:
+            # every stored entry moved: the kernel and the CSR form both miss
+            # the coin sums by about noise
+            noisy = op.sparse().copy()
+            noisy.data = noisy.data + noise * np.random.default_rng(77).normal(size=noisy.nnz)
+            monkeypatch.setattr(op, "sparse", lambda: noisy)
+            monkeypatch.setattr(op, "apply", lambda vec: noisy @ vec)
+        report = walk.intertwining_check(op)
+        got = (report.max_vector_residual, report.off_block_mass, report.max_block_mismatch)
+        want = per_vertex_intertwining(op)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-15
+        assert report.passed() == (noise == 0.0)
+
+    def test_moved_entry_shows_in_every_chunk(self, monkeypatch):
+        # Grover n = 6 runs in chunks of 2 vertices; one entry moved by delta
+        # is delta / 2^(n+1) in every rotated block
+        nu = magnetic.random_potential(6, np.random.default_rng(78))
+        op = walk.evolution_operator(nu, coin.grover_coin_system(6))
+        csr = op.sparse().copy()
+        delta = 1e-3
+        csr.data[1234] += delta
+        monkeypatch.setattr(op, "sparse", lambda: csr)
+        report = walk.intertwining_check(op)
+        np.testing.assert_allclose([report.off_block_mass, report.max_block_mismatch],
+                                   delta / op.dim_fock, rtol=1e-9, atol=0)
+        assert report.max_vector_residual <= 1e-14
+
+    def test_peak_at_side_896_below_a_matrix_rotation(self):
+        # the rotation by the dense basis change and its adjoint peaked at
+        # 1.16 MB (0.0904 side^2 complex numbers), with one vertex's blocks;
+        # chunks of 2 vertices with the transform peak at 0.87 MB (0.068)
+        nu = magnetic.random_potential(6, np.random.default_rng(79))
+        op = walk.evolution_operator(nu, coin.grover_coin_system(6))
+        side = op.dim
+        op.sparse()
+        tracemalloc.start()
+        try:
+            walk.intertwining_check(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.08 * side * side * 16
+
     def test_past_the_dense_limit_fails_before_any_vertex(self, monkeypatch):
         n = walk.DENSE_N_LIMIT + 1
         op = walk.evolution_operator(magnetic.null_potential(n), coin.grover_coin_system(n))
         calls = []
         monkeypatch.setattr(op, "apply", lambda vec: calls.append("apply"))
-        monkeypatch.setattr(walk, "magnetic_basis_change", lambda nu: calls.append("basis"))
+        monkeypatch.setattr(walk, "_basis_columns", lambda *args: calls.append("basis"))
+        monkeypatch.setattr(walk, "_basis_adjoint", lambda nu: calls.append("transform"))
         with pytest.raises(walk.CapacityError):
             walk.intertwining_check(op)
         assert calls == []
