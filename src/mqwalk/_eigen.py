@@ -43,13 +43,16 @@ the input.
 Krylov probe (``_krylov_saturation``).  A spectrum with few distinct values
 closes the Krylov space of a random start vector early, at some step k, and
 the k Ritz values of the Arnoldi Hessenberg block are then its distinct
-values.  When M is of side at most ``_SATURATION_STEPS`` every Krylov space
-closes, so the probe says nothing there and is not run: a walk of side up
-to 2 ``_SATURATION_STEPS`` goes straight to the pencil of M.  On M, a walk
-spectrum of up to 2 ``_SATURATION_STEPS`` distinct values, paired +-,
-closes within the probe's steps.  It sums on the calling thread, so no
-BLAS thread pool spins beside the moment workers or the eigensolve that
-follow it.
+values.  The space closes where the new Arnoldi vector, orthogonalized
+against the k unit vectors before it, has norm at most tau =
+``unitary_tol``; as ||Mq|| = 1 for a unit q and a unitary M, that is a test
+relative to the product's scale.  When M is of side at most
+``_SATURATION_STEPS`` every Krylov space closes, so the probe says nothing
+there and is not run: a walk of side up to 2 ``_SATURATION_STEPS`` goes
+straight to the pencil of M.  On M, a walk spectrum of up to 2
+``_SATURATION_STEPS`` distinct values, paired +-, closes within the probe's
+steps.  It sums on the calling thread, so no BLAS thread pool spins beside
+the moment workers or the eigensolve that follow it.
 
 Trace moments (``_eigvals_from_moments``).  The multiplicities m_i of the k
 Ritz values theta_i of M solve sum_i m_i theta_i^p = tr M^p, p = -K..K,
@@ -135,6 +138,17 @@ eigenvectors are the witnesses of the approximate-eigenvalue check and the
 ``eigen:`` initial states of the CLI, and an eigenspace of multiplicity
 above one can get another orthonormal basis at another angle, which would
 change those reports.
+
+One entry (``unitary_eig``).  Every split-path solve goes through
+``unitary_eig(a, gate, vectors, what)``: the split of ``unitary_eigvals``,
+and the coin-sum eigensystem and union spectrum of ``spectra``.  It alone
+picks the angle, alpha = ``_PENCIL_ALPHA`` when only the values are used
+and 0 when the eigenvectors are, and the pure-column threshold min(1e-9,
+gate / 10), kept an order below the caller's residual gate; and it alone
+turns a LAPACK failure into ``EigensolverError``, naming ``what`` (the
+input, or the vertex of a coin sum).  It runs no unitarity pre-check: the
+coin sums come from a validated coin system, and ``unitary_eigvals`` has
+run its own.
 """
 
 from __future__ import annotations
@@ -146,8 +160,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ._linalg import BLOCK, max_abs, require_unitary, vector_norm
-from .walk import CapacityError
+from ._linalg import BLOCK, CapacityError, max_abs, require_unitary, vector_norm
 
 # Krylov probe that picks the eigenvalue route above _SATURATION_STEPS: a
 # spectrum with at most ~_SATURATION_STEPS distinct values closes the Krylov
@@ -155,7 +168,6 @@ from .walk import CapacityError
 # values, and goes to the trace-moment route, which skips the eigenvectors
 # and the clusters' rotations of the split path.
 _SATURATION_STEPS = 64
-_SATURATION_TOL = 1e-8
 
 # Multiply-adds (powers x the blocks' total nnz x unit vectors) from which
 # ``_trace_powers`` shares its products out to a thread pool.  Below it,
@@ -212,26 +224,42 @@ def unitary_eigvals(a, unitary_tol: float) -> np.ndarray:
     # the product residual also rejects a non-square shape
     a = require_unitary(a, unitary_tol, what="input")
     side = a.shape[0]
-    failure = "eigensolver failed on a unitary input"
+    what = "a unitary input"
+    failure = f"eigensolver failed on {what}"
     try:
         lam = _routed_eigvals(a, unitary_tol) if side > _SATURATION_STEPS else None
-        if lam is None:
-            _require_capacity(side)
-            # the split path skips LAPACK's finiteness check: the pre-check
-            # has already rejected non-finite input
-            lam, _, residual = _eig_unitary(a, _pure_column_tol(unitary_tol), _PENCIL_ALPHA)
-            if not residual <= unitary_tol:
-                raise EigensolverError(
-                    f"{failure}: eigen-residual {residual:.3e} exceeds {unitary_tol:.1e}"
-                )
     except np.linalg.LinAlgError as exc:  # a ValueError, but not invalid input
         raise EigensolverError(f"{failure}: {exc}") from exc
+    if lam is None:
+        _require_capacity(side)
+        # the split path skips LAPACK's finiteness check: the pre-check has
+        # already rejected non-finite input
+        lam, _, residual = unitary_eig(a, unitary_tol, False, what)
+        if not residual <= unitary_tol:
+            raise EigensolverError(
+                f"{failure}: eigen-residual {residual:.3e} exceeds {unitary_tol:.1e}"
+            )
     off_circle = max_abs(np.abs(lam) - 1.0)
     if not off_circle <= unitary_tol:
         raise EigensolverError(
             f"{failure}: unit-circle defect {off_circle:.3e} exceeds {unitary_tol:.1e}"
         )
     return lam
+
+
+def unitary_eig(a, gate: float, vectors: bool, what: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues, orthonormal eigenvectors (columns) and max residual
+    ||Av - lv|| of a unitary ``a`` by the split path (``_eig_unitary``).
+
+    ``vectors`` says whether the caller uses the eigenvectors: if not, the
+    split is at ``_PENCIL_ALPHA``, else at 0 (see the module docstring).
+    Columns whose residual exceeds min(1e-9, ``gate`` / 10) are rotated.  A
+    LAPACK failure raises ``EigensolverError`` naming ``what``.
+    """
+    try:
+        return _eig_unitary(a, _pure_column_tol(gate), 0.0 if vectors else _PENCIL_ALPHA)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not invalid input
+        raise EigensolverError(f"eigensolver failed on {what}: {exc}") from exc
 
 
 def _routed_eigvals(a, unitary_tol: float) -> np.ndarray | None:
@@ -248,7 +276,7 @@ def _routed_eigvals(a, unitary_tol: float) -> np.ndarray | None:
     square = blocks[0] @ blocks[1]
     lam = probe = None
     if square.shape[0] > _SATURATION_STEPS:
-        probe = _krylov_saturation(square, _SATURATION_STEPS)
+        probe = _krylov_saturation(square, unitary_tol)
     if probe is not None:
         lam = _eigvals_from_moments(*blocks, *probe, unitary_tol)
     if lam is None:
@@ -372,10 +400,11 @@ def _eig_unitary(
     return lam, vecs, residual
 
 
-def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _krylov_saturation(a, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Ritz values and unit Ritz vectors (columns) of a random-start Krylov
-    space of ``a`` that closes within ``max_steps``, or None when it does
-    not close.
+    space of ``a`` that closes within ``_SATURATION_STEPS``, or None when it
+    does not close: at the step whose new vector, orthogonalized against the
+    earlier ones, has norm at most ``tol`` (see the module docstring).
 
     The Ritz pairs are those of the Arnoldi Hessenberg block: its Schur
     form's diagonal, and its Schur vectors taken into the Krylov basis.
@@ -391,10 +420,10 @@ def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray, np.ndarray] | Non
     rng = np.random.default_rng(0x5EED)
     q = rng.normal(size=size) + 1j * rng.normal(size=size)
     q /= vector_norm(q)
-    basis = np.empty((size, max_steps + 1), dtype=complex, order="F")
+    basis = np.empty((size, _SATURATION_STEPS + 1), dtype=complex, order="F")
     basis[:, 0] = q
-    hess = np.zeros((max_steps + 1, max_steps), dtype=complex)
-    for step in range(1, max_steps + 1):
+    hess = np.zeros((_SATURATION_STEPS + 1, _SATURATION_STEPS), dtype=complex)
+    for step in range(1, _SATURATION_STEPS + 1):
         y = a @ q
         held = basis[:, :step]
         coeffs = hess[:step, step - 1]
@@ -407,7 +436,7 @@ def _krylov_saturation(a, max_steps: int) -> tuple[np.ndarray, np.ndarray] | Non
             y -= np.einsum("ij,j->i", held, proj)
             coeffs += proj
         beta = vector_norm(y)
-        if beta <= _SATURATION_TOL:
+        if beta <= tol:
             triangle, schur_vecs = sla.schur(hess[:step, :step], output="complex")
             return triangle.diagonal().copy(), np.einsum("ij,jk->ik", held, schur_vecs)
         hess[step, step - 1] = beta

@@ -10,12 +10,17 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["BLOCK", "as_complex", "max_abs", "vector_norm", "unitarity_residual", "require_unitary"]
+__all__ = ["BLOCK", "CapacityError", "as_complex", "max_abs", "vector_norm",
+           "unitarity_residual", "require_unitary"]
 
 # Rows or columns per block wherever an ndarray's products or defects are
 # formed a block at a time: the temporaries are block x side, not side x
 # side.
 BLOCK = 64
+
+
+class CapacityError(RuntimeError):
+    """Raised when a dense materialization would exceed the size guard."""
 
 
 def as_complex(a):

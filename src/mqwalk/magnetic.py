@@ -29,7 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import max_abs
-from .fock import EXACT_TOL, _check_subset, basis_state, dimension, membership_signs
+from .fock import (EXACT_TOL, _check_subset, annihilation_operator, basis_state,
+                   creation_operator, dimension, membership_signs)
 
 __all__ = [
     "MagneticPotential",
@@ -150,7 +151,8 @@ def _check_nu_n(nu: MagneticPotential, n: int) -> None:
 
 
 def magnetic_shift(n: int, j: int, nu: MagneticPotential) -> sp.csr_matrix:
-    """Shift involution for edge direction j under the given potential.
+    """Shift involution Xi_j = exp(-i nu_j) a*_j + exp(i nu_j) a_j for edge
+    direction j under the given potential.
 
     Column sigma carries exp(i nu_j) at row sigma minus {j} when j is
     present, and exp(-i nu_j) at row sigma plus {j} otherwise.  The result
@@ -159,13 +161,9 @@ def magnetic_shift(n: int, j: int, nu: MagneticPotential) -> sp.csr_matrix:
     _check_nu_n(nu, n)
     if not 0 <= j <= n:
         raise ValueError(f"direction j={j} out of range 0..{n}")
-    dim = dimension(n)
-    cols = np.arange(dim)
-    rows = cols ^ (1 << j)
-    occupied = ((cols >> j) & 1).astype(bool)
     phase = nu.phases[j]
-    data = np.where(occupied, np.exp(1j * phase), np.exp(-1j * phase))
-    return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+    return (np.exp(-1j * phase) * creation_operator(n, j)
+            + np.exp(1j * phase) * annihilation_operator(n, j))
 
 
 def shift_product_action(
@@ -242,6 +240,13 @@ def _phase_sums(nu: MagneticPotential) -> np.ndarray:
     return sums
 
 
+def _gauge(nu: MagneticPotential) -> np.ndarray:
+    """The gauge diagonal e^{-i Phi(gamma)} / sqrt(N) for every subset mask
+    gamma, with Phi(gamma) the sum of nu_j over gamma and N = 2^(n+1): the
+    eigenbasis vectors up to their signs."""
+    return np.exp(-1j * _phase_sums(nu)) / math.sqrt(dimension(nu.n))
+
+
 def _basis_columns(nu: MagneticPotential, sigmas) -> np.ndarray:
     """``magnetic_basis_vector`` of each mask in ``sigmas`` (an int or a 1-d
     integer array) as a column, without its range check."""
@@ -249,8 +254,7 @@ def _basis_columns(nu: MagneticPotential, sigmas) -> np.ndarray:
     gammas = np.arange(dim)[:, None]
     flips = np.bitwise_count(gammas & ~sigmas & (dim - 1))
     signs = np.where(flips % 2 == 1, -1.0, 1.0)
-    column = np.exp(-1j * _phase_sums(nu)) / math.sqrt(dim)
-    return signs * column[:, None]
+    return signs * _gauge(nu)[:, None]
 
 
 def magnetic_basis_vector(sigma: int, nu: MagneticPotential) -> np.ndarray:
@@ -278,20 +282,20 @@ def _basis_adjoint(nu: MagneticPotential) -> Callable[[np.ndarray], np.ndarray]:
     """The map x -> B* x for B = ``magnetic_basis_change(nu)`` and x of shape
     (N, k), N = 2^(n+1), which holds no N x N array.
 
-    B = D H / sqrt(N), where H is the Walsh-Hadamard matrix, H[gamma,
-    sigma] = (-1)^|gamma & sigma|, and D = diag((-1)^|gamma| e^{-i
-    Phi(gamma)}) with Phi(gamma) the sum of nu_j over gamma: the sign of
+    B = D H, where H is the Walsh-Hadamard matrix, H[gamma, sigma] =
+    (-1)^|gamma & sigma|, and D = diag((-1)^|gamma|) times the gauge
+    diagonal e^{-i Phi(gamma)} / sqrt(N) of ``_gauge``: the sign of
     ``_basis_columns`` is (-1)^|gamma \\ sigma| = (-1)^|gamma| (-1)^|gamma &
-    sigma|.  So B* x = H (conj(D) x) / sqrt(N), a fast Walsh-Hadamard
-    transform (Fino and Algazi, IEEE Trans. Computers 1976).  It runs in
-    two Kronecker factors, H = H_P (x) H_Q with Q = 2^((n+1) // 2) and P =
-    N / Q: one real product per factor on the real and imaginary parts at
-    once, N (P + Q) multiply-adds per column instead of N^2.  The diagonal
-    and both factors are formed once, for every x the map is given.
+    sigma|.  So B* x = H (conj(D) x), a fast Walsh-Hadamard transform (Fino
+    and Algazi, IEEE Trans. Computers 1976).  It runs in two Kronecker
+    factors, H = H_P (x) H_Q with Q = 2^((n+1) // 2) and P = N / Q: one real
+    product per factor on the real and imaginary parts at once, N (P + Q)
+    multiply-adds per column instead of N^2.  The diagonal and both factors
+    are formed once, for every x the map is given.
     """
     dim = dimension(nu.n)
     sign = np.where(np.bitwise_count(np.arange(dim)) % 2 == 1, -1.0, 1.0)
-    scale = (sign * np.exp(1j * _phase_sums(nu)) / math.sqrt(dim))[:, None]
+    scale = (sign * _gauge(nu).conj())[:, None]
     inner = 1 << ((nu.n + 1) // 2)
     outer = dim // inner
     inner_factor, outer_factor = _hadamard(inner), _hadamard(outer)

@@ -23,13 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from ._eigen import (
-    _PENCIL_ALPHA,
-    EigensolverError,
-    _eig_unitary,
-    _pure_column_tol,
-    unitary_eigvals,
-)
+from ._eigen import EigensolverError, unitary_eig, unitary_eigvals
 from ._linalg import max_abs
 from .coin import (
     DEFAULT_COIN_TOL,
@@ -44,7 +38,7 @@ from .magnetic import (
     null_potential,
     random_potential,
 )
-from .walk import evolution_operator
+from .walk import _lift, evolution_operator
 
 __all__ = [
     "SpectrumReport",
@@ -234,26 +228,14 @@ def coin_sum_eigensystem(
     sum at vertex ``sigma``.
 
     Columns whose eigen-residual exceeds min(1e-9, ``tol`` / 10) are
-    re-resolved (see ``_eig_unitary``), so the pairs can serve as witnesses
-    for a check gated at ``tol``.  A LAPACK failure raises
+    re-resolved (see ``_eigen.unitary_eig``), so the pairs can serve as
+    witnesses for a check gated at ``tol``.  A LAPACK failure raises
     ``EigensolverError``, as the coin system is validated before any check
     reaches its sums.
     """
-    return _coin_sum_solve(cs, sigma, tol, 0.0)
-
-
-def _coin_sum_solve(
-    cs: CoinSystem, sigma: int, tol: float, angle: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``coin_sum_eigensystem`` by the splitting of e^{-i ``angle``} times
-    the coin sum (see the ``_eigen`` docstring)."""
-    mat = algebraic_sum(cs, sigma)
-    try:
-        lam, vecs, _ = _eig_unitary(mat, _pure_column_tol(tol), angle)
-    except np.linalg.LinAlgError as exc:  # a ValueError, but not invalid input
-        raise EigensolverError(
-            f"eigensolver failed on the coin sum at vertex {sigma}: {exc}"
-        ) from exc
+    lam, vecs, _ = unitary_eig(
+        algebraic_sum(cs, sigma), tol, True, f"the coin sum at vertex {sigma}"
+    )
     return lam, vecs
 
 
@@ -266,11 +248,13 @@ def coin_union_spectrum(
     Returns (set variant, multiset variant): the set variant lists each
     distinct eigenvalue once; the multiset variant sums multiplicities
     across vertices, totalling 2^(n+1) * d.  Only the values are kept, so
-    each sum is split at the angle ``_PENCIL_ALPHA`` of the eigenvalues-only
-    solves, where a conjugate pair needs no rotation pass.
+    each sum is split at the angle of the eigenvalues-only solves, where a
+    conjugate pair needs no rotation pass (``_eigen.unitary_eig``).
     """
     raw = np.concatenate([
-        _coin_sum_solve(cs, sigma, cluster_tol, _PENCIL_ALPHA)[0]
+        unitary_eig(
+            algebraic_sum(cs, sigma), cluster_tol, False, f"the coin sum at vertex {sigma}"
+        )[0]
         for sigma in range(dimension(cs.n))
     ])
     multiset = _make_report(
@@ -417,7 +401,7 @@ def verify_approximate_spectrum_theorem(
     for sigma in range(dimension(cs.n)):
         lam, vecs = coin_sum_eigensystem(cs, sigma, tol)
         # column i: the eigenbasis vector times coin eigenvector i
-        lifted = np.kron(basis[:, sigma, None], vecs)
+        lifted = _lift(basis[:, sigma, None], vecs[None])
         defects = op.apply(lifted) - lifted * lam
         # np.maximum, unlike max, keeps a NaN residual
         max_witness = float(

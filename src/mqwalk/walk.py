@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import max_abs, vector_norm
+from ._linalg import CapacityError, max_abs, vector_norm
 from .coin import DEFAULT_COIN_TOL, CoinSystem, algebraic_sum
 from .fock import _check_subset, dimension
 from .magnetic import (
@@ -71,10 +71,6 @@ _RANK_TOL = 1e-13
 # between a step's calls and compete with the caller for a core, so a
 # step's time would depend on whether the host has a core to spare.
 _GEMM_MACS = 65536
-
-
-class CapacityError(RuntimeError):
-    """Raised when a dense materialization would exceed the size guard."""
 
 
 class WalkOperator:
@@ -335,7 +331,20 @@ def magnetic_eigenstate(nu: MagneticPotential, sigma: int, u: np.ndarray) -> Wal
     if not abs(norm - 1.0) <= STATE_NORM_TOL:  # also rejects a NaN norm
         raise ValueError(f"coin vector must be unit norm, got {norm}")
     zhat = magnetic_basis_vector(sigma, nu)
-    return WalkState(np.kron(zhat, u), 0, u.size)
+    return WalkState(_lift(zhat[:, None], u[None, :, None])[:, 0], 0, u.size)
+
+
+def _lift(fibers: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The lifts b_t (x) X_t of ``fibers`` (N, k), column t the position
+    vector b_t, and ``blocks`` (k, d, c), side by side in the walk's
+    position-major layout: the (N d, k c) array whose column (t, a) is
+    b_t (x) X_t[:, a], entry (sigma d + x, t c + a) = b_t[sigma] X_t[x, a].
+
+    Each entry is one product, as in ``np.kron``.
+    """
+    count, d, width = blocks.shape
+    lifted = fibers[:, None, :, None] * blocks.transpose(1, 0, 2)
+    return lifted.reshape(fibers.shape[0] * d, count * width)
 
 
 @dataclass(frozen=True)
@@ -371,7 +380,7 @@ def intertwining_check(op: WalkOperator) -> IntertwiningReport:
     """Verify that the walk acts as U_tau on each eigenbasis fiber.
 
     One pass over chunks of vertices tau.  For each tau the lift X = b_tau
-    (x) I_d and E = b_tau (x) U_tau are formed by broadcasting, and the
+    (x) I_d and E = b_tau (x) U_tau are formed by ``_lift``, and the
     chunk's lifts side by side take one ``apply`` and one CSR product.  The
     kernel's defect W X - E gives the vector residual; the CSR matrix's
     defect rotated by (B* (x) I) is column block tau of (B* (x) I) W (B (x)
@@ -395,19 +404,18 @@ def intertwining_check(op: WalkOperator) -> IntertwiningReport:
     for lo in range(0, dim_fock, width):
         taus = np.arange(lo, min(lo + width, dim_fock))
         count = taus.size
-        # axes (sigma, coin row, tau, coin column): column (tau, a) holds the
-        # eigenbasis vector of tau times coin axis a, and its expected image
-        # through the signed coin sum of tau
-        fibers = _basis_columns(op.nu, taus)[:, None, :, None]
-        lift = (fibers * eye[:, None, :]).reshape(op.dim, count * d)
+        # column (tau, a) holds the eigenbasis vector of tau times coin axis
+        # a, and its expected image through the signed coin sum of tau
+        fibers = _basis_columns(op.nu, taus)
+        lift = _lift(fibers, np.broadcast_to(eye, (count, d, d)))
         image = op.apply(lift)
         defect = mat @ lift
         # each array is dropped once used, so that the arrays of apply set
         # the peak
         del lift
-        expected = fibers * np.stack([algebraic_sum(op.cs, int(tau)) for tau in taus], axis=1)
-        image -= expected.reshape(image.shape)
-        defect -= expected.reshape(defect.shape)
+        expected = _lift(fibers, np.stack([algebraic_sum(op.cs, int(tau)) for tau in taus]))
+        image -= expected
+        defect -= expected
         del expected
         # np.maximum, unlike max, keeps a NaN residual
         vec_residual = np.maximum(vec_residual, np.linalg.norm(image, axis=0).max())

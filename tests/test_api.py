@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from mqwalk import cli
+import mqwalk
+from mqwalk import _linalg, cli, walk
 
 MODULES = [
     "mqwalk",
@@ -54,6 +55,62 @@ NUMERICS_OUTSIDE_CLI = [
     "magnetic_basis_vector",
     "xi_hat_vacuum_columns",
 ]
+
+
+# the mqwalk modules each module of the package may import: the solver,
+# _eigen, is a leaf on _linalg, and no module imports one above it
+LAYERS = {
+    "_linalg": set(),
+    "_eigen": {"_linalg"},
+    "fock": {"_linalg"},
+    "coin": {"_linalg", "fock"},
+    "magnetic": {"_linalg", "fock"},
+    "walk": {"_linalg", "coin", "fock", "magnetic"},
+    "spectra": {"_eigen", "_linalg", "coin", "fock", "magnetic", "walk"},
+    "cli": {"coin", "fock", "magnetic", "spectra", "walk"},
+    "__init__": {"coin", "fock", "magnetic", "spectra", "walk"},
+}
+
+
+def package_imports(stem):
+    """(module, names) of each import of an mqwalk module in ``stem``.py,
+    the module named relative to the package."""
+    path = Path(cli.__file__).parent / f"{stem}.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(alias.name.removeprefix("mqwalk."), []) for alias in node.names
+                      if alias.name.startswith("mqwalk.")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "mqwalk":
+                    continue
+                module = module.removeprefix("mqwalk").removeprefix(".")
+            names = [alias.name for alias in node.names]
+            # "from . import walk" imports the module walk
+            found += [(module, names)] if module else [(name, []) for name in names]
+    return found
+
+
+def test_every_module_has_its_layers():
+    package = Path(cli.__file__).parent
+    assert sorted(path.stem for path in package.glob("*.py")) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("stem", sorted(LAYERS))
+def test_module_imports_only_its_layers(stem):
+    assert {module for module, _ in package_imports(stem)} <= LAYERS[stem]
+
+
+def test_spectra_imports_nothing_private_from_the_solver():
+    names = [name for module, names in package_imports("spectra") if module == "_eigen"
+             for name in names]
+    assert names and [name for name in names if name.startswith("_")] == []
+
+
+def test_capacity_error_is_one_class():
+    assert walk.CapacityError is _linalg.CapacityError is mqwalk.CapacityError
 
 
 def test_cli_imports_nothing_private():

@@ -393,20 +393,37 @@ class TestSpectrumTask:
         assert "internal numerical failure" in err and "converge" in err
 
 
+def fail_at_coin_side(monkeypatch):
+    """Make every ``scipy.linalg.eigh`` call on a 3 x 3 matrix, a coin sum
+    of the Grover coin at n = 2, fail to converge; the others run."""
+    eigh = _eigen.sla.eigh
+
+    def no_convergence_at_3(a, *args, **kwargs):
+        if a.shape == (3, 3):
+            raise np.linalg.LinAlgError("the algorithm failed to converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(_eigen.sla, "eigh", no_convergence_at_3)
+
+
 class TestVerifyTasks:
     def test_coin_sum_lapack_failure_is_not_input_error(self, monkeypatch, capsys):
-        # the walk's own solve (side 24) runs; the 3 x 3 coin sums fail
-        eigh = _eigen.sla.eigh
-
-        def no_convergence_at_3(a, *args, **kwargs):
-            if a.shape == (3, 3):
-                raise np.linalg.LinAlgError("the algorithm failed to converge")
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(_eigen.sla, "eigh", no_convergence_at_3)
+        # the walk's own solve (side 24) runs; the 3 x 3 coin sums fail,
+        # the union's first
+        fail_at_coin_side(monkeypatch)
         assert run_cli("--task", "verify-point", "--n", "2", "--coin", "grover") == 3
         err = capsys.readouterr().err
         assert "internal numerical failure" in err and "converge" in err
+        assert "coin sum at vertex 0:" in err
+
+    def test_eigenstate_lapack_failure_is_not_input_error(self, monkeypatch, capsys):
+        # the eigen: initial state solves the coin sum of its vertex
+        fail_at_coin_side(monkeypatch)
+        assert run_cli("--task", "simulate", "--n", "2", "--coin", "grover",
+                       "--initial", "eigen:5:1") == 3
+        err = capsys.readouterr().err
+        assert "internal numerical failure" in err and "converge" in err
+        assert "coin sum at vertex 5:" in err
 
     def test_no_walk_side_eigh_on_a_degenerate_walk(self, monkeypatch, tmp_path):
         # Grover at n=6, side 896: every walk spectrum takes the

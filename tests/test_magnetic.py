@@ -140,7 +140,30 @@ class TestFullPotentialTable:
         assert table.lookup(0, 1) == 0.1
 
 
+def index_shift(n, j, nu):
+    """The shift from index arithmetic: column sigma holds exp(i nu_j) when
+    j is in sigma, else exp(-i nu_j), at row sigma xor 2^j."""
+    dim = 2 ** (n + 1)
+    cols = np.arange(dim)
+    rows = cols ^ (1 << j)
+    occupied = ((cols >> j) & 1).astype(bool)
+    phase = nu.phases[j]
+    data = np.where(occupied, np.exp(1j * phase), np.exp(-1j * phase))
+    return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+
+
 class TestMagneticShift:
+    @pytest.mark.parametrize("n", range(9))
+    def test_ladder_form_matches_the_index_construction(self, n):
+        # Xi_j = exp(-i nu_j) a*_j + exp(i nu_j) a_j, entry for entry; the
+        # sign of a zero imaginary part may differ at nu_j = 0
+        for nu in (magnetic.null_potential(n),
+                   magnetic.random_potential(n, np.random.default_rng(420 + n))):
+            for j in range(n + 1):
+                shift = magnetic.magnetic_shift(n, j, nu)
+                assert shift.nnz == 2 ** (n + 1)
+                assert np.array_equal(shift.toarray(), index_shift(n, j, nu).toarray())
+
     def test_n0_matrix(self):
         nu = magnetic.MagneticPotential(np.array([1.1]))
         mat = magnetic.magnetic_shift(0, 0, nu).toarray()

@@ -272,9 +272,9 @@ def spy_probe(monkeypatch):
     shapes = []
     probe = _eigen._krylov_saturation
 
-    def spy(a, max_steps):
+    def spy(a, tol):
         shapes.append(a.shape)
-        return probe(a, max_steps)
+        return probe(a, tol)
 
     monkeypatch.setattr(_eigen, "_krylov_saturation", spy)
     return shapes
@@ -416,7 +416,7 @@ class TestKrylovRouting:
     def test_saturation_detects_few_distinct_values(self):
         phases = [0.1, 0.9, -2.0, 2.4]
         mat = clustered_unitary(96, phases, 30)
-        ritz, ritz_vecs = _eigen._krylov_saturation(mat, 64)
+        ritz, ritz_vecs = _eigen._krylov_saturation(mat, 1e-8)
         # the Ritz values are the four distinct values, and the Ritz vectors
         # unit eigenvectors of them
         assert ritz.shape == (4,) and ritz_vecs.shape == (96, 4)
@@ -424,10 +424,17 @@ class TestKrylovRouting:
         assert np.abs(np.linalg.norm(ritz_vecs, axis=0) - 1).max() <= 1e-14
         assert np.linalg.norm(mat @ ritz_vecs - ritz_vecs * ritz, axis=0).max() <= 1e-9
 
+    def test_saturation_closes_at_its_tol(self):
+        # the fourth step's orthogonalized vector is round-off, about 1e-15
+        # on a unit start: it closes the space at 1e-14, not at 1e-16
+        mat = clustered_unitary(96, [0.1, 0.9, -2.0, 2.4], 30)
+        assert _eigen._krylov_saturation(mat, 1e-14)[0].shape == (4,)
+        assert _eigen._krylov_saturation(mat, 1e-16) is None
+
     def test_generic_spectrum_does_not_saturate(self):
         rng = np.random.default_rng(31)
         mat = haar_unitary(96, rng)
-        ritz = _eigen._krylov_saturation(mat, 64)
+        ritz = _eigen._krylov_saturation(mat, 1e-8)
         assert ritz is None
 
 
@@ -435,8 +442,8 @@ def drop_a_ritz_pair(monkeypatch):
     """Make the probe lose its first Ritz value and vector."""
     probe = _eigen._krylov_saturation
 
-    def dropped(a, max_steps):
-        ritz, ritz_vecs = probe(a, max_steps)
+    def dropped(a, tol):
+        ritz, ritz_vecs = probe(a, tol)
         return ritz[1:], ritz_vecs[:, 1:]
 
     monkeypatch.setattr(_eigen, "_krylov_saturation", dropped)
@@ -506,6 +513,29 @@ class TestMomentsRoute:
         assert np.abs(values + values[partner]).max() <= 1e-12
         assert (mults[partner] == mults).all()
 
+    @pytest.mark.parametrize("case", ["grover4", "grover5", "grover6", "grover7"])
+    def test_probe_closes_at_the_callers_tol(self, monkeypatch, case):
+        # the probe closes at unitary_tol: at 1e-10 the Grover walks still
+        # take the moments, with the same clusters as at the default
+        mat = MOMENT_CASES[case]()
+        reference = spectra.unitary_eigenvalues(mat)
+        closes = []
+        probe = _eigen._krylov_saturation
+
+        def spy(a, tol):
+            found = probe(a, tol)
+            closes.append((tol, found is not None))
+            return found
+
+        monkeypatch.setattr(_eigen, "_krylov_saturation", spy)
+        moments = spy_moments(monkeypatch)
+        drivers = spy_drivers(monkeypatch)
+        report = spectra.unitary_eigenvalues(mat, unitary_tol=1e-10)
+        assert closes == [(1e-10, True)]
+        assert moments == [(half(mat.shape), True)] and drivers == []
+        assert report.multiplicities == reference.multiplicities
+        assert np.abs(report.values - reference.values).max() <= 1e-12
+
     def test_trace_powers(self, monkeypatch):
         # any two square factors: X = Y = A gives tr A^2p
         mat = MOMENT_CASES["grover-blocks"]()
@@ -566,8 +596,8 @@ class TestMomentsRoute:
         else:
             probe = _eigen._krylov_saturation
 
-            def moved(a, max_steps):
-                ritz, ritz_vecs = probe(a, max_steps)
+            def moved(a, tol):
+                ritz, ritz_vecs = probe(a, tol)
                 ritz[0] *= np.exp(1e-6j)
                 return ritz, ritz_vecs
 
@@ -582,7 +612,7 @@ class TestMomentsRoute:
     def test_gates_follow_tol(self):
         # Ritz residuals of round-off pass a gate of 1e-8, not one of zero
         blocks = _eigen._two_cyclic_blocks(MOMENT_CASES["grover4"]())
-        ritz, ritz_vecs = _eigen._krylov_saturation(blocks[0] @ blocks[1], 64)
+        ritz, ritz_vecs = _eigen._krylov_saturation(blocks[0] @ blocks[1], 1e-8)
         assert _eigen._eigvals_from_moments(*blocks, ritz, ritz_vecs, 1e-8).size == 80
         assert _eigen._eigvals_from_moments(*blocks, ritz, ritz_vecs, 0.0) is None
 
@@ -1348,6 +1378,40 @@ class TestWalkPointSpectrum:
             check(cs)
 
 
+class TestUnitaryEig:
+    """The one entry into the split path: it picks the angle and the
+    pure-column threshold, and names its input in a LAPACK failure."""
+
+    @pytest.mark.parametrize("vectors, angle", [
+        (False, _eigen._PENCIL_ALPHA), (True, 0.0),
+    ], ids=["values", "vectors"])
+    @pytest.mark.parametrize("gate", [1e-8, 1e-12])
+    def test_bytes_of_the_split_at_its_angle(self, vectors, angle, gate):
+        mats = [
+            coin.algebraic_sum(coin.grover_coin_system(4), 9),
+            coin.algebraic_sum(coin.random_coin_system(3, 6, seed=91), 5),
+            clustered_unitary(48, [0.5, -0.5, 2.0], 92),
+            walk_forms(coin.grover_coin_system(3), 93)[0],
+        ]
+        for mat in mats:
+            lam, vecs, residual = _eigen.unitary_eig(mat, gate, vectors, "a test input")
+            want = _eigen._eig_unitary(mat, _eigen._pure_column_tol(gate), angle)
+            assert lam.tobytes() == want[0].tobytes()
+            assert vecs.tobytes() == want[1].tobytes()
+            assert residual == want[2]
+
+    def test_lapack_failure_names_the_input(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+        monkeypatch.setattr(_eigen.sla, "eigh", no_convergence)
+        with pytest.raises(
+            spectra.EigensolverError, match="failed on a test input: the algorithm failed"
+        ) as info:
+            _eigen.unitary_eig(np.eye(3, dtype=complex), 1e-8, False, "a test input")
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 class TestCoinSumEigensystem:
     @pytest.mark.parametrize("cs", [
         coin.hadamard_partition_coin_system(),
@@ -1382,7 +1446,7 @@ class TestCoinSumEigensystem:
             raise np.linalg.LinAlgError("the algorithm failed to converge")
 
         monkeypatch.setattr(_eigen.sla, "eigh", no_convergence)
-        with pytest.raises(spectra.EigensolverError, match="converge") as info:
+        with pytest.raises(spectra.EigensolverError, match="vertex 3.*converge") as info:
             spectra.coin_sum_eigensystem(coin.grover_coin_system(2), 3)
         assert not isinstance(info.value, ValueError)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

@@ -447,6 +447,57 @@ class TestPositionDistribution:
                 assert fock.is_adjacent(sigma, int(tau))
 
 
+def complex_with_signed_zeros(shape, rng):
+    """A random complex array with some parts -0.0 and +0.0, whose signs a
+    product carries into its result."""
+    out = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    flat = out.reshape(-1)
+    flat[::3] = complex(-0.0, 0.0)
+    flat[1::5] = complex(0.0, -0.0)
+    return out
+
+
+class TestLift:
+    """``walk._lift`` forms b (x) X in the position-major layout, with the
+    bytes of the forms it replaced."""
+
+    @pytest.mark.parametrize("n, d", [(0, 1), (1, 3), (3, 5)])
+    def test_matches_kron_on_the_witness_and_eigenstate_shapes(self, n, d):
+        rng = np.random.default_rng(400 + n)
+        nu = magnetic.random_potential(n, rng)
+        basis = magnetic.magnetic_basis_change(nu)
+        vecs = complex_with_signed_zeros((d, d), rng)
+        u = complex_with_signed_zeros((d,), rng)
+        for sigma in range(2 ** (n + 1)):
+            fiber = basis[:, sigma, None]
+            witness = walk._lift(fiber, vecs[None])
+            assert witness.shape == (basis.shape[0] * d, d)
+            assert witness.tobytes() == np.kron(fiber, vecs).tobytes()
+            state = walk._lift(fiber, u[None, :, None])[:, 0]
+            assert state.tobytes() == np.kron(basis[:, sigma], u).tobytes()
+        unit = rng.normal(size=d) + 1j * rng.normal(size=d)
+        unit /= np.linalg.norm(unit)
+        vector = walk.magnetic_eigenstate(nu, 2 ** (n + 1) - 1, unit).vector
+        assert vector.tobytes() == np.kron(basis[:, -1], unit).tobytes()
+
+    @pytest.mark.parametrize("n, d, taus", [(2, 3, [0, 1, 2]), (3, 4, [5, 6]), (4, 5, [31])])
+    def test_matches_the_intertwining_broadcast(self, n, d, taus):
+        # the broadcast over axes (sigma, coin row, tau, coin column) that
+        # the intertwining check formed its lifts by
+        rng = np.random.default_rng(410 + n)
+        nu = magnetic.random_potential(n, rng)
+        taus = np.array(taus)
+        fibers = magnetic._basis_columns(nu, taus)
+        eye = np.eye(d, dtype=complex)
+        sums = complex_with_signed_zeros((taus.size, d, d), rng)
+        shape = (fibers.shape[0] * d, taus.size * d)
+        want_lift = (fibers[:, None, :, None] * eye[:, None, :]).reshape(shape)
+        want_image = (fibers[:, None, :, None] * np.stack(list(sums), axis=1)).reshape(shape)
+        got_lift = walk._lift(fibers, np.broadcast_to(eye, (taus.size, d, d)))
+        assert got_lift.tobytes() == want_lift.tobytes()
+        assert walk._lift(fibers, sums).tobytes() == want_image.tobytes()
+
+
 def per_vertex_intertwining(op):
     """The intertwining residuals one vertex at a time, with np.kron lifts and
     the dense basis change: the reference for the chunked check."""
