@@ -9,11 +9,12 @@ pass.  Each route is a solve of the matrix as given, blind to any structure
 it has but its zero pattern, and each is tried at most once.
 
 Routes.  Above side ``_SATURATION_STEPS`` a matrix whose zero pattern is
-2-cyclic (every walk) is solved through its square M = A_PQ A_QP of side m
-= side / 2: the probe, the trace moments and the pencil all run on M, and
-each gate below is M's own, with M's side m.  Every other matrix, and every
-matrix at or below that side, takes the split path, the structure-blind
-oracle.
+2-cyclic (every walk) is solved on its square M = A_PQ A_QP of side m =
+side / 2 alone (``_square_eigvals``): the probe and the trace moments, then
+one pencil, then the split path, each run on M at most once, and each gate
+below is M's own, with M's side m.  Every other matrix, and every matrix at
+or below that side, takes the split path at its own side
+(``_split_eigvals``), the structure-blind oracle.
 
 2-cyclic square (``_two_cyclic_blocks``; Varga, Matrix Iterative Analysis,
 1962).  Every walk's nonzero pattern is 2-cyclic: each shift flips one bit
@@ -80,8 +81,10 @@ A miss of the certificate goes to the pencil of M.
 
 Cayley pencil (``_eigvals_from_pencil``; Bunse-Gerstner and Elsner, LAA
 1991).  It answers when the probe does not close or the certificate
-misses, and runs on M, written A below.  For a unitary B = e^{-i alpha} A,
-take S = i(B* - B) and H' = 2I + B + B*, both Hermitian.  B is normal, so
+misses, and runs on M, written A below, once, at alpha =
+``_PENCIL_ALPHA``.  A miss of its gates, or a Cholesky failure of H' (a
+value on the seam), goes to the split path of M.  For a unitary B = e^{-i
+alpha} A, take S = i(B* - B) and H' = 2I + B + B*, both Hermitian.  B is normal, so
 an eigenvector v of B with B v = e^{i phi} v, phi in (-pi, pi], has B* v =
 e^{-i phi} v, and
 
@@ -116,7 +119,9 @@ the seam sits in a numerically singular H', and its t comes out far too
 small, so it passes the first gate with an error of up to 2 / |t| (at side
 1024, a phase 1e-11 from the seam gave |t| = 4e5 and an error of 5e-6).
 Such a value moves the sums by its whole error, far above e, and a value
-missing or counted twice moves them by the order of 1.
+missing or counted twice moves them by the order of 1.  So an input whose
+own unitarity residual is above about 1e-12, though within the pre-check,
+can miss the trace gates; the split path of M then answers.
 
 Splitting (``_eig_unitary``).  For an angle alpha, e^{-i alpha} A = H + iS
 with H = (B + B*)/2 and S = (B - B*)/2i of B = e^{-i alpha} A: a Hermitian
@@ -140,15 +145,15 @@ above one can get another orthonormal basis at another angle, which would
 change those reports.
 
 One entry (``unitary_eig``).  Every split-path solve goes through
-``unitary_eig(a, gate, vectors, what)``: the split of ``unitary_eigvals``,
-and the coin-sum eigensystem and union spectrum of ``spectra``.  It alone
-picks the angle, alpha = ``_PENCIL_ALPHA`` when only the values are used
-and 0 when the eigenvectors are, and the pure-column threshold min(1e-9,
-gate / 10), kept an order below the caller's residual gate; and it alone
-turns a LAPACK failure into ``EigensolverError``, naming ``what`` (the
-input, or the vertex of a coin sum).  It runs no unitarity pre-check: the
-coin sums come from a validated coin system, and ``unitary_eigvals`` has
-run its own.
+``unitary_eig(a, gate, vectors, what)``: the split of ``unitary_eigvals``
+(of the input, or of M), and the coin-sum eigensystem and union spectrum
+of ``spectra``.  It alone picks the angle, alpha = ``_PENCIL_ALPHA`` when
+only the values are used and 0 when the eigenvectors are, and the
+pure-column threshold min(1e-9, gate / 10), kept an order below the
+caller's residual gate; and it alone turns a LAPACK failure of a split
+into ``EigensolverError``, naming ``what`` (the input, or the vertex of a
+coin sum).  It runs no unitarity pre-check: the coin sums come from a
+validated coin system, and ``unitary_eigvals`` has run its own.
 """
 
 from __future__ import annotations
@@ -188,9 +193,9 @@ _PENCIL_ALPHA = 1.0
 _PENCIL_CONDITION = 64
 
 # Side x side complex arrays held by a dense step: the pencil holds S and
-# H' (of M's side, side / 2), the split path H, then the eigenvectors and
-# their images.  The trace-moment route holds none, so an input is checked
-# only once it reaches a dense step.
+# H', the split path H, then the eigenvectors and their images, both of M's
+# side, side / 2, for a 2-cyclic input.  The trace-moment route holds none,
+# so an input is checked only once it reaches a dense step.
 _DENSE_ARRAYS = 2
 
 # Consecutive real-part gap below which eigh output is treated as one
@@ -218,32 +223,26 @@ def unitary_eigvals(a, unitary_tol: float) -> np.ndarray:
     """Eigenvalues of a unitary ``a``, an ndarray or a scipy sparse matrix,
     each repeated by its multiplicity.
 
-    The route order and the errors are those of
+    Above side ``_SATURATION_STEPS`` a 2-cyclic ``a`` is solved on its
+    square M alone (``_square_eigvals``), each value mu of M giving
+    +-sqrt(mu); every other ``a`` is split at its own side
+    (``_split_eigvals``).  The errors are those of
     ``spectra.unitary_eigenvalues``.
     """
     # the product residual also rejects a non-square shape
     a = require_unitary(a, unitary_tol, what="input")
-    side = a.shape[0]
-    what = "a unitary input"
-    failure = f"eigensolver failed on {what}"
+    blocks = _two_cyclic_blocks(a) if a.shape[0] > _SATURATION_STEPS else None
     try:
-        lam = _routed_eigvals(a, unitary_tol) if side > _SATURATION_STEPS else None
+        if blocks is None:
+            lam = _split_eigvals(a, unitary_tol)
+        else:
+            root = np.sqrt(_square_eigvals(blocks, unitary_tol))
+            lam = np.concatenate((root, -root))
     except np.linalg.LinAlgError as exc:  # a ValueError, but not invalid input
-        raise EigensolverError(f"{failure}: {exc}") from exc
-    if lam is None:
-        _require_capacity(side)
-        # the split path skips LAPACK's finiteness check: the pre-check has
-        # already rejected non-finite input
-        lam, _, residual = unitary_eig(a, unitary_tol, False, what)
-        if not residual <= unitary_tol:
-            raise EigensolverError(
-                f"{failure}: eigen-residual {residual:.3e} exceeds {unitary_tol:.1e}"
-            )
+        raise _failure(exc) from exc
     off_circle = max_abs(np.abs(lam) - 1.0)
     if not off_circle <= unitary_tol:
-        raise EigensolverError(
-            f"{failure}: unit-circle defect {off_circle:.3e} exceeds {unitary_tol:.1e}"
-        )
+        raise _failure(f"unit-circle defect {off_circle:.3e} exceeds {unitary_tol:.1e}")
     return lam
 
 
@@ -259,33 +258,45 @@ def unitary_eig(a, gate: float, vectors: bool, what: str) -> tuple[np.ndarray, n
     try:
         return _eig_unitary(a, _pure_column_tol(gate), 0.0 if vectors else _PENCIL_ALPHA)
     except np.linalg.LinAlgError as exc:  # a ValueError, but not invalid input
-        raise EigensolverError(f"eigensolver failed on {what}: {exc}") from exc
+        raise _failure(exc, what) from exc
 
 
-def _routed_eigvals(a, unitary_tol: float) -> np.ndarray | None:
-    """Eigenvalues of a unitary ``a`` from the trace moments or the pencil of
-    its 2-cyclic square M (see the module docstring), or None when its
-    pattern is not 2-cyclic or both miss.
+def _failure(detail, what: str = "a unitary input") -> EigensolverError:
+    """The ``EigensolverError`` for a failure ``detail`` on ``what``."""
+    return EigensolverError(f"eigensolver failed on {what}: {detail}")
 
-    The blocks and M are local, so none is held through the split path that
-    follows a miss.
+
+def _split_eigvals(a, tol: float) -> np.ndarray:
+    """Eigenvalues of a unitary ``a`` by the split path at its own side:
+    ``CapacityError`` before the dense step, then ``unitary_eig``, whose
+    eigen-residual must be within ``tol``."""
+    _require_capacity(a.shape[0])
+    # the split path skips LAPACK's finiteness check: the pre-check has
+    # already rejected non-finite input
+    lam, _, residual = unitary_eig(a, tol, False, "a unitary input")
+    if not residual <= tol:
+        raise _failure(f"eigen-residual {residual:.3e} exceeds {tol:.1e}")
+    return lam
+
+
+def _square_eigvals(blocks: list, tol: float) -> np.ndarray:
+    """Eigenvalues of the unitary M = XY of the 2-cyclic blocks ``blocks`` =
+    [X, Y] (see the module docstring).  Each route runs on M at most once,
+    in this order: the probe and the trace moments, one pencil, and the
+    split path.
+
+    ``blocks`` is emptied first, so that neither block is held through the
+    pencil or the split path.
     """
-    blocks = _two_cyclic_blocks(a)
-    if blocks is None:
-        return None
-    square = blocks[0] @ blocks[1]
-    lam = probe = None
-    if square.shape[0] > _SATURATION_STEPS:
-        probe = _krylov_saturation(square, unitary_tol)
-    if probe is not None:
-        lam = _eigvals_from_moments(*blocks, *probe, unitary_tol)
+    x, y = blocks
+    blocks.clear()
+    square = x @ y
+    probe = _krylov_saturation(square, tol) if square.shape[0] > _SATURATION_STEPS else None
+    lam = None if probe is None else _eigvals_from_moments(x, y, *probe, tol)
+    x = y = probe = None  # the dense steps hold only M
     if lam is None:
-        blocks = probe = None  # the pencil holds only M
-        lam = _eigvals_from_pencil(square, unitary_tol)
-    if lam is None:
-        return None
-    root = np.sqrt(lam)
-    return np.concatenate((root, -root))
+        lam = _eigvals_from_pencil(square, tol)
+    return _split_eigvals(square, tol) if lam is None else lam
 
 
 def _pure_column_tol(gate: float) -> float:
@@ -542,38 +553,28 @@ def _traces(a: sp.csr_matrix) -> tuple[complex, complex]:
 
 def _eigvals_from_pencil(a, unitary_tol: float) -> np.ndarray | None:
     """Eigenvalues of a sparse unitary ``a`` (a walk's M) from one
-    eigenvalues-only solve of its Cayley pencil, or None when the gates of
-    the module docstring miss.
+    eigenvalues-only solve of its Cayley pencil at ``_PENCIL_ALPHA``, or
+    None when the Cholesky factor of H' fails (a value on the seam) or the
+    gates of the module docstring miss.
 
     S = (-iB) + (-iB)* and H' - 2I = B + B* are both ``_hermitian_sum`` of
     ``a``, so the working set is two side x side arrays (``_DENSE_ARRAYS``),
     and ``CapacityError`` is raised first when they exceed the available
-    memory.  On a miss the solve is retried once, with the seam in the middle of the
-    widest gap between the first answer's angles; on a Cholesky failure (a
-    value on the seam), with alpha + pi, which puts that value at t = 0.  A
-    second miss returns None.
+    memory.
     """
     _require_capacity(a.shape[0])
     trace, trace_sq = _traces(a)
-    alpha = _PENCIL_ALPHA
-    for retry in (False, True):
-        try:
-            tans = _pencil_tangents(a, alpha)
-        except np.linalg.LinAlgError:  # H' not positive definite, or no convergence
-            alpha += np.pi
-            continue
-        lam = np.exp(1j * alpha) * (1 + 1j * tans) / (1 - 1j * tans)
-        # each value's error bound; written so that a NaN fails
-        bounds = _PENCIL_CONDITION * np.finfo(float).eps * (1 + np.abs(tans))
-        if (bounds.max() <= unitary_tol
-                and abs(lam.sum() - trace) <= bounds.sum()
-                and abs((lam * lam).sum() - trace_sq) <= 2 * bounds.sum()):
-            return lam
-        if not retry:
-            angles = np.sort(np.angle(lam))
-            gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-            widest = int(np.argmax(gaps))
-            alpha = angles[widest] + gaps[widest] / 2 - np.pi
+    try:
+        tans = _pencil_tangents(a, _PENCIL_ALPHA)
+    except np.linalg.LinAlgError:  # H' not positive definite, or no convergence
+        return None
+    lam = np.exp(1j * _PENCIL_ALPHA) * (1 + 1j * tans) / (1 - 1j * tans)
+    # each value's error bound; written so that a NaN fails
+    bounds = _PENCIL_CONDITION * np.finfo(float).eps * (1 + np.abs(tans))
+    if (bounds.max() <= unitary_tol
+            and abs(lam.sum() - trace) <= bounds.sum()
+            and abs((lam * lam).sum() - trace_sq) <= 2 * bounds.sum()):
+        return lam
     return None
 
 
@@ -647,11 +648,11 @@ def _two_colouring(entries: sp.csr_matrix) -> np.ndarray | None:
     return colour.astype(bool)
 
 
-def _two_cyclic_blocks(a) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
-    """The sparse blocks X = A_PQ and Y = A_QP of side / 2 of ``a``, whose
-    product M = XY the probe, the moments and the pencil run on (see the
-    module docstring), or None when the nonzero pattern of ``a`` is not
-    2-cyclic with colour classes P and Q of equal size.
+def _two_cyclic_blocks(a) -> list[sp.csr_matrix] | None:
+    """The sparse blocks [X, Y] = [A_PQ, A_QP] of side / 2 of ``a``, whose
+    product M = XY every route runs on (see the module docstring), or None
+    when the nonzero pattern of ``a`` is not 2-cyclic with colour classes P
+    and Q of equal size.
 
     A nonzero diagonal entry is a cycle of length one, so it is read first,
     before any pass over the whole input; a side x side ndarray is then
@@ -665,7 +666,7 @@ def _two_cyclic_blocks(a) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
     if colour is None or 2 * colour.sum() != side:
         return None
     p, q = np.flatnonzero(~colour), np.flatnonzero(colour)
-    return entries[p][:, q], entries[q][:, p]
+    return [entries[p][:, q], entries[q][:, p]]
 
 
 def _available_memory() -> float:

@@ -7,10 +7,12 @@ products of those entries.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["BLOCK", "CapacityError", "as_complex", "max_abs", "vector_norm",
+__all__ = ["BLOCK", "CapacityError", "as_complex", "max_abs", "vector_norm", "worst",
            "unitarity_residual", "require_unitary"]
 
 # Rows or columns per block wherever an ndarray's products or defects are
@@ -49,6 +51,20 @@ def vector_norm(vec: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i", flat, flat)))
 
 
+def worst(values) -> float:
+    """The largest of an iterable of floats, 0.0 if there are none, and NaN
+    if any is NaN, so that a NaN residual fails every gate; the builtin
+    ``max`` keeps or drops a NaN by its place.  The values are drawn one at
+    a time, so a generator holds one residual's arrays at a time."""
+    top = None
+    for value in map(float, values):
+        if math.isnan(value):
+            return value
+        if top is None or value > top:
+            top = value
+    return 0.0 if top is None else top
+
+
 def unitarity_residual(a) -> float:
     """max(|A*A - I|, |AA* - I|) entrywise, for an ndarray or a sparse matrix.
 
@@ -61,19 +77,20 @@ def unitarity_residual(a) -> float:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     side = a.shape[0]
-    # np.maximum, unlike max, keeps a NaN from either side
     if sp.issparse(a):
         eye = sp.identity(side, dtype=complex, format="csr")
         adj = a.conj().T
-        return float(np.maximum(max_abs(adj @ a - eye), max_abs(a @ adj - eye)))
-    res = 0.0
-    for lo in range(0, side, BLOCK):
-        rows = slice(lo, lo + BLOCK)
-        for gram in (a[:, rows].conj().T @ a, a[rows].conj() @ a.T):
-            k = gram.shape[0]
-            gram[np.arange(k), lo + np.arange(k)] -= 1
-            res = np.maximum(res, max_abs(gram))
-    return float(res)
+        return worst(max_abs(x @ y - eye) for x, y in ((adj, a), (a, adj)))
+
+    def defects():
+        for lo in range(0, side, BLOCK):
+            rows = slice(lo, lo + BLOCK)
+            for gram in (a[:, rows].conj().T @ a, a[rows].conj() @ a.T):
+                k = gram.shape[0]
+                gram[np.arange(k), lo + np.arange(k)] -= 1
+                yield max_abs(gram)
+
+    return worst(defects())
 
 
 def require_unitary(a, tol: float, what: str = "matrix"):

@@ -13,6 +13,7 @@ are unitary for every subset sigma and carry the walk's entire spectrum.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import max_abs, require_unitary, unitarity_residual
+from ._linalg import max_abs, require_unitary, unitarity_residual, worst
 from .fock import dimension, membership_signs
 
 __all__ = [
@@ -126,8 +127,7 @@ class CoinValidationReport:
 
     @property
     def max_residual(self) -> float:
-        # np.maximum, unlike max, keeps a NaN, so a non-finite coin fails
-        return float(np.maximum(self.mutual_annihilation, self.sum_unitarity))
+        return worst((self.mutual_annihilation, self.sum_unitarity))
 
     def passed(self, tol: float = DEFAULT_COIN_TOL) -> bool:
         return self.max_residual <= tol
@@ -135,18 +135,14 @@ class CoinValidationReport:
 
 def validate_coin_system(cs: CoinSystem) -> CoinValidationReport:
     """Residuals of mutual annihilation (j != k) and unitarity of the sum."""
-    mutual = 0.0
-    for j in range(cs.n + 1):
-        for k in range(cs.n + 1):
-            if j == k:
-                continue
-            # np.maximum, unlike max, keeps a NaN residual
-            mutual = float(np.maximum(mutual, max_abs(cs.ops[j].conj().T @ cs.ops[k])))
-            mutual = float(np.maximum(mutual, max_abs(cs.ops[j] @ cs.ops[k].conj().T)))
+    pairs = list(itertools.permutations(cs.ops, 2))
     return CoinValidationReport(
         n=cs.n,
         d=cs.d,
-        mutual_annihilation=mutual,
+        mutual_annihilation=worst(itertools.chain(
+            (max_abs(x.conj().T @ y) for x, y in pairs),
+            (max_abs(x @ y.conj().T) for x, y in pairs),
+        )),
         sum_unitarity=unitarity_residual(coin_sum(cs)),
     )
 

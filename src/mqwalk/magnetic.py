@@ -28,7 +28,7 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import max_abs
+from ._linalg import max_abs, worst
 from .fock import (EXACT_TOL, _check_subset, annihilation_operator, basis_state,
                    creation_operator, dimension, membership_signs)
 
@@ -353,17 +353,12 @@ def eigenbasis_check(nu: MagneticPotential) -> EigenbasisReport:
     basis = magnetic_basis_change(nu)
     shifts = [magnetic_shift(n, j, nu) for j in range(n + 1)]
 
-    square = adjoint = eigen_rel = 0.0
-    # np.maximum, unlike max, keeps a NaN residual
-    for j, xi in enumerate(shifts):
-        square = np.maximum(square, max_abs(xi @ xi - eye))
-        adjoint = np.maximum(adjoint, max_abs(xi - xi.conj().T))
-        eigen_rel = np.maximum(eigen_rel, max_abs(xi @ basis - basis * _direction_signs(n, j)))
-
     return EigenbasisReport(
-        square_residual=float(square),
-        self_adjoint_residual=float(adjoint),
+        square_residual=worst(max_abs(xi @ xi - eye) for xi in shifts),
+        self_adjoint_residual=worst(max_abs(xi - xi.conj().T) for xi in shifts),
         gram_residual=max_abs(basis.conj().T @ basis - np.eye(dim)),
-        eigen_relation_residual=float(eigen_rel),
+        eigen_relation_residual=worst(
+            max_abs(xi @ basis - basis * _direction_signs(n, j)) for j, xi in enumerate(shifts)
+        ),
         construction_agreement=max_abs(_vacuum_columns(n, shifts) / math.sqrt(dim) - basis),
     )

@@ -18,13 +18,14 @@ assembled walk matrix, so it is an independent oracle for the coin sums.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._eigen import EigensolverError, unitary_eig, unitary_eigvals
-from ._linalg import max_abs
+from ._linalg import max_abs, worst
 from .coin import (
     DEFAULT_COIN_TOL,
     CoinSystem,
@@ -164,9 +165,9 @@ def unitary_eigenvalues(
     """Clustered spectrum of a unitary matrix, given as an ndarray or as a
     scipy sparse matrix.
 
-    Above side 64 the first two routes run on M = A_PQ A_QP, at half the
-    side, when the nonzero pattern is 2-cyclic with colour classes P and Q
-    of equal size (every walk), each value mu of M giving the two values
+    Above side 64 a matrix whose nonzero pattern is 2-cyclic with colour
+    classes P and Q of equal size (every walk) is solved on M = A_PQ A_QP
+    alone, at half the side, each value mu of M giving the two values
     +-sqrt(mu) with its multiplicity.  Three routes, each tried at most
     once, in this order (derived in the ``_eigen`` docstring); each is a
     solve of the matrix as given, blind to any structure it has but the
@@ -176,10 +177,9 @@ def unitary_eigenvalues(
       Only sparse products run, with the blocks A_QP and A_PQ in turn, and
       no side x side array is made.
     - one Cayley pencil of M, when the probe does not close, or does not
-      run (M at or below side 64), or the moment certificate misses.  It
-      retries once at another seam before it misses.
-    - Hermitian splitting: every matrix at or below side 64, every matrix
-      that is not 2-cyclic, and a miss of the pencil, at the full side.  It
+      run (M at or below side 64), or the moment certificate misses.
+    - Hermitian splitting: a miss of the pencil, on M at side / 2; and every
+      matrix at or below side 64 or not 2-cyclic, at its own side.  It
       alone gives eigenvectors.
 
     The explicit pre-check rejects non-square, non-finite or non-unitary
@@ -187,8 +187,9 @@ def unitary_eigenvalues(
     failure after it, a LAPACK non-convergence or a miss of the
     eigen-residual or unit-circle gate, raises ``EigensolverError``.
     ``CapacityError`` is raised when a dense step's two arrays exceed the
-    available memory: before the pencil, of side / 2, and before the split
-    path, of side.  So the trace-moment route is not limited by it.
+    available memory: of side / 2 for a 2-cyclic matrix, before its pencil
+    or its split, and of side for every other matrix.  So the trace-moment
+    route is not limited by it.
     """
     return _make_report(unitary_eigvals(a, unitary_tol), source, nu, cluster_tol)
 
@@ -397,16 +398,14 @@ def verify_approximate_spectrum_theorem(
     distance = hausdorff_distance(walk_rep.values, union_set.values)
 
     basis = magnetic_basis_change(nu)
-    max_witness = 0.0
-    for sigma in range(dimension(cs.n)):
+
+    def witness_residual(sigma: int) -> float:
         lam, vecs = coin_sum_eigensystem(cs, sigma, tol)
         # column i: the eigenbasis vector times coin eigenvector i
         lifted = _lift(basis[:, sigma, None], vecs[None])
-        defects = op.apply(lifted) - lifted * lam
-        # np.maximum, unlike max, keeps a NaN residual
-        max_witness = float(
-            np.maximum(max_witness, np.linalg.norm(defects, axis=0).max())
-        )
+        return np.linalg.norm(op.apply(lifted) - lifted * lam, axis=0).max()
+
+    max_witness = worst(map(witness_residual, range(dimension(cs.n))))
 
     point_check = verify_point_spectrum_theorem(nu, cs, tol=tol)
     agreement = (
@@ -475,22 +474,14 @@ def verify_spectral_stability(
     mats = [evolution_operator(nu, cs).sparse() for nu in potentials]
     reports = [_walk_spectrum(mat, nu, cs, tol) for mat, nu in zip(mats, potentials)]
 
-    max_h = 0.0
-    max_diff = 0.0
-    for i in range(len(potentials)):
-        for j in range(i + 1, len(potentials)):
-            # np.maximum, unlike max, keeps a NaN distance
-            max_h = float(
-                np.maximum(max_h, hausdorff_distance(reports[i].values, reports[j].values))
-            )
-            max_diff = float(np.maximum(max_diff, max_abs(mats[i] - mats[j])))
-
     return SpectralStabilityReport(
         n=cs.n,
         d=cs.d,
         samples=samples,
         tolerance=tol,
-        max_pairwise_hausdorff=max_h,
-        max_operator_difference=max_diff,
+        max_pairwise_hausdorff=worst(
+            hausdorff_distance(r.values, s.values) for r, s in itertools.combinations(reports, 2)
+        ),
+        max_operator_difference=worst(max_abs(x - y) for x, y in itertools.combinations(mats, 2)),
         spectra=tuple(reports),
     )

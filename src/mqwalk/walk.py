@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import CapacityError, max_abs, vector_norm
+from ._linalg import CapacityError, max_abs, vector_norm, worst
 from .coin import DEFAULT_COIN_TOL, CoinSystem, algebraic_sum
 from .fock import _check_subset, dimension
 from .magnetic import (
@@ -368,9 +368,7 @@ class IntertwiningReport:
 
     @property
     def max_residual(self) -> float:
-        # np.max, unlike the builtin max, keeps a NaN residual
-        residuals = [self.max_vector_residual, self.off_block_mass, self.max_block_mismatch]
-        return float(np.max(residuals))
+        return worst((self.max_vector_residual, self.off_block_mass, self.max_block_mismatch))
 
     def passed(self, tol: float = DEFAULT_COIN_TOL) -> bool:
         return self.max_residual <= tol

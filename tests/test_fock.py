@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mqwalk import fock
 
@@ -125,6 +126,30 @@ def test_car_report_fields():
         report.car_identity,
     ):
         assert value <= 1e-12
+
+
+def test_commutators_of_one_kind_over_j_below_k(monkeypatch):
+    # random operators give nonzero commutators: those of one kind, taken
+    # over j < k, have the maxima of every ordered pair j != k bit for bit
+    rng = np.random.default_rng(7)
+
+    def random_op():
+        entries = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        return sp.csr_matrix(np.where(rng.random((8, 8)) < 0.5, entries, 0))
+
+    ann, cre = [random_op() for _ in range(3)], [random_op() for _ in range(3)]
+    monkeypatch.setattr(fock, "annihilation_operator", lambda n, k: ann[k])
+    monkeypatch.setattr(fock, "creation_operator", lambda n, k: cre[k])
+    report = fock.verify_car(2)
+
+    def every_pair(ops):
+        return max(
+            fock.max_abs(ops[j] @ ops[k] - ops[k] @ ops[j])
+            for j, k in itertools.permutations(range(3), 2)
+        )
+
+    assert report.annihilation_commutator == every_pair(ann) > 0
+    assert report.creation_commutator == every_pair(cre) > 0
 
 
 def test_nan_residual_fails_car_report(monkeypatch):

@@ -315,8 +315,7 @@ def half(shape):
 
 
 def miss_pencil(monkeypatch):
-    """Move tr A by 1, a trace error that the pencil's gate refuses on both
-    of its tries."""
+    """Move tr A by 1, a trace error that the pencil's gate refuses."""
     traces = _eigen._traces
 
     def perturbed(a):
@@ -344,10 +343,10 @@ class TestKrylovRouting:
     def test_moment_certificate_miss(self, monkeypatch, case):
         # the moments run on the walk's 2-cyclic square M; a certificate
         # miss ends on the pencil of the same M with the right answer, and a
-        # miss of its gates (on both of its tries) on the split path at the
-        # full side, with no full-side pencil; a miss of the split path's
-        # gate then is a solver failure, not invalid input, as the pre-check
-        # has proven either form unitary
+        # miss of its gates on the split path of M, with no solve at the
+        # full side; a miss of the split path's gate then is a solver
+        # failure, not invalid input, as the pre-check has proven either
+        # form unitary
         n, seed = (5, 81) if case == "grover5" else (4, 45)
         mat, dense = walk_forms(coin.grover_coin_system(n), seed)
         reference = spectra.unitary_eigenvalues(mat)
@@ -364,7 +363,7 @@ class TestKrylovRouting:
         miss_pencil(monkeypatch)
         solves.clear()
         report = spectra.unitary_eigenvalues(mat)
-        assert solves == [("gv", side // 2)] * 2 + [("evr", side)]
+        assert solves == [("gv", side // 2), ("evr", side // 2)]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
         miss_split_gate(monkeypatch)
@@ -659,10 +658,21 @@ class TestPencil:
         mat, values = seam_unitary(512, delta, 56)
         solves = spy_pencil(monkeypatch)
         lam = _eigen._eigvals_from_pencil(sp.csr_matrix(mat), 1e-8)
-        # a first answer far from the seam, a retry with the seam in the
-        # widest gap otherwise; each answer within tau of the truth
-        assert len(solves) == (1 if delta >= 1e-5 else 2)
-        assert lam.size == 512 and spectra.hausdorff_distance(lam, values) <= 1e-8
+        # one solve at every distance: an answer within tau of the truth far
+        # from the seam, a miss (a Cholesky failure on it) nearer
+        assert [alpha for alpha, _ in solves] == [_eigen._PENCIL_ALPHA]
+        if delta >= 1e-5:
+            assert lam.size == 512 and spectra.hausdorff_distance(lam, values) <= 1e-8
+        else:
+            assert lam is None
+        # as the M of [[0, D], [I, 0]], the split path of M answers a miss
+        paired = np.block([[np.zeros_like(mat), mat], [np.eye(512), np.zeros_like(mat)]])
+        calls = spy_solves(monkeypatch)
+        report = spectra.unitary_eigenvalues(paired)
+        roots = np.concatenate((np.sqrt(values), -np.sqrt(values)))
+        assert calls == [("gv", 512)] + ([] if delta >= 1e-5 else [("evr", 512)])
+        assert report.total_multiplicity == 1024
+        assert spectra.hausdorff_distance(report.values, roots) <= 1e-8
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_against_the_split_path(self, monkeypatch, n):
@@ -679,9 +689,8 @@ class TestPencil:
 
     def test_cholesky_failure_is_not_input_error(self, monkeypatch):
         # [[0, D], [I, 0]] is 2-cyclic with M = D: at alpha = 0 the value
-        # -1 of M makes H' exactly singular, and at the retry's alpha = pi
-        # the value 1 does: both Cholesky factors fail, and the split path
-        # answers at the full side
+        # -1 of M makes H' exactly singular, the Cholesky factor fails, and
+        # the split path of M answers at half the side
         monkeypatch.setattr(_eigen, "_PENCIL_ALPHA", 0.0)
         phases = np.random.default_rng(59).uniform(-3.0, 3.0, 96)
         phases[:2] = np.pi, 0.0
@@ -693,26 +702,26 @@ class TestPencil:
             return mat, np.concatenate((np.sqrt(values), -np.sqrt(values)))
 
         solves = spy_pencil(monkeypatch)
-        drivers = spy_drivers(monkeypatch)
+        drivers = spy_solves(monkeypatch)
         mat, roots = paired(values)
         report = spectra.unitary_eigenvalues(mat)
-        assert solves == [(0.0, False), (np.pi, False)]
-        assert drivers == ["gv", "gv", "evr"]
+        assert solves == [(0.0, False)]
+        assert drivers == [("gv", 96), ("evr", 96)]
         assert report.total_multiplicity == 192
         assert spectra.hausdorff_distance(report.values, roots) <= 1e-12
-        # with only -1 on the seam, the retry answers
+        # with only -1 on the seam, the same: no second pencil is tried
         solves.clear()
         values[1] = np.exp(0.5j)
         mat, roots = paired(values)
         report = spectra.unitary_eigenvalues(mat)
-        assert solves == [(0.0, False), (np.pi, True)]
+        assert solves == [(0.0, False)]
         assert spectra.hausdorff_distance(report.values, roots) <= 1e-12
 
     def test_nearly_unitary_input_reaches_the_split_path(self, monkeypatch):
         # a walk moved by 1e-11 per stored entry keeps a unitarity residual
         # of 5.9e-11, which passes the 1e-8 pre-check; the trace gates of
-        # the pencil of its 2-cyclic square refuse it on both tries, and
-        # the split path answers at the full side
+        # the pencil of its 2-cyclic square refuse it, and the split path of
+        # the same square answers
         cs = coin.random_coin_system(4, 5, seed=3)
         mat = walk.evolution_operator(
             magnetic.random_potential(4, np.random.default_rng(3)), cs
@@ -723,8 +732,28 @@ class TestPencil:
         moved.data += 1e-11 * (rng.normal(size=mat.nnz) + 1j * rng.normal(size=mat.nnz))
         solves = spy_solves(monkeypatch)
         report = spectra.unitary_eigenvalues(moved)
-        assert solves == [("gv", 80)] * 2 + [("evr", 160)]
+        assert solves == [("gv", 80), ("evr", 80)]
         assert report.total_multiplicity == 160
+        assert spectra.hausdorff_distance(report.values, reference.values) <= 1e-9
+
+
+    def test_nearly_unitary_walk_pays_one_pencil(self, monkeypatch):
+        # the side-896 random walk moved to a unitarity residual of 7.4e-11:
+        # the one pencil of its square misses, and the split path of the
+        # square answers, with no second pencil and no full-side solve
+        cs = coin.random_coin_system(6, 7, seed=3)
+        mat = walk.evolution_operator(
+            magnetic.random_potential(6, np.random.default_rng(3)), cs
+        ).sparse()
+        reference = spectra.unitary_eigenvalues(mat)
+        rng = np.random.default_rng(1)
+        moved = mat.copy()
+        moved.data += 1e-11 * (rng.normal(size=mat.nnz) + 1j * rng.normal(size=mat.nnz))
+        assert 1e-11 < _linalg.unitarity_residual(moved) <= 1e-10
+        solves = spy_solves(monkeypatch)
+        report = spectra.unitary_eigenvalues(moved)
+        assert solves == [("gv", 448), ("evr", 448)]
+        assert report.total_multiplicity == 896
         assert spectra.hausdorff_distance(report.values, reference.values) <= 1e-9
 
 
@@ -837,7 +866,7 @@ class TestTwoCyclic:
         assert solves == [("gv", side // 2)]
         assert report.to_json_dict() == reference.to_json_dict()
 
-    def test_miss_ends_on_the_full_side(self, monkeypatch):
+    def test_miss_ends_on_the_split_of_the_square(self, monkeypatch):
         mat = walk_forms(coin.random_coin_system(4, 6, seed=97), 97)[0]
         side = mat.shape[0]
         reference = spectra.unitary_eigenvalues(mat)
@@ -845,8 +874,9 @@ class TestTwoCyclic:
         solves = spy_solves(monkeypatch)
         report = spectra.unitary_eigenvalues(mat)
         # the one pencil of a walk is that of its square: a miss there goes
-        # straight to the split path, with no full-side pencil
-        assert solves == [("gv", side // 2)] * 2 + [("evr", side)]
+        # straight to the split path of the same square, with no solve at
+        # the full side
+        assert solves == [("gv", side // 2), ("evr", side // 2)]
         assert report.multiplicities == reference.multiplicities
         assert np.abs(report.values - reference.values).max() <= 1e-12
 
@@ -1283,12 +1313,16 @@ class TestMemoryGuard:
         monkeypatch.setattr(_eigen, "_available_memory", lambda: 2 * side * side * 16 - 1)
         report = spectra.unitary_eigenvalues(mat)
         assert solves == [("gv", half)] and report.total_multiplicity == side
-        # a miss of the square's pencil reaches the full side's guard
+        # a miss of the square's pencil reaches the guard of the split path
+        # of the same square: memory that shrinks below two (side / 2)^2
+        # arrays after the pencil's guard is refused there
         miss_pencil(monkeypatch)
         solves.clear()
-        with pytest.raises(walk.CapacityError, match=f"side {side}"):
+        left = iter([2 * half * half * 16, 2 * half * half * 16 - 1])
+        monkeypatch.setattr(_eigen, "_available_memory", lambda: next(left))
+        with pytest.raises(walk.CapacityError, match=f"side {half}"):
             spectra.unitary_eigenvalues(mat)
-        assert solves == [("gv", half)] * 2
+        assert solves == [("gv", half)]
 
     def test_two_cyclic_ndarray_refused_before_the_dense_step(self, monkeypatch):
         # its pattern is read in row blocks, with no side x side temporary
@@ -1614,6 +1648,34 @@ class TestNanResidualFolds:
         report = spectra.verify_spectral_stability(cs, samples=2)
         assert np.isnan(report.max_operator_difference)
         assert not report.passed
+
+
+class TestWorst:
+    """``_linalg.worst``, the one fold of residuals that keeps a NaN."""
+
+    def test_largest_or_zero(self):
+        assert _linalg.worst([]) == 0.0 and _linalg.worst(iter(())) == 0.0
+        assert _linalg.worst(iter([1e-9, 3e-9, 2e-9])) == 3e-9
+        assert _linalg.worst([-2.0, -1.0]) == -1.0
+        assert type(_linalg.worst([np.float64(0.5)])) is float
+
+    def test_nan_anywhere(self):
+        nan = float("nan")
+        # the builtin max drops a NaN that is not first
+        assert max([1.0, nan]) == 1.0
+        for values in ([nan, 1.0], [1.0, nan], [1.0, nan, 2.0], [np.nan]):
+            assert np.isnan(_linalg.worst(values))
+
+    def test_draws_one_value_at_a_time(self):
+        drawn = []
+
+        def values():
+            for value in (1.0, float("nan"), 2.0):
+                drawn.append(value)
+                yield value
+
+        assert np.isnan(_linalg.worst(values()))
+        assert drawn[0] == 1.0 and len(drawn) == 2
 
 
 class TestSpectralStability:
