@@ -7,134 +7,17 @@ operator system into the unitary evolution operator, simulates the
 discrete-time dynamics, and verifies numerically that the spectrum equals
 the union of the per-vertex signed coin-sum spectra and does not depend on
 the potential.
+
+The package re-exports the ``__all__`` of each layer module.
 """
 
-from .coin import (
-    CoinSystem,
-    CoinValidationReport,
-    algebraic_sum,
-    coin_from_unitary_partition,
-    coin_sum,
-    grover_coin_system,
-    hadamard_partition_coin_system,
-    random_coin_system,
-    validate_coin_system,
-)
-from .fock import (
-    CarReport,
-    FockSpace,
-    annihilation_operator,
-    basis_state,
-    creation_operator,
-    dimension,
-    is_adjacent,
-    membership_signs,
-    subset_size,
-    verify_car,
-)
-from .magnetic import (
-    EigenbasisReport,
-    FullPotentialTable,
-    MagneticPotential,
-    eigenbasis_check,
-    magnetic_basis_change,
-    magnetic_basis_vector,
-    magnetic_shift,
-    null_potential,
-    random_potential,
-    reduce_potential,
-    shift_product_action,
-    xi_hat,
-    xi_hat_vacuum_columns,
-)
-from .spectra import (
-    ApproximateSpectrumCheck,
-    EigensolverError,
-    PointSpectrumCheck,
-    SpectralStabilityReport,
-    SpectrumReport,
-    coin_sum_eigensystem,
-    coin_union_spectrum,
-    hausdorff_distance,
-    unitary_eigenvalues,
-    verify_approximate_spectrum_theorem,
-    verify_point_spectrum_theorem,
-    verify_spectral_stability,
-    walk_point_spectrum,
-)
-from .walk import (
-    CapacityError,
-    IntertwiningReport,
-    WalkOperator,
-    WalkState,
-    evolution_operator,
-    evolve,
-    intertwining_check,
-    magnetic_eigenstate,
-    position_distribution,
-    step,
-    uniform_coin_vertex_state,
-    vertex_state,
-)
+from . import coin, fock, magnetic, spectra, walk
+from .coin import *  # noqa: F403
+from .fock import *  # noqa: F403
+from .magnetic import *  # noqa: F403
+from .spectra import *  # noqa: F403
+from .walk import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoinSystem",
-    "CoinValidationReport",
-    "algebraic_sum",
-    "coin_from_unitary_partition",
-    "coin_sum",
-    "grover_coin_system",
-    "hadamard_partition_coin_system",
-    "random_coin_system",
-    "validate_coin_system",
-    "CarReport",
-    "FockSpace",
-    "annihilation_operator",
-    "basis_state",
-    "creation_operator",
-    "dimension",
-    "is_adjacent",
-    "membership_signs",
-    "subset_size",
-    "verify_car",
-    "EigenbasisReport",
-    "FullPotentialTable",
-    "MagneticPotential",
-    "eigenbasis_check",
-    "magnetic_basis_change",
-    "magnetic_basis_vector",
-    "magnetic_shift",
-    "null_potential",
-    "random_potential",
-    "reduce_potential",
-    "shift_product_action",
-    "xi_hat",
-    "xi_hat_vacuum_columns",
-    "ApproximateSpectrumCheck",
-    "EigensolverError",
-    "PointSpectrumCheck",
-    "SpectralStabilityReport",
-    "SpectrumReport",
-    "coin_sum_eigensystem",
-    "coin_union_spectrum",
-    "hausdorff_distance",
-    "unitary_eigenvalues",
-    "verify_approximate_spectrum_theorem",
-    "verify_point_spectrum_theorem",
-    "verify_spectral_stability",
-    "walk_point_spectrum",
-    "CapacityError",
-    "IntertwiningReport",
-    "WalkOperator",
-    "WalkState",
-    "evolution_operator",
-    "evolve",
-    "intertwining_check",
-    "magnetic_eigenstate",
-    "position_distribution",
-    "step",
-    "uniform_coin_vertex_state",
-    "vertex_state",
-]
+__all__ = [name for layer in (coin, fock, magnetic, spectra, walk) for name in layer.__all__]

@@ -19,6 +19,7 @@ import itertools
 import json
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -54,23 +55,6 @@ from .walk import (
     vertex_state,
 )
 
-DEFAULTS = {
-    "task": "verify-all",
-    "n": None,
-    "coin": None,
-    "coin_file": None,
-    "nu": "null",
-    "samples": 5,
-    "seed": 0,
-    "steps": 0,
-    "initial": "vertex:0",
-    "out": None,
-    "format": "json",
-    "tol_spectrum": DEFAULT_SPECTRUM_TOL,
-    "tol_construct": DEFAULT_COIN_TOL,
-}
-
-
 # The scalar fields of each spectral check, in its task's report and in verify-all
 _POINT_FIELDS = ("passed", "hausdorff_distance", "multiset_passed")
 _AEV_FIELDS = ("passed", "hausdorff_distance", "max_witness_residual", "matches_point_check")
@@ -87,28 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate the magnetic hypercube walk and verify its spectral properties.",
     )
     parser.add_argument("--config", help="JSON config file; explicit flags override it")
-    parser.add_argument("--task", choices=TASKS, help=f"what to run (default {DEFAULTS['task']})")
-    parser.add_argument("--n", type=int, help="walk order: vertices are subsets of {0,...,n}")
-    parser.add_argument(
-        "--coin",
-        help="builtin coin: grover | hadamard-partition | random | random:<d>",
-    )
-    parser.add_argument("--coin-file", help="JSON coin system file (re-validated on load)")
-    parser.add_argument(
-        "--nu",
-        help="magnetic potential: null | random | comma-separated phases in [-pi,pi]",
-    )
-    parser.add_argument("--samples", type=int, help="random potentials for verify-stability")
-    parser.add_argument("--seed", type=int, help="seed for the single experiment generator")
-    parser.add_argument("--steps", type=int, help="number of steps for simulate")
-    parser.add_argument(
-        "--initial",
-        help="initial state: vertex:<sigma>[:<coin>] | uniform:<sigma> | eigen:<sigma>:<k>",
-    )
-    parser.add_argument("--out", help="report file path (stdout when omitted)")
-    parser.add_argument("--format", choices=("json", "csv"), help="report format")
-    parser.add_argument("--tol-spectrum", type=float, help="tolerance for spectral set checks")
-    parser.add_argument("--tol-construct", type=float, help="tolerance for composite residual checks")
+    for name, field in FIELDS.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=field.type,
+                            choices=field.choices, help=field.help)
     return parser
 
 
@@ -140,7 +105,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise InputError(f"unknown task '{merged['task']}'")
     if merged["n"] is None and merged["coin_file"] is None:
         raise InputError("missing required field: n (or a coin-file to take it from)")
-    if merged["format"] not in ("json", "csv"):
+    if merged["format"] not in FIELDS["format"].choices:
         raise InputError(f"format must be json or csv, got '{merged['format']}'")
     if merged["format"] == "csv" and merged["task"] not in ("simulate", "spectrum"):
         raise InputError("csv output is only available for simulate and spectrum")
@@ -154,32 +119,31 @@ def _is_number(value) -> bool:
 def _check_types(cfg: dict) -> None:
     """Reject a field whose JSON type is wrong; normalize the numeric ones.
 
-    Integer fields take integers and integral floats (3.0 reads as 3), never
-    booleans; tolerances take positive finite numbers; nu takes a spec
-    string or, for n=0, a bare number.  A null leaves a field unset, which
-    the later checks reject where it is required.
+    Int fields take integers and integral floats (3.0 reads as 3), never
+    booleans, down to the field's minimum; float fields (the tolerances)
+    take positive finite numbers; nu takes a spec string or, for n=0, a
+    bare number; the other fields take strings.  A null leaves a field
+    unset, which the later checks reject where it is required.
     """
-    for field, minimum in (("n", 0), ("samples", 2), ("steps", 0), ("seed", 0)):
-        value = cfg[field]
-        if value is None and field == "n":
+    for name, field in FIELDS.items():
+        value = cfg[name]
+        if value is None and name == "n":
             continue  # taken from the coin file
-        if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
-            raise InputError(f"field '{field}' must be an integer, got {json.dumps(value)}")
-        cfg[field] = int(value)
-        if cfg[field] < minimum:
-            raise InputError(f"field '{field}' must be >= {minimum}, got {cfg[field]}")
-    for field in ("tol_spectrum", "tol_construct"):
-        value = cfg[field]
-        if not (_is_number(value) and 0 < value <= sys.float_info.max):
-            raise InputError(
-                f"field '{field}' must be a positive finite number, got {json.dumps(value)}"
-            )
-        cfg[field] = float(value)
-    for field in ("task", "coin", "coin_file", "initial", "out", "format"):
-        if not (cfg[field] is None or isinstance(cfg[field], str)):
-            raise InputError(f"field '{field}' must be a string, got {json.dumps(cfg[field])}")
-    if not (cfg["nu"] is None or isinstance(cfg["nu"], str) or _is_number(cfg["nu"])):
-        raise InputError(f"field 'nu' must be a string or a number, got {json.dumps(cfg['nu'])}")
+        if field.type is int:
+            if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+                raise InputError(f"field '{name}' must be an integer, got {json.dumps(value)}")
+            cfg[name] = int(value)
+            if cfg[name] < field.minimum:
+                raise InputError(f"field '{name}' must be >= {field.minimum}, got {cfg[name]}")
+        elif field.type is float:
+            if not (_is_number(value) and 0 < value <= sys.float_info.max):
+                raise InputError(
+                    f"field '{name}' must be a positive finite number, got {json.dumps(value)}"
+                )
+            cfg[name] = float(value)
+        elif not (value is None or isinstance(value, str) or name == "nu" and _is_number(value)):
+            kind = "a string or a number" if name == "nu" else "a string"
+            raise InputError(f"field '{name}' must be {kind}, got {json.dumps(value)}")
 
 
 def _build_coin(cfg: dict, rng: np.random.Generator) -> CoinSystem:
@@ -387,6 +351,32 @@ _RUNNERS = {
 TASKS = tuple(_RUNNERS)
 
 
+# A config field: its default, the type of its flag and of its JSON value,
+# the flag's help, and a string field's choices or an int field's least value
+Field = namedtuple("Field", ["default", "type", "help", "choices", "minimum"], defaults=(None, 0))
+
+# Each config field, in the order of its flag in --help
+FIELDS = {
+    "task": Field("verify-all", str, "what to run (default verify-all)", choices=TASKS),
+    "n": Field(None, int, "walk order: vertices are subsets of {0,...,n}"),
+    "coin": Field(None, str, "builtin coin: grover | hadamard-partition | random | random:<d>"),
+    "coin_file": Field(None, str, "JSON coin system file (re-validated on load)"),
+    "nu": Field("null", str,
+                "magnetic potential: null | random | comma-separated phases in [-pi,pi]"),
+    "samples": Field(5, int, "random potentials for verify-stability", minimum=2),
+    "seed": Field(0, int, "seed for the single experiment generator"),
+    "steps": Field(0, int, "number of steps for simulate"),
+    "initial": Field("vertex:0", str, "initial state: vertex:<sigma>[:<coin>] | "
+                     "uniform:<sigma> | eigen:<sigma>:<k>"),
+    "out": Field(None, str, "report file path (stdout when omitted)"),
+    "format": Field("json", str, "report format", choices=("json", "csv")),
+    "tol_spectrum": Field(DEFAULT_SPECTRUM_TOL, float, "tolerance for spectral set checks"),
+    "tol_construct": Field(DEFAULT_COIN_TOL, float, "tolerance for composite residual checks"),
+}
+
+DEFAULTS = {name: field.default for name, field in FIELDS.items()}
+
+
 # Floats rendered at a time by the report writer: an array is turned into
 # text in blocks of whole rows of about this many values, so the writer
 # holds one block rather than the report.  While its block is rendered a
@@ -429,39 +419,27 @@ def _pieces(value, level: int) -> Iterator[str]:
 
 
 def _array_pieces(arr: np.ndarray, level: int) -> Iterator[str]:
-    """Nested-list JSON text of an array at indent ``level``, in row blocks.
+    """Nested-list JSON text of an array at indent ``level``.
 
-    Within a block of rows along axis 0 the values are joined by C-level
-    string joins, axis by axis from the innermost: the separator between
-    two neighbours along an axis closes the brackets of every deeper axis,
-    writes the comma, and opens them again.
+    A 2-d array of finite floats, the only kind of array a report holds, is
+    rendered in blocks of rows: within a block the values are joined by
+    C-level string joins, first along each row and then row to row.  Any
+    other array goes through ``tolist``.
     """
-    if arr.dtype.kind != "f" or arr.size == 0 or not np.isfinite(arr).all():
+    if arr.ndim != 2 or arr.dtype.kind != "f" or arr.size == 0 or not np.isfinite(arr).all():
         # empty rows print as "[]" and json spells non-finite values its own way
         yield from _pieces(arr.tolist(), level)
         return
-    if arr.ndim == 0:
-        yield float.__repr__(arr.item())
-        return
-    pads = ["\n" + "  " * (level + k) for k in range(arr.ndim + 1)]
-
-    def head(axis: int) -> str:  # opening brackets of ``axis`` and deeper
-        return "".join("[" + pads[k + 1] for k in range(axis, arr.ndim))
-
-    def tail(axis: int) -> str:  # closing brackets of ``axis`` and deeper
-        return "".join(pads[k] + "]" for k in reversed(range(axis, arr.ndim)))
-
-    seps = [tail(axis + 1) + "," + pads[axis + 1] + head(axis + 1) for axis in range(arr.ndim)]
-    rows = max(1, _BLOCK_VALUES // (arr.size // arr.shape[0]))
-    yield head(0)
+    outer, inner = ("\n" + "  " * (level + k) for k in (1, 2))
+    row_sep = outer + "]," + outer + "[" + inner
+    rows = max(1, _BLOCK_VALUES // arr.shape[1])
+    yield "[" + outer + "[" + inner
     for start in range(0, arr.shape[0], rows):
         text = map(float.__repr__, arr[start:start + rows].ravel().tolist())
-        for axis in reversed(range(1, arr.ndim)):
-            text = map(seps[axis].join, zip(*[iter(text)] * arr.shape[axis]))
         if start:
-            yield seps[0]
-        yield seps[0].join(text)
-    yield tail(0)
+            yield row_sep
+        yield row_sep.join(map(("," + inner).join, zip(*[iter(text)] * arr.shape[1])))
+    yield outer + "]\n" + "  " * level + "]"
 
 
 def _emit(payload: dict | Iterable[str], out: str | None) -> None:

@@ -19,7 +19,6 @@ import scipy.sparse as sp
 from ._linalg import max_abs, worst
 
 __all__ = [
-    "FockSpace",
     "CarReport",
     "dimension",
     "subset_size",
@@ -109,29 +108,6 @@ def creation_operator(n: int, k: int) -> sp.csr_matrix:
     rows = cols | (1 << k)
     data = np.ones(cols.size, dtype=complex)
     return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-
-
-@dataclass(frozen=True)
-class FockSpace:
-    """The 2^(n+1)-dimensional position space for a fixed n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        dimension(self.n)  # rejects a negative n
-
-    @property
-    def dim(self) -> int:
-        return dimension(self.n)
-
-    def basis_state(self, sigma: int) -> np.ndarray:
-        return basis_state(self.n, sigma)
-
-    def annihilation(self, k: int) -> sp.csr_matrix:
-        return annihilation_operator(self.n, k)
-
-    def creation(self, k: int) -> sp.csr_matrix:
-        return creation_operator(self.n, k)
 
 
 @dataclass(frozen=True)

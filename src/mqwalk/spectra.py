@@ -35,7 +35,7 @@ from .coin import (
 from .fock import dimension
 from .magnetic import (
     MagneticPotential,
-    magnetic_basis_change,
+    magnetic_basis_vector,
     null_potential,
     random_potential,
 )
@@ -397,12 +397,10 @@ def verify_approximate_spectrum_theorem(
     union_set, union_multiset = coin_union_spectrum(cs, cluster_tol=tol)
     distance = hausdorff_distance(walk_rep.values, union_set.values)
 
-    basis = magnetic_basis_change(nu)
-
     def witness_residual(sigma: int) -> float:
         lam, vecs = coin_sum_eigensystem(cs, sigma, tol)
         # column i: the eigenbasis vector times coin eigenvector i
-        lifted = _lift(basis[:, sigma, None], vecs[None])
+        lifted = _lift(magnetic_basis_vector(sigma, nu)[:, None], vecs[None])
         return np.linalg.norm(op.apply(lifted) - lifted * lam, axis=0).max()
 
     max_witness = worst(map(witness_residual, range(dimension(cs.n))))

@@ -25,6 +25,7 @@ REMOVED = [
     "approximation_residual",
     "null_potential_operator",
     "distribution_csv",
+    "FockSpace",
 ]
 
 # (module, function, parameter) for parameters that were removed: each one
@@ -107,6 +108,14 @@ def test_spectra_imports_nothing_private_from_the_solver():
     names = [name for module, names in package_imports("spectra") if module == "_eigen"
              for name in names]
     assert names and [name for name in names if name.startswith("_")] == []
+
+
+def test_package_reexports_each_layer_name_once():
+    layers = [importlib.import_module(name) for name in SPANNED_LAYERS]
+    names = [name for layer in layers for name in layer.__all__]
+    assert sorted(mqwalk.__all__) == sorted(names) and len(set(names)) == len(names)
+    assert all(getattr(mqwalk, name) is getattr(layer, name)
+               for layer in layers for name in layer.__all__)
 
 
 def test_capacity_error_is_one_class():

@@ -92,6 +92,10 @@ class TestConfigResolution:
         {"tol_spectrum": float("inf")},
         {"nu": [0.1, 0.2]},
         {"out": 5},
+        {"task": 5},
+        {"coin_file": 5},
+        {"initial": 5},
+        {"format": 5},
     ], ids=lambda fields: json.dumps(fields))
     def test_mistyped_config_field_is_input_error(self, fields, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -100,6 +104,15 @@ class TestConfigResolution:
         assert run_cli("--config", str(config)) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [config]
+
+    def test_one_flag_per_field(self):
+        actions = cli.build_parser()._actions[1:]  # after --help
+        assert [action.option_strings for action in actions] == [["--config"]] + [
+            ["--" + name.replace("_", "-")] for name in cli.FIELDS
+        ]
+        assert [(action.dest, action.type, action.choices) for action in actions[1:]] == [
+            (name, field.type, field.choices) for name, field in cli.FIELDS.items()
+        ]
 
     @pytest.mark.parametrize("fields, echoed", [
         ({"task": "verify-stability", "n": 1.0, "samples": 3.0}, {"n": 1, "samples": 3}),

@@ -184,15 +184,6 @@ def test_subset_helpers():
     np.testing.assert_array_equal(fock.membership_signs(2, 0b101), [1.0, -1.0, 1.0])
 
 
-def test_fock_space_wrapper():
-    space = fock.FockSpace(2)
-    assert space.dim == 8
-    np.testing.assert_array_equal(
-        space.annihilation(0).toarray(), fock.annihilation_operator(2, 0).toarray()
-    )
-    np.testing.assert_array_equal(space.basis_state(3), fock.basis_state(2, 3))
-
-
 def test_mode_out_of_range():
     with pytest.raises(ValueError):
         fock.annihilation_operator(2, 3)
@@ -200,8 +191,6 @@ def test_mode_out_of_range():
         fock.creation_operator(2, -1)
     with pytest.raises(ValueError):
         fock.verify_car(-1)
-    with pytest.raises(ValueError):
-        fock.FockSpace(-2)
 
 
 def test_negative_n_named_before_the_mode():

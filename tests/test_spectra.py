@@ -1616,11 +1616,10 @@ class TestNanResidualFolds:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_witness_residual(self, monkeypatch):
-        def nan_basis(nu):
-            dim = fock.dimension(nu.n)
-            return np.full((dim, dim), np.nan, dtype=complex)
+        def nan_vector(sigma, nu):
+            return np.full(fock.dimension(nu.n), np.nan, dtype=complex)
 
-        monkeypatch.setattr(spectra, "magnetic_basis_change", nan_basis)
+        monkeypatch.setattr(spectra, "magnetic_basis_vector", nan_vector)
         nu = magnetic.random_potential(1, np.random.default_rng(50))
         check = spectra.verify_approximate_spectrum_theorem(
             nu, coin.hadamard_partition_coin_system()
