@@ -141,7 +141,7 @@ def _check_types(cfg: dict) -> None:
                     f"field '{name}' must be a positive finite number, got {json.dumps(value)}"
                 )
             cfg[name] = float(value)
-        elif not (value is None or isinstance(value, str) or name == "nu" and _is_number(value)):
+        elif not (value is None or isinstance(value, str) or (name == "nu" and _is_number(value))):
             kind = "a string or a number" if name == "nu" else "a string"
             raise InputError(f"field '{name}' must be {kind}, got {json.dumps(value)}")
 
